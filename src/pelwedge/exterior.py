@@ -140,7 +140,10 @@ def scalar_mul(scalar, matrix):
 
 
 def wedge_gram(psi0: CycloElement, psi1, k: int):
-    """Gram of the wedge construction: entry (I,J) = psi0^(1-k) * det(psi1[I,J])."""
+    """psi0^(1-k) times the k-th compound of psi1: entry (I,J) = psi0^(1-k) * det(psi1[I,J]).
+
+    With a Gram pair this is the wedge Gram; with a similitude pair
+    (gamma0, gamma1) it is the induced similitude map `g_k`."""
     if not psi0:
         raise ValueError("psi0 must be nonzero")
     n = len(psi1)
@@ -164,15 +167,8 @@ def skew_sign(psi0: CycloElement, psi1, k: int) -> int:
     raise ArithmeticError(f"wedge gram at k={k} is neither Hermitian nor skew")
 
 
-def g_k(gamma0: CycloElement, gamma1, k: int):
-    """The induced similitude map: gamma0^(1-k) times the k-th compound."""
-    if not gamma0:
-        raise ValueError("gamma0 must be nonzero")
-    n = len(gamma1)
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    factor = gamma0 ** (1 - k)
-    return scalar_mul(factor, compound(gamma1, k))
+# the induced similitude map gamma0^(1-k) * Lambda^k gamma1
+g_k = wedge_gram
 
 
 def multiplier(gamma, psi) -> CycloElement:

@@ -4,15 +4,22 @@ The trace form psi = tr_{L/Q} Psi is an antisymmetric rational matrix in
 the basis {zeta^a e_i}; perfectness at p is certified by the p-adic
 valuation of its determinant (equivalent to self-duality at unramified
 p, which is the only case accepted here).
+
+Each entry of psi is a linear functional of the coordinates of one Psi_ij,
+evaluated with the Ramanujan sums tr(zeta^t), so building psi needs no
+field multiplication.  The valuation is decided by elimination mod p
+first: when every entry is p-integral and the determinant is a nonzero
+residue, v_p(det) = 0 and the form is nondegenerate.  Only otherwise is
+the exact determinant computed and its valuation returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .cyclofield import CycloField, RamifiedPrimeError, trace_LQ
+from .cyclofield import CycloElement, CycloField, RamifiedPrimeError, _ramanujan_sum
 from .exterior import wedge_gram
 from .hodge import HermitianModule
 
@@ -34,28 +41,39 @@ class TraceGram:
         if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
             raise ValueError("trace gram has the wrong size")
         for i in range(size):
-            for j in range(size):
+            for j in range(i, size):
                 if self.matrix[j][i] != -self.matrix[i][j]:
                     raise ValueError("trace gram is not antisymmetric")
+
+
+def _shifted_traces(x: CycloElement, traces: list[int], d: int) -> list[Fraction]:
+    """tr(zeta^s * x) for s = 1-d .. d-1, from tr(zeta^t) = traces[t % m]."""
+    m = len(traces)
+    den = lcm(*(c.denominator for c in x.coords))
+    nums = [(t, c.numerator * (den // c.denominator)) for t, c in enumerate(x.coords) if c]
+    return [
+        Fraction(sum(c * traces[(t + s) % m] for t, c in nums), den)
+        for s in range(1 - d, d)
+    ]
 
 
 def trace_gram(module: HermitianModule) -> TraceGram:
     """psi(zeta^a e_i, zeta^b e_j) = tr(conj(zeta^a) * Psi_ij * zeta^b).
 
-    Sesquilinear convention: conjugate-linear in the first argument."""
+    Sesquilinear convention: conjugate-linear in the first argument.  As
+    conj(zeta^a) = zeta^(-a), the entry is tr(zeta^(b-a) * Psi_ij), which
+    depends on (i, j) and the shift b - a only."""
     field = module.field
     n = module.rank
     d = field.degree
+    traces = [_ramanujan_sum(field.m, t) for t in range(field.m)]
+    shifted = [[_shifted_traces(x, traces, d) for x in row] for row in module.gram]
     rows = []
     for a in range(d):
-        za_bar = field.zeta_power(a).conj()
         for i in range(n):
-            row = []
-            for b in range(d):
-                zb = field.zeta_power(b)
-                for j in range(n):
-                    row.append(trace_LQ(za_bar * module.gram[i][j] * zb))
-            rows.append(tuple(row))
+            by_shift = shifted[i]
+            # by_shift[j][b - a + d - 1] = psi(zeta^a e_i, zeta^b e_j)
+            rows.append(tuple(by_shift[j][b - a + d - 1] for b in range(d) for j in range(n)))
     return TraceGram(field, n, tuple(rows))
 
 
@@ -90,12 +108,51 @@ def _valuation(value: int, p: int) -> int:
     return v
 
 
+def _unit_det_mod(matrix, p: int) -> bool:
+    """True when no denominator shares a factor with p and det is a unit mod p.
+
+    Gaussian elimination over Z/p with unit pivots only, so a False answer
+    is inconclusive when p is composite.  Row order is irrelevant: only
+    whether det is a unit is decided."""
+    inverses: dict[int, int] = {1: 1}
+    rows = []
+    for row in matrix:
+        reduced = []
+        for x in row:
+            den = x.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if gcd(den, p) != 1:
+                    return False
+                inv = inverses[den] = pow(den, -1, p)
+            reduced.append(x.numerator * inv % p)
+        rows.append(reduced)
+    while rows:
+        pivot = next((r for r, row in enumerate(rows) if row[0] and gcd(row[0], p) == 1), None)
+        if pivot is None:
+            return False
+        head = rows.pop(pivot)
+        inv = pow(head[0], -1, p)
+        # the pivot row scaled to a leading 1, with its pivot column dropped
+        tail = [y * inv % p for y in head[1:]]
+        rows = [
+            [(x - f * y) % p for x, y in zip(row[1:], tail)] if (f := row[0]) else row[1:]
+            for row in rows
+        ]
+    return True
+
+
 def perfectness_valuation(gram: TraceGram, p: int) -> int:
-    """p-adic valuation of det; 0 certifies Z_(p)-perfectness in this basis."""
+    """p-adic valuation of det; 0 certifies Z_(p)-perfectness in this basis.
+
+    A nonzero residue of det mod p proves the valuation is 0 (and that the
+    form is nondegenerate); only otherwise is the exact determinant computed."""
     if gcd(p, gram.field.m) != 1:
         raise RamifiedPrimeError(
             f"perfectness test requires p coprime to m, got p={p}, m={gram.field.m}"
         )
+    if p >= 2 and _unit_det_mod(gram.matrix, p):
+        return 0
     d = rational_det(gram.matrix)
     if d == 0:
         raise DegenerateForm("trace gram is degenerate over Q")

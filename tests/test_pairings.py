@@ -1,11 +1,14 @@
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from pelwedge.cyclofield import RamifiedPrimeError, cyclo_field
-from pelwedge.exterior import conj_transpose, mat_mul
+from pelwedge import instances, pairings
+from pelwedge.cli import main
+from pelwedge.cyclofield import RamifiedPrimeError, cyclo_field, trace_LQ
+from pelwedge.exterior import conj_transpose, det, mat_mul
 from pelwedge.hodge import HermitianModule
 from pelwedge.instances import (
     rand_element,
@@ -15,11 +18,14 @@ from pelwedge.instances import (
 )
 from pelwedge.pairings import (
     DegenerateForm,
+    TraceGram,
     perfectness_valuation,
     rational_det,
     trace_gram,
     verify_prinz,
 )
+
+ALLPASS = str(pathlib.Path(__file__).parent / "fixtures" / "allpass.pel")
 
 
 def test_trace_gram_rank1_example(F4):
@@ -135,3 +141,176 @@ def test_verify_prinz_random_sweep():
                 rep = verify_prinz(module0, module1, k, p)
                 assert rep.hypotheses_met
                 assert rep.output_valuation == 0
+
+
+# -- reference oracles: the formulas the fast paths replaced ----------------
+
+
+def reference_trace_gram(module):
+    """psi(zeta^a e_i, zeta^b e_j) as the triple product, traced entry by entry."""
+    field = module.field
+    n, d = module.rank, field.degree
+    rows = []
+    for a in range(d):
+        za_bar = field.zeta_power(a).conj()
+        for i in range(n):
+            rows.append(tuple(
+                trace_LQ(za_bar * module.gram[i][j] * field.zeta_power(b))
+                for b in range(d)
+                for j in range(n)
+            ))
+    return TraceGram(field, n, tuple(rows))
+
+
+def reference_valuation(gram, p):
+    """v_p of the exact determinant, with no residue shortcut."""
+    if math.gcd(p, gram.field.m) != 1:
+        raise RamifiedPrimeError(f"p={p} divides m={gram.field.m}")
+    value = rational_det(gram.matrix)
+    if value == 0:
+        raise DegenerateForm("trace gram is degenerate over Q")
+    return valuation(value.numerator, p) - valuation(value.denominator, p)
+
+
+def valuation(value, p):
+    v = 0
+    while value % p == 0:
+        value //= p
+        v += 1
+    return v
+
+
+def rand_fraction_element(field, rng, dens):
+    return field.element(
+        [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(field.degree)]
+    )
+
+
+def rand_fraction_skew(field, n, rng, dens):
+    """Skew-Hermitian gram whose coordinates have denominators drawn from dens."""
+    gram = [[field.zero] * n for _ in range(n)]
+    for a in range(n):
+        x = rand_fraction_element(field, rng, dens)
+        gram[a][a] = x - x.conj()
+        for b in range(a + 1, n):
+            y = rand_fraction_element(field, rng, dens)
+            gram[a][b] = y
+            gram[b][a] = -y.conj()
+    return gram
+
+
+def scaled(field, gram, c):
+    factor = field.from_rational(c)
+    return [[factor * x for x in row] for row in gram]
+
+
+def rank_one_skew(field, n, rng):
+    """delta * u u^dagger with conj(delta) = -delta: skew-Hermitian of rank 1."""
+    while True:
+        x = rand_element(field, rng)
+        delta = x - x.conj()
+        if delta:
+            break
+    u = [rand_element(field, rng) for _ in range(n)]
+    return [[delta * u[i] * u[j].conj() for j in range(n)] for i in range(n)]
+
+
+UNRAMIFIED = {3: (5, 7, 11), 4: (3, 5, 7), 5: (3, 11, 2), 8: (3, 5, 7), 12: (5, 7, 11), 16: (3, 5, 7)}
+
+
+def differential_cases(m, rng):
+    """(label, gram) pairs covering integral, non-integral, p-scaled,
+    p-in-denominator and degenerate grams over Q(zeta_m)."""
+    F = cyclo_field(m)
+    p = UNRAMIFIED[m][0]
+    ranks = (1, 2) if F.degree >= 8 else (1, 2, 3)
+    for n in ranks:
+        yield "integral", rand_skew_hermitian(F, n, rng)
+        yield "fraction", rand_fraction_skew(F, n, rng, (1, 2, 3, 5, 7, 9))
+        yield "p | det", scaled(F, rand_skew_hermitian(F, n, rng), p)
+        yield "p in a denominator", scaled(F, rand_fraction_skew(F, n, rng, (1, 2)), Fraction(1, p))
+    yield "degenerate", rank_one_skew(F, 2, rng)
+    yield "degenerate", [[F.zeta - F.zeta.conj(), F.zero], [F.zero, F.zero]]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16])
+def test_fast_paths_match_reference_oracles(m):
+    rng = random.Random(1000 + m)
+    F = cyclo_field(m)
+    seen = set()
+    for label, gram in differential_cases(m, rng):
+        module = HermitianModule(F, gram)
+        tg = trace_gram(module)
+        assert tg.matrix == reference_trace_gram(module).matrix, label
+        for p in UNRAMIFIED[m] + ((9,) if m % 3 else ()):
+            try:
+                expected = reference_valuation(tg, p)
+            except DegenerateForm:
+                with pytest.raises(DegenerateForm):
+                    perfectness_valuation(tg, p)
+                seen.add("degenerate")
+                continue
+            assert perfectness_valuation(tg, p) == expected, (label, p)
+            seen.add("v_p > 0" if expected > 0 else "v_p < 0" if expected < 0 else "v_p = 0")
+        if any(x.denominator > 1 for row in tg.matrix for x in row):
+            seen.add("non-integral")
+    assert seen == {"v_p = 0", "v_p > 0", "v_p < 0", "degenerate", "non-integral"}
+
+
+def test_residue_zero_mod_p_falls_back_to_the_exact_valuation(F4):
+    # det = 4 * 9: zero mod 3 with valuation 2, a unit mod 5
+    tg = trace_gram(HermitianModule(F4, [[F4.from_rational(3) * F4.zeta]]))
+    assert perfectness_valuation(tg, 3) == 2
+    assert perfectness_valuation(tg, 5) == 0
+    # composite p: the residue shortcut needs unit pivots, else the exact path
+    assert perfectness_valuation(tg, 9) == 1
+    assert perfectness_valuation(tg, 7 * 11) == 0
+
+
+def norm(x):
+    """N_{L/Q}(x) as the determinant of multiplication by x in the power basis."""
+    F = x.field
+    columns = [(x * F.zeta_power(j)).coords for j in range(F.degree)]
+    return det([[columns[j][i] for j in range(F.degree)] for i in range(F.degree)])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12])
+def test_valuation_matches_the_norm_of_det_psi(m):
+    # for unramified p, v_p(det tr Psi) = v_p(N_{L/Q}(det Psi))
+    rng = random.Random(2000 + m)
+    F = cyclo_field(m)
+    checked = set()
+    for n in (1, 2, 3):
+        for p in UNRAMIFIED[m]:
+            for gram in (
+                rand_skew_hermitian(F, n, rng),
+                rand_fraction_skew(F, n, rng, (1, 2, 3, p)),
+                scaled(F, rand_skew_hermitian(F, n, rng), p),
+            ):
+                det_psi = det(gram)
+                if not det_psi:
+                    continue
+                N = norm(det_psi)
+                expected = valuation(N.numerator, p) - valuation(N.denominator, p)
+                module = HermitianModule(F, gram)
+                assert perfectness_valuation(trace_gram(module), p) == expected
+                checked.add(expected == 0)
+    assert checked == {True, False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "prinz", "--trials", "40", "--seed", "11"),
+        ("verify", "prinz", "--input", ALLPASS),
+        ("spadesuit", "--input", ALLPASS),
+    ],
+)
+def test_cli_bytes_match_the_reference_oracles(argv, capsys, monkeypatch):
+    code = main(list(argv))
+    fast = capsys.readouterr().out
+    for owner in (pairings, instances):
+        monkeypatch.setattr(owner, "trace_gram", reference_trace_gram)
+        monkeypatch.setattr(owner, "perfectness_valuation", reference_valuation)
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out == fast
