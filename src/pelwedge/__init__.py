@@ -9,7 +9,6 @@ from .cyclofield import (
     CMType,
     CycloElement,
     CycloField,
-    EmbeddingId,
     FrobeniusOrbitPartition,
     RamifiedPrimeError,
     SpadesuitReport,
@@ -35,7 +34,6 @@ from .hodge import (
     CMTraceVector,
     EmbeddingCase,
     HermitianModule,
-    SignatureProfile,
     SingularAtEmbedding,
     case_of,
     compatible,

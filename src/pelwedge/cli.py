@@ -50,11 +50,15 @@ VERIFY_SUITES = ("data", "prinz", "vdrei", "vzehn", "embedding", "all")
 TABLE_KINDS = ("signatures", "traces", "weights", "embedding-matrix")
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(message)
 
 
 def default_precision() -> int:
@@ -154,6 +158,8 @@ def _suite_prinz_random(
     for trial in range(trials):
         m = rng.choice(m_list)
         candidates = [p for p in p_list if math.gcd(p, m) == 1]
+        if not candidates:
+            _usage_error(f"no --p value is coprime to m={m}")
         p = rng.choice(candidates)
         n = rng.randint(1, n_max)
         k = rng.randint(0, n)
@@ -289,19 +295,23 @@ def _emit_table(rows: list[dict], fmt: str) -> None:
         sys.stdout.write(doc.to_jsonl())
 
 
+def _require(args, *options) -> None:
+    for option in options:
+        if getattr(args, option) in (None, ""):
+            _usage_error(f"table {args.kind} requires --{option}")
+
+
 def cmd_table(args) -> int:
     fmt = args.format or "csv"
     if args.kind == "traces":
-        if args.n is None:
-            raise SystemExit(EXIT_USAGE)
+        _require(args, "n")
         n = args.n
         rows = [
             {"k": k, "coeff_phi0": binom(n - 1, k), "coeff_phin": binom(n - 1, k - 1)}
             for k in range(n + 1)
         ]
     elif args.kind == "weights":
-        if args.n is None or args.k is None or args.case is None:
-            raise SystemExit(EXIT_USAGE)
+        _require(args, "n", "k", "case")
         case = EmbeddingCase(args.case)
         ws = wedge_weights(case, args.n, args.k)
         rows = [
@@ -309,8 +319,7 @@ def cmd_table(args) -> int:
             for (p, q), mult in sorted(ws.items())
         ]
     elif args.kind == "signatures":
-        if not args.input:
-            raise SystemExit(EXIT_USAGE)
+        _require(args, "input")
         pel = load_pel_input(args.input)
         precision = args.precision or default_precision()
         rows = []
@@ -318,8 +327,7 @@ def cmd_table(args) -> int:
             pos, neg = signature_at(pel.gram1, residue, precision)
             rows.append({"embedding": residue, "p": pos, "q": neg})
     elif args.kind == "embedding-matrix":
-        if args.n is None or args.k is None or not args.x:
-            raise SystemExit(EXIT_USAGE)
+        _require(args, "n", "k", "x")
         coords = [complex(part) for part in args.x.split(",")]
         point = BallPoint.of(coords, require_in_ball=False)
         mat = satake_matrix(point, args.n, args.k)
@@ -404,6 +412,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.p is not None and args.p < 2:
+        parser.error(f"--p must be at least 2, got {args.p}")
     try:
         if args.command == "verify":
             return cmd_verify(args)

@@ -384,21 +384,6 @@ def trace_LQ(x: CycloElement) -> Fraction:
 
 
 @dataclass(frozen=True)
-class EmbeddingId:
-    """The embedding sigma_k : zeta -> exp(2 pi i k / m)."""
-
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if math.gcd(self.k % self.m, self.m) != 1:
-            raise ValueError(f"{self.k} is not a unit modulo {self.m}")
-
-    def conjugate(self) -> "EmbeddingId":
-        return EmbeddingId(self.m, self.m - self.k)
-
-
-@dataclass(frozen=True)
 class CMType:
     """One embedding chosen from each conjugate pair."""
 
@@ -505,8 +490,6 @@ class SpadesuitReport:
     pi_star: tuple[tuple[int, ...], ...] | None = None
     r: int | None = None
     num_primes: int | None = None
-    idempotent_supports: tuple[tuple[int, ...], ...] | None = None
-    conj_idempotent_supports: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def all_hold(self) -> bool:
@@ -591,6 +574,4 @@ def check_spadesuit(phi0: CMType, phin: CMType, p: int, l: int, gram0, gram1) ->
         pi_star=pi_star_ordered,
         r=len(leading) if distinct else None,
         num_primes=len(pi_ordered),
-        idempotent_supports=pi_ordered,
-        conj_idempotent_supports=pi_star_ordered,
     )

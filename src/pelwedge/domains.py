@@ -8,9 +8,10 @@ so membership is tested with a guard band rather than exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
+
+from .exterior import removal_matrix
 
 GUARD_BAND = 1e-10
 
@@ -33,10 +34,6 @@ class BallPoint:
         return float(np.linalg.norm(self.x))
 
 
-def _colex(subsets):
-    return sorted(subsets, key=lambda s: tuple(sorted(s, reverse=True)))
-
-
 def satake_matrix(x: BallPoint, n: int, k: int) -> np.ndarray:
     """The C(n-1,k-1) x C(n-1,k) matrix with entry (-1)^(nu-1) x_{i_nu}
     at (I, J) when I = J - {i_nu}; subsets of {1..n-1}, colex order."""
@@ -44,18 +41,7 @@ def satake_matrix(x: BallPoint, n: int, k: int) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if len(x.x) != n - 1:
         raise ValueError(f"need a point of C^{n - 1}")
-    rows = _colex(combinations(range(1, n), k - 1))
-    cols = _colex(combinations(range(1, n), k))
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
-    for i, I in enumerate(rows):
-        set_i = set(I)
-        for j, J in enumerate(cols):
-            removed = set(J) - set_i
-            if set_i <= set(J) and len(removed) == 1:
-                (i_nu,) = removed
-                nu = J.index(i_nu) + 1
-                out[i, j] = (-1) ** (nu - 1) * x.x[i_nu - 1]
-    return out
+    return np.array(removal_matrix(x.x, range(1, n), k), dtype=complex)
 
 
 def op_norm(matrix: np.ndarray) -> float:

@@ -1,9 +1,13 @@
-"""Subset indexing, compound (exterior-power) matrices, wedge Gram
-construction, and the induced similitude map.
+"""Subset indexing, compound (exterior-power) matrices, removal
+matrices, wedge Gram construction, and the induced similitude map.
 
 All arithmetic here is exact and ring-generic: entries may be ints,
 Fractions, CycloElements, or sympy expressions, as long as they support
-+, -, * and truthiness-as-nonzero.
++, -, * and truthiness-as-nonzero.  `compound` computes each minor once,
+by Laplace expansion from the minors on one row fewer, and `det` is its
+n x n case.  `colex_subsets` is the one subset order and `removal_matrix`
+the one builder of the +-x_{i_nu} matrices of the deformation blocks and
+the ball embedding.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ class NotASimilitude(ArithmeticError):
     """No single multiplier transports the form through the given matrix."""
 
 
-def _colex_key(subset: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(subset, reverse=True))
+def colex_subsets(ground, k: int) -> tuple[tuple[int, ...], ...]:
+    """k-subsets of the ascending sequence ground, each ascending, in colex order."""
+    return tuple(sorted(combinations(ground, k), key=lambda s: s[::-1]))
 
 
 @dataclass(frozen=True)
@@ -34,15 +39,10 @@ class SubsetIndex:
     def build(cls, n: int, k: int) -> "SubsetIndex":
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        with_one = sorted(
-            ((1,) + rest for rest in combinations(range(2, n + 1), k - 1)),
-            key=_colex_key,
-        ) if k >= 1 else []
-        without_one = sorted(combinations(range(2, n + 1), k), key=_colex_key)
-        return cls(n, k, tuple(with_one) + tuple(without_one))
-
-    def position(self, subset: tuple[int, ...]) -> int:
-        return self.order.index(tuple(sorted(subset)))
+        with_one = tuple(
+            (1,) + rest for rest in colex_subsets(range(2, n + 1), k - 1)
+        ) if k >= 1 else ()
+        return cls(n, k, with_one + colex_subsets(range(2, n + 1), k))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -50,65 +50,85 @@ class SubsetIndex:
 
 def subsets_of_tail(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """k-subsets of {2..n} in colex order (the block-index convention)."""
-    return tuple(sorted(combinations(range(2, n + 1), k), key=_colex_key))
+    return colex_subsets(range(2, n + 1), k)
 
 
-def det(matrix) -> object:
-    """Exact determinant by cofactor expansion, skipping zero entries.
+def removal_matrix(values, ground, k: int) -> tuple[tuple[object, ...], ...]:
+    """Rows (k-1)-subsets, columns k-subsets of ground, both colex; entry
+    (I, J) is (-1)**nu * values[t] when I = J - {J[nu]} and J[nu] = ground[t],
+    else 0."""
+    value_of = dict(zip(ground, values))
+    rows = colex_subsets(ground, k - 1)
+    cols = colex_subsets(ground, k)
+    row_of = {I: r for r, I in enumerate(rows)}
+    out = [[0] * len(cols) for _ in rows]
+    for c, J in enumerate(cols):
+        for nu, removed in enumerate(J):
+            out[row_of[J[:nu] + J[nu + 1 :]]][c] = (-1) ** nu * value_of[removed]
+    return tuple(map(tuple, out))
 
-    The empty matrix has determinant 1 (as a plain int, which coerces
-    into any of the supported rings)."""
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
 
-    def expand(row_ids, col_ids):
-        if len(row_ids) == 1:
-            return rows[row_ids[0]][col_ids[0]]
-        # expand along the row with the fewest nonzero entries
-        best = min(
-            row_ids,
-            key=lambda r: sum(1 for c in col_ids if rows[r][c]),
-        )
-        rest_rows = tuple(r for r in row_ids if r != best)
-        sign_base = row_ids.index(best)
-        total = None
-        for pos, c in enumerate(col_ids):
-            entry = rows[best][c]
-            if not entry:
+def _laplace(minors: dict, row) -> dict:
+    """Nonzero minors on the rows of `minors` plus one row below them.
+
+    minors maps a column bitmask to the nonzero minor on those columns
+    ({0: 1} for no rows); row lists (column, entry) for its nonzero
+    entries.  The expansion is along the new last row: moving column c
+    past the chosen columns above it gives the sign."""
+    out = {}
+    for cols, minor in minors.items():
+        for c, entry in row:
+            bit = 1 << c
+            if cols & bit:
                 continue
-            rest_cols = col_ids[:pos] + col_ids[pos + 1 :]
-            term = entry * expand(rest_rows, rest_cols)
-            if (sign_base + pos) % 2:
+            term = entry * minor if cols else entry
+            if (cols >> c).bit_count() % 2:
                 term = -term
-            total = term if total is None else total + term
-        if total is None:
-            return rows[0][0] - rows[0][0]  # a zero of the right ring
-        return total
-
-    return expand(tuple(range(n)), tuple(range(n)))
+            key = cols | bit
+            out[key] = out[key] + term if key in out else term
+    return {key: value for key, value in out.items() if value}
 
 
 def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
-    """Matrix of k x k minors in SubsetIndex order (the k-th compound)."""
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """Matrix of k x k minors in SubsetIndex order (the k-th compound).
+
+    Each minor is computed once: the minors on rows P + (r,) come from the
+    minors on rows P by Laplace expansion along row r, walking the row
+    prefixes depth first.  Only multiplication, addition and negation are
+    used, so any commutative ring works."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("compound requires a square matrix")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    index = SubsetIndex.build(n, k)
-    out = []
-    for I in index.order:
-        out_row = []
-        for J in index.order:
-            minor = [[rows[i - 1][j - 1] for j in J] for i in I]
-            out_row.append(det(minor))
-        out.append(tuple(out_row))
-    return tuple(out)
+    if k == 0:
+        return ((1,),)
+    zero = matrix[0][0] - matrix[0][0]
+    rows = [[(c, entry) for c, entry in enumerate(row) if entry] for row in matrix]
+    by_rows = {}
+    # one (row prefix, its minors) per unfinished prefix that can still reach k rows
+    stack = [((), {0: 1})]
+    while stack:
+        prefix, minors = stack.pop()
+        if len(prefix) == k:
+            by_rows[prefix] = minors
+            continue
+        first = prefix[-1] + 1 if prefix else 0
+        for r in range(first, n - k + len(prefix) + 1):
+            stack.append((prefix + (r,), _laplace(minors, rows[r])))
+    masks = {s: sum(1 << (i - 1) for i in s) for s in SubsetIndex.build(n, k).order}
+    return tuple(
+        tuple(by_rows[tuple(i - 1 for i in I)].get(mask, zero) for mask in masks.values())
+        for I in masks
+    )
+
+
+def det(matrix) -> object:
+    """Exact determinant: the n x n case of compound.
+
+    The empty matrix has determinant 1 (as a plain int, which coerces
+    into any of the supported rings)."""
+    return compound(matrix, len(matrix))[0][0]
 
 
 def mat_mul(a, b):

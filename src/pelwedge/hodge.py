@@ -221,23 +221,6 @@ def signature_at(
     return pos, neg
 
 
-@dataclass(frozen=True)
-class SignatureProfile:
-    """Signature (p_sigma, q_sigma) at every embedding."""
-
-    field: CycloField
-    signatures: dict[int, tuple[int, int]]
-
-    @classmethod
-    def of_module(
-        cls, module: HermitianModule, prec_bits: int = DEFAULT_PREC_BITS
-    ) -> "SignatureProfile":
-        return cls(
-            module.field,
-            {k: signature_at(module, k, prec_bits) for k in module.field.units},
-        )
-
-
 def compatible(
     module: HermitianModule,
     phi: CMTraceVector,

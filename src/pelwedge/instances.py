@@ -131,12 +131,6 @@ def rand_similitude_pair(n: int, rng: random.Random):
     return gamma0, gamma1, psi0, psi1, mu
 
 
-def rand_invertible(field: CycloField, n: int, rng: random.Random):
-    """Random exactly invertible matrix over O_L (via rand_unimodular)."""
-    B, _ = rand_unimodular(field, n, rng)
-    return B
-
-
 def rand_definite_instance(n: int, rng: random.Random):
     """(psi0, psi1) over Q(i), skew-Hermitian, with i * psi_sigma1
     positive definite for both (matching orientation at sigma_1)."""

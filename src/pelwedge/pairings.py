@@ -147,11 +147,13 @@ def perfectness_valuation(gram: TraceGram, p: int) -> int:
 
     A nonzero residue of det mod p proves the valuation is 0 (and that the
     form is nondegenerate); only otherwise is the exact determinant computed."""
+    if p < 2:
+        raise ValueError(f"perfectness test requires p >= 2, got p={p}")
     if gcd(p, gram.field.m) != 1:
         raise RamifiedPrimeError(
             f"perfectness test requires p coprime to m, got p={p}, m={gram.field.m}"
         )
-    if p >= 2 and _unit_det_mod(gram.matrix, p):
+    if _unit_det_mod(gram.matrix, p):
         return 0
     d = rational_det(gram.matrix)
     if d == 0:

@@ -173,6 +173,8 @@ def load_pel_input(path: str) -> PelInput:
         raise PelInputError(f"{path}: m: {exc}") from None
     if doc["l"] < 3:
         raise PelInputError(f"{path}: level l must be >= 3")
+    if doc["p"] < 2:
+        raise PelInputError(f"{path}: p must be >= 2")
 
     def parse_type(key: str) -> CMType:
         members = doc[key]

@@ -10,11 +10,10 @@ of these blocks against the directly constructed wedge blocks, as exact
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import sympy
 
-from .exterior import compound, subsets_of_tail
+from .exterior import compound, removal_matrix
 
 
 class ModInt:
@@ -120,22 +119,6 @@ def assemble_block(c1, C, a: int, b: int) -> DeformationBlock:
     return DeformationBlock(c1, C, a, b, tuple(rows))
 
 
-def _removal_entry(I, J, values, offset: int):
-    """(-1)^(nu-1) * values[i_nu - offset] if I = J - {i_nu}, else 0.
-
-    values is indexed from 0; element i of the ground set maps to
-    values[i - offset]."""
-    if not set(I) <= set(J):
-        return 0
-    removed = set(J) - set(I)
-    if len(removed) != 1:
-        return 0
-    (i_nu,) = removed
-    nu = sorted(J).index(i_nu) + 1  # 1-based position within J
-    entry = values[i_nu - offset]
-    return entry if nu % 2 == 1 else -entry
-
-
 def wedge_block(n: int, k: int, c1, c) -> DeformationBlock:
     """Block form of the k-th exterior power of [[c1, c2..cn], [0, E]].
 
@@ -146,12 +129,8 @@ def wedge_block(n: int, k: int, c1, c) -> DeformationBlock:
     c = tuple(c)
     if len(c) != n - 1:
         raise ValueError(f"need {n - 1} cocycle entries, got {len(c)}")
-    row_index = subsets_of_tail(n, k - 1)
-    col_index = subsets_of_tail(n, k)
-    C = tuple(
-        tuple(_removal_entry(I, J, c, 2) for J in col_index) for I in row_index
-    )
-    return assemble_block(c1, C, len(row_index), len(col_index))
+    C = removal_matrix(c, range(2, n + 1), k)
+    return assemble_block(c1, C, len(C), len(C[0]))
 
 
 @dataclass(frozen=True)
@@ -194,17 +173,8 @@ def contract(phi: DeformationParams, k: int) -> DeformationParams:
     b = phi.b
     if not 1 <= k <= b + 1:
         raise ValueError(f"need 1 <= k <= b+1, got k={k}, b={b}")
-    row = phi.phi[0]
-    row_index = tuple(combinations(range(1, b + 1), k - 1))
-    col_index = tuple(combinations(range(1, b + 1), k))
-    # colex order, matching wedge_block's convention under i -> i+1
-    key = lambda s: tuple(sorted(s, reverse=True))
-    row_index = tuple(sorted(row_index, key=key))
-    col_index = tuple(sorted(col_index, key=key))
-    matrix = tuple(
-        tuple(_removal_entry(I, J, row, 1) for J in col_index) for I in row_index
-    )
-    return DeformationParams(len(row_index), len(col_index), matrix)
+    matrix = removal_matrix(phi.phi[0], range(1, b + 1), k)
+    return DeformationParams(len(matrix), len(matrix[0]), matrix)
 
 
 def verify_vzehn(b: int, k: int, phi: DeformationParams, c1=None) -> bool:

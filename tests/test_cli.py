@@ -196,6 +196,52 @@ def test_usage_errors(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    ("kind", "argv", "missing"),
+    [
+        ("traces", [], "n"),
+        ("weights", ["--n", "3", "--case", "only0"], "k"),
+        ("weights", ["--n", "3", "--k", "2"], "case"),
+        ("signatures", [], "input"),
+        ("embedding-matrix", ["--n", "3", "--k", "1"], "x"),
+    ],
+)
+def test_table_names_the_missing_option(capsys, kind, argv, missing):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", kind, *argv])
+    assert exc.value.code == EXIT_USAGE
+    assert f"error: table {kind} requires --{missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-1"])
+def test_prime_below_two_is_a_usage_error(capsys, p):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "prinz", "--trials", "2", "--p", p])
+    assert exc.value.code == EXIT_USAGE
+    assert "--p must be at least 2" in capsys.readouterr().err
+
+
+def test_no_prime_coprime_to_m_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "prinz", "--m", "4", "--p", "2"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no --p value is coprime to m=4" in captured.err
+
+
+@pytest.mark.parametrize("p", [1, -1])
+@pytest.mark.parametrize("command", [["verify", "prinz"], ["spadesuit"]])
+def test_pel_prime_below_two_is_an_input_error(capsys, tmp_path, fixtures_dir, command, p):
+    doc = json.loads((fixtures_dir / "allpass.pel").read_text())
+    path = tmp_path / "p.pel"
+    path.write_text(json.dumps(doc | {"p": p}))
+    code, out, err = run(capsys, *command, "--input", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "p must be >= 2" in err
+
+
 def test_input_errors(capsys, tmp_path):
     missing = tmp_path / "nope.pel"
     with pytest.raises(FileNotFoundError):

@@ -1,24 +1,33 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+import sympy
 
+from pelwedge import serretate
+from pelwedge.cli import main
 from pelwedge.cyclofield import cyclo_field
+from pelwedge.domains import BallPoint, satake_matrix
 from pelwedge.hodge import binom
 from pelwedge.exterior import (
     NotASimilitude,
     SubsetIndex,
+    colex_subsets,
     compound,
     conj_transpose,
     det,
     g_k,
     mat_mul,
     multiplier,
+    removal_matrix,
     skew_sign,
     subsets_of_tail,
     wedge_gram,
 )
+from pelwedge.serretate import ModInt, assemble_block
 from pelwedge.instances import (
     rand_element,
     rand_similitude_pair,
@@ -214,3 +223,236 @@ def test_conj_transpose(F4):
     assert ct[0][0] == -i
     assert ct[1][0] == F4.one
     assert ct[0][1] == F4.zero
+
+
+# Reference oracles: a cofactor determinant per minor, and the removal
+# entry tested pair by pair.  The fast paths must agree with them exactly.
+
+
+def reference_det(matrix):
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+
+    def expand(row_ids, col_ids):
+        if len(row_ids) == 1:
+            return rows[row_ids[0]][col_ids[0]]
+        best = min(row_ids, key=lambda r: sum(1 for c in col_ids if rows[r][c]))
+        rest_rows = tuple(r for r in row_ids if r != best)
+        sign_base = row_ids.index(best)
+        total = None
+        for pos, c in enumerate(col_ids):
+            entry = rows[best][c]
+            if not entry:
+                continue
+            term = entry * expand(rest_rows, col_ids[:pos] + col_ids[pos + 1 :])
+            if (sign_base + pos) % 2:
+                term = -term
+            total = term if total is None else total + term
+        if total is None:
+            return rows[0][0] - rows[0][0]
+        return total
+
+    return expand(tuple(range(n)), tuple(range(n)))
+
+
+def reference_compound(matrix, k):
+    rows = [list(row) for row in matrix]
+    order = SubsetIndex.build(len(rows), k).order
+    return tuple(
+        tuple(reference_det([[rows[i - 1][j - 1] for j in J] for i in I]) for J in order)
+        for I in order
+    )
+
+
+def reference_removal_entry(I, J, values, offset):
+    if not set(I) <= set(J):
+        return 0
+    removed = set(J) - set(I)
+    if len(removed) != 1:
+        return 0
+    (i_nu,) = removed
+    nu = sorted(J).index(i_nu) + 1
+    entry = values[i_nu - offset]
+    return entry if nu % 2 == 1 else -entry
+
+
+def reference_removal_matrix(values, ground, k):
+    ground = tuple(ground)
+    key = lambda s: tuple(sorted(s, reverse=True))
+    rows = sorted(combinations(ground, k - 1), key=key)
+    cols = sorted(combinations(ground, k), key=key)
+    return tuple(
+        tuple(reference_removal_entry(I, J, values, ground[0] if ground else 0) for J in cols)
+        for I in rows
+    )
+
+
+def reference_satake(x, n, k):
+    key = lambda s: tuple(sorted(s, reverse=True))
+    rows = sorted(combinations(range(1, n), k - 1), key=key)
+    cols = sorted(combinations(range(1, n), k), key=key)
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for i, I in enumerate(rows):
+        set_i = set(I)
+        for j, J in enumerate(cols):
+            removed = set(J) - set_i
+            if set_i <= set(J) and len(removed) == 1:
+                (i_nu,) = removed
+                nu = J.index(i_nu) + 1
+                out[i, j] = (-1) ** (nu - 1) * x[i_nu - 1]
+    return out
+
+
+def _sparse(rng, n, draw, density=0.6):
+    return [[draw() if rng.random() < density else 0 * draw() for _ in range(n)] for _ in range(n)]
+
+
+def _ring_matrices():
+    rng = random.Random(2024)
+    F5, F8 = cyclo_field(5), cyclo_field(8)
+    cyclo = lambda F: lambda: F.element([rng.randint(-2, 2) for _ in range(F.degree)])
+    draws = {
+        "int": lambda: rng.randint(-4, 4),
+        "fraction": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        "mod9": lambda: ModInt(rng.randint(0, 8), 9),
+        "cyclo5": cyclo(F5),
+        "cyclo8": cyclo(F8),
+    }
+    for name, draw in draws.items():
+        sizes = range(1, 7) if name.startswith("cyclo") else [1, 2, 3, 4, 5, 6, 6, 5]
+        for n in sizes:
+            yield name, _sparse(rng, n, draw, rng.choice([0.4, 0.7, 1.0]))
+
+
+def test_compound_and_det_match_the_cofactor_oracle():
+    checked = set()
+    for name, matrix in _ring_matrices():
+        n = len(matrix)
+        for k in range(n + 1):
+            assert compound(matrix, k) == reference_compound(matrix, k), (name, n, k)
+        assert det(matrix) == reference_det(matrix), (name, n)
+        checked.add(name)
+    assert checked == {"int", "fraction", "mod9", "cyclo5", "cyclo8"}
+
+
+def test_compound_computes_each_minor_once():
+    calls = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            calls.append(other)
+            return int(self) * other
+
+    # a Vandermonde matrix with increasing positive nodes has every minor
+    # nonzero; each j-row minor is built from the (j-1)-row minors of one
+    # row prefix with one multiply per (minor, remaining column)
+    vandermonde = [[Counted((i + 1) ** j) for j in range(7)] for i in range(7)]
+    compound(vandermonde, 3)
+    assert len(calls) == 15 * 7 * 6 + 35 * 21 * 5
+    calls.clear()
+    det([row[:6] for row in vandermonde[:6]])
+    assert len(calls) == sum(j * math.comb(6, j) for j in range(2, 7))
+    # the first row's entries are not multiplied by the empty minor, and a
+    # zero minor is not expanded: both 2x2 minors of rows 1-2 vanish
+    calls.clear()
+    assert det([[Counted(1), Counted(2), Counted(3)],
+                [Counted(2), Counted(4), Counted(6)],
+                [Counted(1), Counted(1), Counted(1)]]) == 0
+    assert len(calls) == 3 * 2
+
+
+def _same_expression(x, y):
+    return sympy.expand(x - y) == 0
+
+
+def test_compound_matches_the_oracle_on_sparse_sympy_blocks():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        c = sympy.symbols(f"c1:{n + 1}")
+        for a in range(n):
+            b = n - a
+            C = [[c[rng.randrange(n)] if rng.random() < 0.6 else 0 for _ in range(b)]
+                 for _ in range(a)]
+            block = assemble_block(c[0], C, a, b).assembled
+            for k in range(n + 1):
+                got, want = compound(block, k), reference_compound(block, k)
+                assert all(
+                    _same_expression(x, y)
+                    for row_got, row_want in zip(got, want)
+                    for x, y in zip(row_got, row_want)
+                ), (n, a, k)
+            assert _same_expression(det(block), reference_det(block))
+
+
+def test_sylvester_franke():
+    # det of the k-th compound is det(A)^C(n-1, k-1)
+    rng = random.Random(13)
+    F5 = cyclo_field(5)
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        A = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        for k in range(1, n + 1):
+            assert det(compound(A, k)) == det(A) ** math.comb(n - 1, k - 1)
+    for n in range(1, 4):
+        A = [[F5.element([rng.randint(-2, 2) for _ in range(4)]) for _ in range(n)]
+             for _ in range(n)]
+        for k in range(1, n + 1):
+            assert det(compound(A, k)) == det(A) ** math.comb(n - 1, k - 1)
+
+
+def test_colex_subsets():
+    assert colex_subsets(range(1, 5), 2) == (
+        (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)
+    )
+    assert colex_subsets(range(2, 4), 0) == ((),)
+    assert colex_subsets(range(2, 4), 3) == ()
+
+
+def test_removal_matrix_matches_the_entrywise_oracle():
+    rng = random.Random(17)
+    for size in range(0, 7):
+        for start in (1, 2):
+            ground = range(start, start + size)
+            exact = [rng.randint(-5, 5) for _ in range(size)]
+            symbolic = sympy.symbols(f"p1:{size + 1}") if size else ()
+            mod9 = [ModInt(rng.randint(0, 8), 9) for _ in range(size)]
+            for values in (exact, symbolic, mod9):
+                for k in range(1, size + 2):
+                    assert removal_matrix(values, ground, k) == reference_removal_matrix(
+                        values, ground, k
+                    ), (size, start, k)
+
+
+def _bits(z):
+    return (z.real, z.imag, math.copysign(1, z.real), math.copysign(1, z.imag))
+
+
+def test_satake_matrix_keeps_the_signed_zeros():
+    points = [
+        (0 - 0.5j, 0.5j, -0.0 - 0.5j),
+        (complex(-0.0, -0.0), 0.1, complex(0.3, -0.0), complex(-0.0, 0.1), -0.2j),
+    ]
+    rng = np.random.default_rng(3)
+    points += [tuple(rng.standard_normal(4) * 0.3 + 1j * rng.standard_normal(4) * 0.3)]
+    for x in points:
+        n = len(x) + 1
+        for k in range(1, n):
+            got = satake_matrix(BallPoint.of(x, require_in_ball=False), n, k)
+            want = reference_satake(x, n, k)
+            assert got.shape == want.shape
+            assert [_bits(z) for z in got.flat] == [_bits(z) for z in want.flat]
+
+
+@pytest.mark.parametrize("suite", ["vdrei", "vzehn"])
+def test_cli_bytes_match_the_reference_oracles(suite, capsys, monkeypatch):
+    argv = ["verify", suite, "--n", "7"]
+    code = main(argv)
+    fast = capsys.readouterr().out
+    monkeypatch.setattr(serretate, "compound", reference_compound)
+    monkeypatch.setattr(serretate, "removal_matrix", reference_removal_matrix)
+    assert main(argv) == code == 0
+    assert capsys.readouterr().out == fast

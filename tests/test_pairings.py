@@ -72,6 +72,10 @@ def test_perfectness_valuation_examples(F4):
     assert perfectness_valuation(tg, 3) == 0
     with pytest.raises(RamifiedPrimeError):
         perfectness_valuation(tg, 2)
+    # p < 2 has no valuation; refusing it keeps the exact path from looping
+    for p in (1, 0, -1, -3):
+        with pytest.raises(ValueError):
+            perfectness_valuation(tg, p)
 
 
 def test_perfectness_degenerate(F8):
