@@ -2,7 +2,8 @@
 smooth-model hypothesis checker.
 
 Exit codes: 0 pass, 1 failure (with witness in the report), 2 vacuous
-run (hypotheses unmet), 64 usage error, 65 input/parse error.
+run (hypotheses unmet), 64 usage error (bad argv or environment), 65
+input error (bad or unreadable `.pel` file).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import os
 import random
 import sys
+from dataclasses import dataclass
 
 import sympy
 
@@ -22,9 +24,9 @@ from .cyclofield import (
     all_cm_types,
     check_spadesuit,
     cyclo_field,
+    is_conductor,
 )
 from .domains import embedding_trial_stats, satake_matrix, BallPoint
-from .exterior import wedge_gram
 from .hodge import (
     EmbeddingCase,
     SingularAtEmbedding,
@@ -50,6 +52,54 @@ VERIFY_SUITES = ("data", "prinz", "vdrei", "vzehn", "embedding", "all")
 TABLE_KINDS = ("signatures", "traces", "weights", "embedding-matrix")
 
 
+@dataclass(frozen=True)
+class Entry:
+    """What one verify suite or mode, table kind or command reads: each
+    option with its default (None: none), the options it requires, the
+    least --n, the range k_span[0] <= --k <= n + k_span[1], and the
+    largest phi(--m) it accepts."""
+
+    defaults: dict
+    required: tuple[str, ...] = ()
+    n_min: int = 1
+    k_span: tuple[int, int] = (1, 0)
+    degree_max: int | None = None
+
+
+_HEADER = {"seed": 0, "precision": None}  # every verify header records both
+_CSV = {"format": "csv"}
+
+ENTRIES = {
+    # all pairs of the 2^(phi/2) CM types: phi <= 16 keeps it to 256 types
+    "verify data": Entry({"n": 4, "m": (4, 5, 8), **_HEADER}, degree_max=16),
+    "verify prinz": Entry({"n": 4, "m": (4, 5), "p": (3, 5, 7, 13), "trials": 200, **_HEADER}),
+    "verify prinz --input": Entry({"input": None, "k": None, **_HEADER}, ("input",), k_span=(0, 0)),
+    "verify vdrei": Entry({"n": 7, "k": None, **_HEADER}),
+    "verify vzehn": Entry({"n": 7, "k": None, **_HEADER}, n_min=2),  # heights b = 1 .. n-1
+    "verify embedding": Entry(
+        {"n": 6, "k": None, "trials": 1000, **_HEADER}, n_min=2, k_span=(1, -1)
+    ),
+    "verify all": Entry({"n": None, "trials": None, **_HEADER}),
+    "table traces": Entry({"n": None, **_CSV}, ("n",)),
+    "table weights": Entry(
+        {"n": None, "k": None, "case": None, **_CSV}, ("n", "k", "case"), k_span=(0, 0)
+    ),
+    "table signatures": Entry({"input": None, "precision": None, **_CSV}, ("input",)),
+    "table embedding-matrix": Entry(
+        {"n": None, "k": None, "x": None, **_CSV}, ("n", "k", "x"), n_min=2, k_span=(1, -1)
+    ),
+    "spadesuit": Entry({"input": None}, ("input",)),
+}
+
+# argparse keywords of the options that are not integers
+_OPTION_KWARGS = {
+    "input": {},
+    "x": {},
+    "case": {"choices": [c.value for c in EmbeddingCase]},
+    "format": {"choices": ["csv", "records"]},
+}
+
+
 def _usage_error(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
@@ -63,12 +113,96 @@ class _Parser(argparse.ArgumentParser):
 
 def default_precision() -> int:
     env = os.environ.get("PELWEDGE_PRECISION")
-    if env:
+    if not env:
+        return DEFAULT_PREC_BITS
+    try:
+        bits = int(env)
+    except ValueError:
+        bits = 0
+    if bits < 1:
+        _usage_error(f"PELWEDGE_PRECISION must be a positive integer, got {env!r}")
+    return bits
+
+
+def _entry_name(args) -> str:
+    if args.command == "verify":
+        if args.suite == "prinz" and args.input is not None:
+            return "verify prinz --input"
+        return f"verify {args.suite}"
+    if args.command == "table":
+        return f"table {args.kind}"
+    return args.command
+
+
+def _ball_point(text: str, n: int) -> BallPoint:
+    try:
+        coords = [complex(part) for part in text.split(",")]
+    except ValueError:
+        _usage_error(f"--x must be comma-separated complex numbers, got {text!r}")
+    if len(coords) != n - 1:
+        _usage_error(f"--x needs n-1 = {n - 1} coordinates, got {len(coords)}")
+    return BallPoint.of(coords, require_in_ball=False)
+
+
+def resolve(args) -> argparse.Namespace:
+    """Check every option of the chosen entry against `ENTRIES` and fill in
+    its defaults, exiting 64 on the first bad one before any check runs.
+    --m and --p become tuples of candidates, --x a `BallPoint`, and --input
+    the loaded `.pel` (`pel`, None without --input)."""
+    name = _entry_name(args)
+    entry = ENTRIES[name]
+    given = {
+        option: value
+        for option, value in vars(args).items()
+        if value is not None and option not in ("command", "suite", "kind")
+    }
+    for option in given:
+        if option not in entry.defaults:
+            _usage_error(f"{name} does not read --{option}")
+    for option in entry.required:
+        if option not in given:
+            _usage_error(f"{name} requires --{option}")
+    opts = entry.defaults | given
+    for option in ("m", "p"):
+        if option in given:
+            opts[option] = (given[option],)
+
+    for option, low in (("n", entry.n_min), ("trials", 1), ("precision", 1)):
+        value = opts.get(option)
+        if value is not None and value < low:
+            _usage_error(f"--{option} must be at least {low}, got {value}")
+    if "precision" in opts and opts["precision"] is None:
+        opts["precision"] = default_precision()
+    for p in opts.get("p", ()):
+        if p < 2:
+            _usage_error(f"--p must be at least 2, got {p}")
+        if not sympy.isprime(p):
+            _usage_error(f"--p must be a prime, got {p}")
+    for m in opts.get("m", ()):
+        if not is_conductor(m):
+            _usage_error(f"--m must be at least 3 and not 2 mod 4, got {m}")
+        if entry.degree_max is not None and sympy.totient(m) > entry.degree_max:
+            _usage_error(
+                f"{name} takes phi(m) <= {entry.degree_max}, "
+                f"got phi({m}) = {sympy.totient(m)}"
+            )
+        if "p" in opts and all(math.gcd(p, m) != 1 for p in opts["p"]):
+            _usage_error(f"no --p value is coprime to m={m}")
+    if opts.get("x") is not None:
+        opts["x"] = _ball_point(opts["x"], opts["n"])
+
+    opts["pel"] = None
+    if opts.get("input") is not None:
         try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_PREC_BITS
+            opts["pel"] = load_pel_input(opts["input"])
+        except OSError as exc:
+            raise PelInputError(f"{opts['input']}: {exc.strerror}") from None
+    if opts.get("k") is not None:
+        n = opts["pel"].n if opts["pel"] is not None else opts["n"]
+        low, high = entry.k_span[0], n + entry.k_span[1]
+        if not low <= opts["k"] <= high:
+            _usage_error(f"{name} with n={n} needs {low} <= --k <= {high}, got {opts['k']}")
+    return argparse.Namespace(**opts)
 
 
 def _suite_data(doc: ReportDocument, m_list, n_max: int) -> None:
@@ -157,10 +291,7 @@ def _suite_prinz_random(
     rng = random.Random(seed)
     for trial in range(trials):
         m = rng.choice(m_list)
-        candidates = [p for p in p_list if math.gcd(p, m) == 1]
-        if not candidates:
-            _usage_error(f"no --p value is coprime to m={m}")
-        p = rng.choice(candidates)
+        p = rng.choice([p for p in p_list if math.gcd(p, m) == 1])
         n = rng.randint(1, n_max)
         k = rng.randint(0, n)
         field = cyclo_field(m)
@@ -226,55 +357,39 @@ def _fold_seed(parts) -> int:
     return acc
 
 
-def cmd_verify(args) -> int:
-    precision = args.precision or default_precision()
-    params = {
-        "suite": args.suite,
-        "n": args.n,
-        "k": args.k,
-        "m": args.m,
-        "p": args.p,
-        "trials": args.trials,
-    }
+def _suite_all(doc: ReportDocument, n: int | None, trials: int | None, seed: int) -> None:
+    def capped(default: int, cap: int) -> int:
+        return default if n is None else min(n, cap)
+
+    _suite_data(doc, (4, 5, 8), capped(4, 6))
+    _suite_vdrei(doc, capped(5, 7), None)
+    _suite_vzehn(doc, capped(5, 7), None)
+    _suite_prinz_random(doc, 20 if trials is None else trials, seed, (4, 5), (3, 5, 7, 13), 3)
+    _suite_embedding(doc, capped(4, 6), None, 200 if trials is None else trials, seed)
+
+
+def cmd_verify(args, opts) -> int:
+    params = {"suite": args.suite} | {o: getattr(args, o) for o in ("n", "k", "m", "p", "trials")}
     doc = ReportDocument(
-        suite=args.suite,
-        seed=args.seed,
-        precision_bits=precision,
-        params=params,
+        suite=args.suite, seed=opts.seed, precision_bits=opts.precision, params=params
     )
-    pel = None
-    if args.input:
-        pel = load_pel_input(args.input)
-        doc.input_hash = pel.input_hash
-    else:
-        doc.input_hash = params_hash(params | {"seed": args.seed})
+    pel = opts.pel
+    doc.input_hash = pel.input_hash if pel else params_hash(params | {"seed": opts.seed})
 
     if args.suite == "data":
-        _suite_data(doc, [args.m] if args.m else [4, 5, 8], args.n or 4)
+        _suite_data(doc, opts.m, opts.n)
     elif args.suite == "vdrei":
-        _suite_vdrei(doc, args.n or 7, args.k)
+        _suite_vdrei(doc, opts.n, opts.k)
     elif args.suite == "vzehn":
-        _suite_vzehn(doc, args.n or 7, args.k)
+        _suite_vzehn(doc, opts.n, opts.k)
+    elif args.suite == "prinz" and pel is not None:
+        _suite_prinz_input(doc, pel, opts.k)
     elif args.suite == "prinz":
-        if pel is not None:
-            _suite_prinz_input(doc, pel, args.k)
-        else:
-            _suite_prinz_random(
-                doc,
-                args.trials or 200,
-                args.seed,
-                [args.m] if args.m else [4, 5],
-                [args.p] if args.p else [3, 5, 7, 13],
-                args.n or 4,
-            )
+        _suite_prinz_random(doc, opts.trials, opts.seed, opts.m, opts.p, opts.n)
     elif args.suite == "embedding":
-        _suite_embedding(doc, args.n or 6, args.k, args.trials or 1000, args.seed)
-    elif args.suite == "all":
-        _suite_data(doc, [4, 5, 8], min(args.n or 4, 6))
-        _suite_vdrei(doc, min(args.n or 5, 7), None)
-        _suite_vzehn(doc, min(args.n or 5, 7), None)
-        _suite_prinz_random(doc, args.trials or 20, args.seed, [4, 5], [3, 5, 7, 13], 3)
-        _suite_embedding(doc, min(args.n or 4, 6), None, args.trials or 200, args.seed)
+        _suite_embedding(doc, opts.n, opts.k, opts.trials, opts.seed)
+    else:
+        _suite_all(doc, opts.n, opts.trials, opts.seed)
 
     sys.stdout.write(doc.to_jsonl())
     print(doc.human_summary(), file=sys.stderr)
@@ -295,49 +410,31 @@ def _emit_table(rows: list[dict], fmt: str) -> None:
         sys.stdout.write(doc.to_jsonl())
 
 
-def _require(args, *options) -> None:
-    for option in options:
-        if getattr(args, option) in (None, ""):
-            _usage_error(f"table {args.kind} requires --{option}")
-
-
-def cmd_table(args) -> int:
-    fmt = args.format or "csv"
-    if args.kind == "traces":
-        _require(args, "n")
-        n = args.n
+def cmd_table(kind: str, opts) -> int:
+    if kind == "traces":
+        n = opts.n
         rows = [
             {"k": k, "coeff_phi0": binom(n - 1, k), "coeff_phin": binom(n - 1, k - 1)}
             for k in range(n + 1)
         ]
-    elif args.kind == "weights":
-        _require(args, "n", "k", "case")
-        case = EmbeddingCase(args.case)
-        ws = wedge_weights(case, args.n, args.k)
+    elif kind == "weights":
+        ws = wedge_weights(EmbeddingCase(opts.case), opts.n, opts.k)
         rows = [
             {"p": p, "q": q, "multiplicity": mult}
             for (p, q), mult in sorted(ws.items())
         ]
-    elif args.kind == "signatures":
-        _require(args, "input")
-        pel = load_pel_input(args.input)
-        precision = args.precision or default_precision()
+    elif kind == "signatures":
         rows = []
-        for residue in pel.field.units:
-            pos, neg = signature_at(pel.gram1, residue, precision)
+        for residue in opts.pel.field.units:
+            pos, neg = signature_at(opts.pel.gram1, residue, opts.precision)
             rows.append({"embedding": residue, "p": pos, "q": neg})
-    elif args.kind == "embedding-matrix":
-        _require(args, "n", "k", "x")
-        coords = [complex(part) for part in args.x.split(",")]
-        point = BallPoint.of(coords, require_in_ball=False)
-        mat = satake_matrix(point, args.n, args.k)
+    else:
+        mat = satake_matrix(opts.x, opts.n, opts.k)
         rows = [
             {"row": i, **{f"c{j}": _fmt_complex(mat[i, j]) for j in range(mat.shape[1])}}
             for i in range(mat.shape[0])
         ]
-    else:
-        raise SystemExit(EXIT_USAGE)
-    _emit_table(rows, fmt)
+    _emit_table(rows, opts.format)
     return 0
 
 
@@ -347,8 +444,10 @@ def _fmt_complex(z: complex) -> str:
     return repr(z)
 
 
-def cmd_spadesuit(args) -> int:
-    pel = load_pel_input(args.input)
+def cmd_spadesuit(opts) -> int:
+    pel = opts.pel
+    if pel.phi0.members == pel.phin.members:
+        raise PelInputError(f"{opts.input}: phi0 and phin must differ")
     report = check_spadesuit(pel.phi0, pel.phin, pel.p, pel.l, pel.gram0, pel.gram1)
     doc = ReportDocument(
         suite="spadesuit",
@@ -377,60 +476,44 @@ def cmd_spadesuit(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """One subparser per command, declaring exactly the options that some
+    entry of that command in `ENTRIES` reads."""
     parser = _Parser(prog="pelwedge")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--l", type=int, default=3)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--precision", type=int)
-        p.add_argument("--format", choices=["csv", "records"])
-        p.add_argument("--input")
-
-    verify = sub.add_parser("verify")
-    verify.add_argument("suite", choices=VERIFY_SUITES)
-    common(verify)
-
-    table = sub.add_parser("table")
-    table.add_argument("kind", choices=TABLE_KINDS)
-    table.add_argument("--case", choices=[c.value for c in EmbeddingCase])
-    table.add_argument("--x")
-    common(table)
-
-    spade = sub.add_parser("spadesuit")
-    common(spade)
-
+    commands = {
+        "verify": ("suite", VERIFY_SUITES),
+        "table": ("kind", TABLE_KINDS),
+        "spadesuit": (None, ()),
+    }
+    for command, (positional, choices) in commands.items():
+        cmd = sub.add_parser(command, allow_abbrev=False)
+        if positional:
+            cmd.add_argument(positional, choices=choices)
+        options = {}
+        for name, entry in ENTRIES.items():
+            if name.split()[0] == command:
+                options.update(entry.defaults)
+        for option in options:
+            cmd.add_argument(f"--{option}", **_OPTION_KWARGS.get(option, {"type": int}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.p is not None and args.p < 2:
-        parser.error(f"--p must be at least 2, got {args.p}")
+    args = build_parser().parse_args(argv)
+    if args.command == "spadesuit" and args.input is None:
+        print("error: spadesuit requires --input", file=sys.stderr)
+        return EXIT_USAGE
     try:
+        opts = resolve(args)
         if args.command == "verify":
-            return cmd_verify(args)
+            return cmd_verify(args, opts)
         if args.command == "table":
-            return cmd_table(args)
-        if args.command == "spadesuit":
-            if not args.input:
-                print("error: spadesuit requires --input", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_spadesuit(args)
-    except PelInputError as exc:
+            return cmd_table(args.kind, opts)
+        return cmd_spadesuit(opts)
+    except (PelInputError, RamifiedPrimeError, DegenerateForm, SingularAtEmbedding) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (RamifiedPrimeError, DegenerateForm, SingularAtEmbedding, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_USAGE
 
 
 def entry() -> None:

@@ -97,11 +97,16 @@ def _ramanujan_sum(m: int, j: int) -> int:
     return _mobius(q) * (_totient(m) // _totient(q))
 
 
+def is_conductor(m: int) -> bool:
+    """Whether m names Q(zeta_m) by its conductor: m >= 3 and m != 2 (mod 4)."""
+    return m >= 3 and m % 4 != 2
+
+
 class CycloField:
     """The cyclotomic field Q(zeta_m), m >= 3 and m != 2 (mod 4)."""
 
     def __init__(self, m: int):
-        if m < 3 or m % 4 == 2:
+        if not is_conductor(m):
             raise ValueError(f"need m >= 3 with m != 2 (mod 4), got {m}")
         self.m = m
         self.degree = _totient(m)

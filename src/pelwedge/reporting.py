@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import sympy
+
 from .cyclofield import CMType, CycloField, cyclo_field
 from .hodge import HermitianModule
 
@@ -158,6 +160,8 @@ def load_pel_input(path: str) -> PelInput:
         raise PelInputError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # bytes that are not UTF-8/16/32, or an overlong integer
+        raise PelInputError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise PelInputError(f"{path}: top level must be an object")
     required = ["m", "n", "phi0", "phin", "gram0", "gram1", "p", "l"]
@@ -175,6 +179,8 @@ def load_pel_input(path: str) -> PelInput:
         raise PelInputError(f"{path}: level l must be >= 3")
     if doc["p"] < 2:
         raise PelInputError(f"{path}: p must be >= 2")
+    if not sympy.isprime(doc["p"]):
+        raise PelInputError(f"{path}: p must be a prime, got {doc['p']}")
 
     def parse_type(key: str) -> CMType:
         members = doc[key]

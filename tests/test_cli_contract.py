@@ -1,0 +1,241 @@
+"""The CLI contract: each command declares only the options it reads, every
+option is checked before any work starts, and bad argv (64) is told apart
+from a bad or unreadable `.pel` file (65)."""
+
+import argparse
+import contextlib
+import io
+import json
+import pathlib
+import runpy
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pelwedge import cli
+from pelwedge.cli import ENTRIES, EXIT_INPUT, EXIT_USAGE, TABLE_KINDS, VERIFY_SUITES, main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+ALLPASS = str(FIXTURES / "allpass.pel")
+
+
+def run(argv, capsys):
+    """Exit code, stdout and stderr of one in-process run; a usage error may
+    leave `main` as `SystemExit(64)`."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write_pel(tmp_path, **changes):
+    doc = json.loads((FIXTURES / "allpass.pel").read_text()) | changes
+    path = tmp_path / "changed.pel"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify data --n 0",
+        "verify vdrei --n 0",
+        "verify prinz --trials -1",
+        "verify embedding --n 2 --trials 0",
+        "verify embedding --n 1",
+        "verify vdrei --n 3 --k 9",
+        "verify vzehn --n 1",
+        "verify data --m 6 --n 1",
+        "verify prinz --m 6 --trials 1",
+        f"verify prinz --input {ALLPASS} --k 9",
+        "verify prinz --trials 2 --k 7 --n 2",
+        "verify prinz --trials 5 --k 2",
+        f"verify prinz --input {ALLPASS} --trials 5",
+        f"verify data --input {ALLPASS}",
+        "verify prinz --p 9 --trials 1",
+        "verify prinz --p 2 --trials 1",
+        "verify data --m 105",
+        "table weights --n 3 --k 9 --case only0",
+        "table embedding-matrix --n 3 --k 2 --x abc",
+        "table embedding-matrix --n 3 --k 2 --x 0.3",
+        "table embedding-matrix --n 1 --k 1 --x 0.3",
+        "table traces --n -3",
+        "table traces --n 3 --k 1",
+        f"table signatures --input {ALLPASS} --precision 0",
+        f"table signatures --input {ALLPASS} --p 3",
+        "table traces --n 2 --seed 4",
+        f"spadesuit --input {ALLPASS} --l 7",
+        "verify prinz --tri 5",
+    ],
+)
+def test_bad_argv_is_a_usage_error(capsys, argv):
+    code, out, err = run(argv.split(), capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_bad_precision_environment_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("PELWEDGE_PRECISION", value)
+    code, out, err = run(["verify", "vdrei", "--n", "1"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "PELWEDGE_PRECISION must be a positive integer" in err
+
+
+def test_empty_precision_environment_means_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("PELWEDGE_PRECISION", "")
+    code, out, _ = run(["verify", "vdrei", "--n", "1"], capsys)
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["header"]["precision_bits"] == 128
+
+
+def test_composite_p_is_refused_by_name(capsys):
+    code, _, err = run(["verify", "prinz", "--p", "9", "--trials", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert "--p must be a prime" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "prinz"], ["table", "signatures"], ["spadesuit"]],
+)
+def test_unreadable_input_is_an_input_error(capsys, tmp_path, command):
+    for path in (tmp_path / "nonexistent.pel", tmp_path):
+        code, out, err = run([*command, "--input", str(path)], capsys)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"input error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "prinz"], ["table", "signatures"], ["spadesuit"]],
+)
+def test_composite_pel_prime_is_an_input_error(capsys, tmp_path, command):
+    code, out, err = run([*command, "--input", write_pel(tmp_path, p=9)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "p must be a prime" in err
+
+
+def test_undecodable_pel_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.pel"
+    path.write_bytes(b'{"m": "\xff"}')
+    code, out, err = run(["spadesuit", "--input", str(path)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"input error: {path}: ")
+
+
+def test_equal_cm_types_are_an_input_error_for_spadesuit(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "allpass.pel").read_text())
+    path = write_pel(tmp_path, phin=doc["phi0"])
+    code, out, err = run(["spadesuit", "--input", path], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "phi0 and phin must differ" in err
+
+
+def test_data_suite_refuses_large_fields_before_building_cm_types(capsys, monkeypatch):
+    def refuse(field):
+        raise AssertionError(f"all_cm_types called for m={field.m}")
+
+    monkeypatch.setattr(cli, "all_cm_types", refuse)
+    code, out, err = run(["verify", "data", "--m", "105"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "phi(105) = 48" in err
+
+
+def test_data_suite_accepts_phi_16(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "all_cm_types", lambda field: built.append(field.m) or [])
+    code, _, _ = run(["verify", "data", "--m", "17", "--n", "1"], capsys)
+    assert (code, built) == (0, [17])
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pelwedge", "table", "traces", "--n", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("pelwedge", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "k,coeff_phi0,coeff_phin"
+
+
+def _settable(parser) -> dict[str, set[str]]:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for command, p in sub.choices.items()
+    }
+
+
+def test_each_command_declares_only_what_its_entries_read():
+    settable = _settable(cli.build_parser())
+    assert sum(len(dests) for dests in settable.values()) == 18
+    for command, dests in settable.items():
+        read = set()
+        for name, entry in ENTRIES.items():
+            if name.split()[0] == command:
+                read |= set(entry.defaults)
+                assert set(entry.required) <= set(entry.defaults)
+        positional = {"verify": {"suite"}, "table": {"kind"}}.get(command, set())
+        assert dests == read | positional
+
+
+# Property test over generated argv: small integers (the out-of-range ones
+# included), and --trials <= 3 wherever the suite reads it.  Random prinz
+# trials cost C(n, n/2) * phi(m) squared and more, so its --n stays <= 3 too.
+SMALL = st.sampled_from([-1, 0, 1, 2, 3, 9])
+AT_MOST_3 = st.sampled_from([-1, 0, 1, 2, 3])
+VALUES = {
+    "--n": SMALL,
+    "--k": SMALL,
+    "--m": SMALL,
+    "--p": SMALL,
+    "--seed": SMALL,
+    "--precision": SMALL,
+    "--l": SMALL,
+    "--trials": AT_MOST_3,
+    "--input": st.sampled_from([ALLPASS, str(FIXTURES / "orbit_fail.pel"),
+                                str(FIXTURES / "missing.pel"), str(FIXTURES)]),
+    "--format": st.sampled_from(["csv", "records", "xml"]),
+    "--case": st.sampled_from(["both", "only0", "onlyn", "neither", "some"]),
+    "--x": st.sampled_from(["0.3", "0.1,0.2j", "0.1,-0.2,0.3j", "abc", ""]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["verify", "table", "spadesuit"]))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(VERIFY_SUITES)))
+    elif command == "table":
+        argv.append(draw(st.sampled_from(TABLE_KINDS)))
+    options = draw(st.lists(st.sampled_from(sorted(VALUES)), unique=True, max_size=5))
+    random_prinz = argv == ["verify", "prinz"] and "--input" not in options
+    if random_prinz or argv in (["verify", "embedding"], ["verify", "all"]):
+        options = [o for o in options if o != "--trials"] + ["--trials"]
+    for option in options:
+        strategy = AT_MOST_3 if random_prinz and option == "--n" else VALUES[option]
+        argv += [option, str(draw(strategy))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == EXIT_USAGE, argv
+            code = exc.code
+    assert code in (0, 1, 2, EXIT_USAGE, EXIT_INPUT), argv
+    if code in (EXIT_USAGE, EXIT_INPUT):
+        assert out.getvalue() == "", argv
+        assert err.getvalue().splitlines()[-1].startswith(("error: ", "input error: ")), argv
+
