@@ -15,16 +15,16 @@ import random
 import sys
 from dataclasses import dataclass
 
-import sympy
-
 from . import __version__
 from .cyclofield import (
     DEFAULT_PREC_BITS,
     RamifiedPrimeError,
+    _totient,
     all_cm_types,
     check_spadesuit,
     cyclo_field,
     is_conductor,
+    is_prime,
 )
 from .domains import embedding_trial_stats, satake_matrix, BallPoint
 from .hodge import (
@@ -43,7 +43,6 @@ from .reporting import (
     load_pel_input,
     params_hash,
 )
-from .serretate import DeformationParams, verify_vdrei, verify_vzehn
 
 EXIT_USAGE = 64
 EXIT_INPUT = 65
@@ -173,18 +172,18 @@ def resolve(args) -> argparse.Namespace:
             _usage_error(f"--{option} must be at least {low}, got {value}")
     if "precision" in opts and opts["precision"] is None:
         opts["precision"] = default_precision()
-    for p in opts.get("p", ()):
+    for p in opts["p"] if "p" in given else ():  # the default primes need no check
         if p < 2:
             _usage_error(f"--p must be at least 2, got {p}")
-        if not sympy.isprime(p):
+        if not is_prime(p):
             _usage_error(f"--p must be a prime, got {p}")
     for m in opts.get("m", ()):
         if not is_conductor(m):
             _usage_error(f"--m must be at least 3 and not 2 mod 4, got {m}")
-        if entry.degree_max is not None and sympy.totient(m) > entry.degree_max:
+        if entry.degree_max is not None and _totient(m) > entry.degree_max:
             _usage_error(
                 f"{name} takes phi(m) <= {entry.degree_max}, "
-                f"got phi({m}) = {sympy.totient(m)}"
+                f"got phi({m}) = {_totient(m)}"
             )
         if "p" in opts and all(math.gcd(p, m) != 1 for p in opts["p"]):
             _usage_error(f"no --p value is coprime to m={m}")
@@ -244,6 +243,8 @@ def _suite_data(doc: ReportDocument, m_list, n_max: int) -> None:
 
 
 def _suite_vdrei(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
+    from .serretate import verify_vdrei  # serretate loads sympy: only its suites import it
+
     for n in range(1, n_max + 1):
         ks = [k_only] if k_only is not None else range(1, n + 1)
         for k in ks:
@@ -268,6 +269,10 @@ def _suite_vdrei(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
 
 
 def _suite_vzehn(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
+    import sympy
+
+    from .serretate import DeformationParams, verify_vzehn
+
     for b in range(1, n_max):
         phi = DeformationParams(
             1, b, (tuple(sympy.symbols(f"p1:{b + 1}")),) if b else ((),)
@@ -499,8 +504,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parsing leaves no state in the parser, so every call shares one
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "spadesuit" and args.input is None:
         print("error: spadesuit requires --input", file=sys.stderr)
         return EXIT_USAGE

@@ -1,15 +1,18 @@
 """Exact arithmetic in cyclotomic CM fields Q(zeta_m).
 
-Elements are stored as rational coordinate vectors in the power basis
-1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th cyclotomic
-polynomial.  The CM involution is zeta -> zeta^(m-1).  Everything here
-is immutable and exact; complex embeddings are evaluated with mpmath at
-a configurable binary precision.
+Elements are stored as integer numerators in the power basis
+1, zeta, ..., zeta^(phi(m)-1) over one positive denominator, in lowest
+terms.  Products are integer schoolbook products reduced modulo the
+monic m-th cyclotomic polynomial; the CM involution zeta -> zeta^(m-1)
+is an integer change of coordinates.  Everything here is immutable and
+exact; complex embeddings are evaluated with mpmath at a configurable
+binary precision.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -102,6 +105,15 @@ def is_conductor(m: int) -> bool:
     return m >= 3 and m % 4 != 2
 
 
+def is_prime(n: int) -> bool:
+    """sympy's primality test.  sympy is imported here on first use: it
+    adds about 30 MB to the process and the field arithmetic, the trace
+    forms and the signatures never need it."""
+    from sympy import isprime
+
+    return isprime(n)
+
+
 class CycloField:
     """The cyclotomic field Q(zeta_m), m >= 3 and m != 2 (mod 4)."""
 
@@ -114,21 +126,26 @@ class CycloField:
         # zeta^t in the power basis, for t = 0 .. max(m, 2*degree) - 1
         d = self.degree
         poly = cyclotomic_poly(m)
-        table: list[tuple[Fraction, ...]] = []
+        table: list[tuple[int, ...]] = []
         for t in range(d):
-            row = [Fraction(0)] * d
-            row[t] = Fraction(1)
+            row = [0] * d
+            row[t] = 1
             table.append(tuple(row))
         n_rows = max(m, 2 * d - 1)
         for t in range(d, n_rows):
-            prev = list(table[t - 1])
+            prev = table[t - 1]
             top = prev[d - 1]
-            row = [Fraction(0)] + prev[:-1]
-            if top:
-                for j in range(d):
-                    row[j] -= top * poly[j]
-            table.append(tuple(row))
+            table.append(tuple(
+                (prev[j - 1] if j else 0) - top * poly[j] for j in range(d)
+            ))
         self._zeta_powers = tuple(table)
+        # zeta^d = -(poly[0] + ... + poly[d-1] zeta^(d-1)), as nonzero terms
+        self._reduction = tuple((j, -c) for j, c in enumerate(poly[:d]) if c)
+        # conj(zeta^j) = zeta^(m-j), as nonzero terms of the power basis
+        self._conj_terms = tuple(
+            tuple((t, c) for t, c in enumerate(table[(m - j) % m]) if c)
+            for j in range(d)
+        )
 
     def __repr__(self) -> str:
         return f"CycloField({self.m})"
@@ -143,12 +160,14 @@ class CycloField:
         coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates")
-        return CycloElement(self, tuple(coords))
+        den = math.lcm(*(c.denominator for c in coords))
+        return CycloElement(self, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     def from_rational(self, value) -> "CycloElement":
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(value)
-        return CycloElement(self, tuple(coords))
+        value = Fraction(value)
+        return CycloElement(
+            self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator
+        )
 
     @property
     def zero(self) -> "CycloElement":
@@ -172,66 +191,92 @@ def cyclo_field(m: int) -> CycloField:
 
 
 class CycloElement:
-    """Element of Q(zeta_m) as exact rational power-basis coordinates."""
+    """Element of Q(zeta_m) as integer power-basis numerators `num` over
+    one denominator `den`.
 
-    __slots__ = ("field", "coords")
+    The pair is kept in lowest terms: den > 0, gcd(den, *num) = 1, and
+    zero has den 1, so equal elements have equal (num, den)."""
 
-    def __init__(self, field: CycloField, coords: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, num: tuple[int, ...], den: int = 1):
+        if den != 1:
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = tuple(c // g for c in num)
+                den //= g
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other) -> "CycloElement":
         if isinstance(other, CycloElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in (add, sub), over the least common denominator."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return CycloElement(self.field, tuple(map(op, self.num, other.num)), da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
         return CycloElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
+            self.field,
+            tuple(op(a * sa, b * sb) for a, b in zip(self.num, other.num)),
+            da * sa,
         )
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.field, tuple(-a for a in self.coords))
+        return CycloElement(self.field, tuple(map(operator.neg, self.num)), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    prod[i + j] += a * b
-        table = self.field._zeta_powers
-        out = [Fraction(0)] * d
-        for t, c in enumerate(prod):
+        if type(other) is not CycloElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        field = self.field
+        d = field.degree
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    if b:
+                        prod[i + j] += a * b
+        # reduce modulo the monic cyclotomic polynomial, top degree first
+        reduction = field._reduction
+        for t in range(2 * d - 2, d - 1, -1):
+            c = prod[t]
             if c:
-                row = table[t]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycloElement(self.field, tuple(out))
+                base = t - d
+                for j, q in reduction:
+                    prod[base + j] += c * q
+        return CycloElement(field, tuple(prod[:d]), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -264,21 +309,21 @@ class CycloElement:
             return False
         if other is NotImplemented:
             return NotImplemented
-        return self.coords == other.coords
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.field.m, self.coords))
+        return hash((self.field.m, self.num, self.den))
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def inverse(self) -> "CycloElement":
         """Extended Euclid against the cyclotomic polynomial over Q."""
@@ -318,7 +363,7 @@ class CycloElement:
             return trim(out)
 
         r0 = [Fraction(c) for c in cyclotomic_poly(self.field.m)]
-        r1 = trim([Fraction(c) for c in self.coords])
+        r1 = trim(list(self.coords))
         s0, s1 = [], [Fraction(1)]
         while len(r1) > 1:
             q, rem = divmod_poly(r0, r1)
@@ -327,37 +372,38 @@ class CycloElement:
         if not r1:
             raise ZeroDivisionError("element is a zero divisor (unexpected)")
         lead = r1[0]
-        d = self.field.degree
-        coords = [Fraction(0)] * d
+        coords = [Fraction(0)] * self.field.degree
         for i, c in enumerate(s1):
             coords[i] = c / lead
-        return CycloElement(self.field, tuple(coords))
+        return self.field.element(coords)
 
     def conj(self) -> "CycloElement":
-        """The CM involution zeta -> zeta^(m-1)."""
-        m = self.field.m
-        table = self.field._zeta_powers
-        d = self.field.degree
-        out = [Fraction(0)] * d
-        for j, c in enumerate(self.coords):
+        """The CM involution zeta -> zeta^(m-1).
+
+        It maps Z[zeta] onto itself, so the numerators keep their content
+        and (num, den) stays in lowest terms."""
+        out = [0] * self.field.degree
+        for c, terms in zip(self.num, self.field._conj_terms):
             if c:
-                row = table[(m - j) % m]
-                for t in range(d):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return CycloElement(self.field, tuple(out))
+                for t, r in terms:
+                    out[t] += c * r
+        return CycloElement(self.field, tuple(out), self.den)
 
     def embed(self, k: int, prec_bits: int = DEFAULT_PREC_BITS) -> mpmath.mpc:
-        """Numeric value under sigma_k : zeta -> exp(2 pi i k / m)."""
+        """Numeric value under sigma_k : zeta -> exp(2 pi i k / m).
+
+        Each coordinate is divided in lowest terms, num/g over den/g."""
         if math.gcd(k, self.field.m) != 1:
             raise ValueError(f"{k} is not a unit modulo {self.field.m}")
+        den = self.den
         with mpmath.workprec(prec_bits):
             zeta = mpmath.expjpi(mpmath.mpf(2) * k / self.field.m)
             acc = mpmath.mpc(0)
             power = mpmath.mpc(1)
-            for c in self.coords:
+            for c in self.num:
                 if c:
-                    acc += mpmath.mpf(c.numerator) / c.denominator * power
+                    g = math.gcd(c, den)
+                    acc += mpmath.mpf(c // g) / (den // g) * power
                 power *= zeta
             return acc
 
@@ -381,11 +427,7 @@ def conj(x: CycloElement) -> CycloElement:
 def trace_LQ(x: CycloElement) -> Fraction:
     """Trace to Q: sum of x over all phi(m) complex embeddings, exact."""
     m = x.field.m
-    total = Fraction(0)
-    for j, c in enumerate(x.coords):
-        if c:
-            total += c * _ramanujan_sum(m, j)
-    return total
+    return Fraction(sum(c * _ramanujan_sum(m, j) for j, c in enumerate(x.num) if c), x.den)
 
 
 @dataclass(frozen=True)

@@ -1,60 +1,124 @@
 """Rational trace forms of skew-Hermitian Grams and p-integral perfectness.
 
 The trace form psi = tr_{L/Q} Psi is an antisymmetric rational matrix in
-the basis {zeta^a e_i}; perfectness at p is certified by the p-adic
-valuation of its determinant (equivalent to self-duality at unramified
-p, which is the only case accepted here).
+the basis {zeta^a e_i}, held as integer numerators over one common
+denominator D; perfectness at p is certified by the p-adic valuation of
+its determinant (equivalent to self-duality at unramified p, which is
+the only case accepted here).
 
-Each entry of psi is a linear functional of the coordinates of one Psi_ij,
-evaluated with the Ramanujan sums tr(zeta^t), so building psi needs no
-field multiplication.  The valuation is decided by elimination mod p
-first: when every entry is p-integral and the determinant is a nonzero
-residue, v_p(det) = 0 and the form is nondegenerate.  Only otherwise is
-the exact determinant computed and its valuation returned.
+Each entry of psi is a linear functional of the integer numerators of one
+Psi_ij, evaluated with the Ramanujan sums tr(zeta^t), so building psi
+needs no field multiplication.  The valuation is decided by elimination
+mod p first, in numpy int64 with unit pivots: when p < 2^31, p shares no
+factor with D and the determinant is a unit residue, v_p(det) = 0 and the
+form is nondegenerate.  Only otherwise is the exact determinant computed,
+by fraction-free (Bareiss) elimination on the numerators, and its
+valuation returned.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from .cyclofield import CycloElement, CycloField, RamifiedPrimeError, _ramanujan_sum
 from .exterior import wedge_gram
 from .hodge import HermitianModule
+
+# residues below this bound multiply without overflow in int64
+_INT64_MODULUS_BOUND = 2**31
 
 
 class DegenerateForm(ArithmeticError):
     """The trace form is degenerate over Q."""
 
 
-@dataclass(frozen=True)
+def _integer_matrix(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(nums, den) with matrix = nums / den and den the least common
+    denominator of the entries."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
+class FractionRows(Sequence):
+    """The rows of the integer matrix nums over den, as tuples of Fractions
+    made when a row is read; equal to any sequence of equal rows."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        return tuple(Fraction(x, self._den) for x in self._nums[i])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
+
+
 class TraceGram:
-    """tr_{L/Q} Psi in the basis {zeta^a e_i}, row index a*n + i."""
+    """tr_{L/Q} Psi in the basis {zeta^a e_i}, row index a*n + i.
 
-    field: CycloField
-    rank: int
-    matrix: tuple[tuple[Fraction, ...], ...]
+    The entries are the integers `nums` over the positive denominator
+    `den`, in lowest terms (den is the least common denominator of the
+    entries); `matrix` reads the same form as rows of Fractions.
+    TraceGram(field, rank, matrix) takes rational rows."""
 
-    def __post_init__(self):
-        size = self.field.degree * self.rank
-        if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
+    def __init__(self, field: CycloField, rank: int, matrix):
+        nums, den = _integer_matrix(matrix)
+        self._set(field, rank, nums, den)
+
+    @classmethod
+    def from_integers(cls, field: CycloField, rank: int, nums, den: int) -> "TraceGram":
+        """The form nums / den, for integer rows nums and den > 0."""
+        g = gcd(den, *(x for row in nums for x in row))
+        if g != 1:
+            nums = tuple(tuple(x // g for x in row) for row in nums)
+            den //= g
+        gram = cls.__new__(cls)
+        gram._set(field, rank, nums, den)
+        return gram
+
+    def _set(self, field, rank, nums, den) -> None:
+        size = field.degree * rank
+        if len(nums) != size or any(len(r) != size for r in nums):
             raise ValueError("trace gram has the wrong size")
-        for i in range(size):
-            for j in range(i, size):
-                if self.matrix[j][i] != -self.matrix[i][j]:
-                    raise ValueError("trace gram is not antisymmetric")
+        if list(zip(*nums)) != [tuple(-x for x in row) for row in nums]:
+            raise ValueError("trace gram is not antisymmetric")
+        self.field = field
+        self.rank = rank
+        self.nums = nums
+        self.den = den
+
+    @property
+    def matrix(self) -> FractionRows:
+        return FractionRows(self.nums, self.den)
 
 
-def _shifted_traces(x: CycloElement, traces: list[int], d: int) -> list[Fraction]:
-    """tr(zeta^s * x) for s = 1-d .. d-1, from tr(zeta^t) = traces[t % m]."""
-    m = len(traces)
-    den = lcm(*(c.denominator for c in x.coords))
-    nums = [(t, c.numerator * (den // c.denominator)) for t, c in enumerate(x.coords) if c]
-    return [
-        Fraction(sum(c * traces[(t + s) % m] for t, c in nums), den)
-        for s in range(1 - d, d)
-    ]
+def _shifted_traces(x: CycloElement, shift_rows, scale: int) -> list[int]:
+    """scale * x.den * tr(zeta^s * x) for s = 1-d .. d-1, where
+    shift_rows[t] lists tr(zeta^(t+s)) over the same s."""
+    out = [0] * len(shift_rows[0])
+    for c, row in zip(x.num, shift_rows):
+        if c:
+            c *= scale
+            out = [acc + c * tr for acc, tr in zip(out, row)]
+    return out
 
 
 def trace_gram(module: HermitianModule) -> TraceGram:
@@ -62,42 +126,55 @@ def trace_gram(module: HermitianModule) -> TraceGram:
 
     Sesquilinear convention: conjugate-linear in the first argument.  As
     conj(zeta^a) = zeta^(-a), the entry is tr(zeta^(b-a) * Psi_ij), which
-    depends on (i, j) and the shift b - a only."""
+    depends on (i, j) and the shift b - a only.  Every entry is put over
+    the least common denominator of the Psi_ij."""
     field = module.field
     n = module.rank
     d = field.degree
-    traces = [_ramanujan_sum(field.m, t) for t in range(field.m)]
-    shifted = [[_shifted_traces(x, traces, d) for x in row] for row in module.gram]
+    m = field.m
+    shift_rows = [[_ramanujan_sum(m, (t + s) % m) for s in range(1 - d, d)] for t in range(d)]
+    den = lcm(*(x.den for row in module.gram for x in row))
+    shifted = [[_shifted_traces(x, shift_rows, den // x.den) for x in row] for row in module.gram]
     rows = []
     for a in range(d):
         for i in range(n):
             by_shift = shifted[i]
-            # by_shift[j][b - a + d - 1] = psi(zeta^a e_i, zeta^b e_j)
+            # by_shift[j][b - a + d - 1] = den * psi(zeta^a e_i, zeta^b e_j)
             rows.append(tuple(by_shift[j][b - a + d - 1] for b in range(d) for j in range(n)))
-    return TraceGram(field, n, tuple(rows))
+    return TraceGram.from_integers(field, n, tuple(rows), den)
+
+
+def _bareiss(nums) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination
+    (Bareiss 1968): after step k every entry is a minor of the input, so
+    the division by the previous pivot is exact."""
+    rows = [list(row) for row in nums]
+    size = len(rows)
+    sign, prev = 1, 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if rows[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        head = rows[k]
+        lead = head[k]
+        for r in range(k + 1, size):
+            row = rows[r]
+            f = row[k]
+            row[k + 1 :] = [
+                (x * lead - f * y) // prev for x, y in zip(row[k + 1 :], head[k + 1 :])
+            ]
+        prev = lead
+    return sign * prev
 
 
 def rational_det(matrix) -> Fraction:
-    """Exact determinant of a rational matrix by fraction Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n = len(rows)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            factor = rows[r][col] / p
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * result
+    """Exact determinant of a rational matrix: Bareiss elimination on the
+    matrix scaled to integers by the least common denominator."""
+    nums, den = _integer_matrix(matrix)
+    return Fraction(_bareiss(nums), den ** len(nums))
 
 
 def _valuation(value: int, p: int) -> int:
@@ -108,37 +185,38 @@ def _valuation(value: int, p: int) -> int:
     return v
 
 
-def _unit_det_mod(matrix, p: int) -> bool:
-    """True when no denominator shares a factor with p and det is a unit mod p.
+def _unit_det_mod(nums, den: int, p: int) -> bool:
+    """True when det(nums / den) is certified a unit mod p.
 
-    Gaussian elimination over Z/p with unit pivots only, so a False answer
-    is inconclusive when p is composite.  Row order is irrelevant: only
-    whether det is a unit is decided."""
-    inverses: dict[int, int] = {1: 1}
-    rows = []
-    for row in matrix:
-        reduced = []
-        for x in row:
-            den = x.denominator
-            inv = inverses.get(den)
-            if inv is None:
-                if gcd(den, p) != 1:
-                    return False
-                inv = inverses[den] = pow(den, -1, p)
-            reduced.append(x.numerator * inv % p)
-        rows.append(reduced)
-    while rows:
-        pivot = next((r for r, row in enumerate(rows) if row[0] and gcd(row[0], p) == 1), None)
-        if pivot is None:
+    There is no certificate when p >= 2^31 or p shares a factor with den.
+    Otherwise the residues are eliminated in numpy int64 over Z/p with
+    unit pivots only, so a False answer is inconclusive when p is
+    composite.  Row order is irrelevant: only whether det is a unit is
+    decided."""
+    if p >= _INT64_MODULUS_BOUND or gcd(den, p) != 1:
+        return False
+    size = len(nums)
+    a = np.array([[x % p for x in row] for row in nums], dtype=np.int64).reshape(size, size)
+    a = a * pow(den, -1, p) % p
+    # pivot rows and columns are reduced mod p, so each update subtracts
+    # products below p^2 < 2^62; the rest is reduced only before |a| could
+    # reach 2^63
+    bound = p  # every |entry| is below bound
+    for c in range(size):
+        units = np.flatnonzero(np.gcd(a[c:, c] % p, p) == 1)
+        if not units.size:
             return False
-        head = rows.pop(pivot)
-        inv = pow(head[0], -1, p)
-        # the pivot row scaled to a leading 1, with its pivot column dropped
-        tail = [y * inv % p for y in head[1:]]
-        rows = [
-            [(x - f * y) % p for x, y in zip(row[1:], tail)] if (f := row[0]) else row[1:]
-            for row in rows
-        ]
+        r = c + int(units[0])
+        if r != c:
+            a[[c, r]] = a[[r, c]]
+        # the pivot row scaled to a leading 1
+        tail = a[c, c + 1 :] % p * pow(int(a[c, c]) % p, -1, p) % p
+        block = a[c + 1 :, c + 1 :]
+        block -= np.outer(a[c + 1 :, c] % p, tail)
+        bound += p * p
+        if bound >= 2**62:
+            block %= p
+            bound = p
     return True
 
 
@@ -153,11 +231,12 @@ def perfectness_valuation(gram: TraceGram, p: int) -> int:
         raise RamifiedPrimeError(
             f"perfectness test requires p coprime to m, got p={p}, m={gram.field.m}"
         )
-    if _unit_det_mod(gram.matrix, p):
+    if _unit_det_mod(gram.nums, gram.den, p):
         return 0
-    d = rational_det(gram.matrix)
+    d = Fraction(_bareiss(gram.nums), gram.den ** len(gram.nums))
     if d == 0:
         raise DegenerateForm("trace gram is degenerate over Q")
+    # in lowest terms, so a composite p counts the same powers as before
     return _valuation(d.numerator, p) - _valuation(d.denominator, p)
 
 

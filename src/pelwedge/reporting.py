@@ -12,9 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
-from .cyclofield import CMType, CycloField, cyclo_field
+from .cyclofield import CMType, CycloField, cyclo_field, is_prime
 from .hodge import HermitianModule
 
 SCHEMA_VERSION = "1"
@@ -179,7 +177,7 @@ def load_pel_input(path: str) -> PelInput:
         raise PelInputError(f"{path}: level l must be >= 3")
     if doc["p"] < 2:
         raise PelInputError(f"{path}: p must be >= 2")
-    if not sympy.isprime(doc["p"]):
+    if not is_prime(doc["p"]):
         raise PelInputError(f"{path}: p must be a prime, got {doc['p']}")
 
     def parse_type(key: str) -> CMType:

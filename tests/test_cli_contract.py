@@ -6,8 +6,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -239,3 +241,44 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
         assert out.getvalue() == "", argv
         assert err.getvalue().splitlines()[-1].startswith(("error: ", "input error: ")), argv
 
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # main parses with one parser built at import; each call must give the
+    # bytes a freshly built parser gives, a usage error in between included
+    sequence = [
+        ["verify", "prinz", "--trials", "2", "--seed", "5", "--m", "8", "--n", "2"],
+        ["verify", "prinz", "--trials", "2", "--k", "1"],  # exit 64
+        ["table", "weights", "--n", "3", "--k", "1", "--case", "only0", "--format", "records"],
+        ["verify", "vdrei", "--n", "3"],
+        ["table", "signatures", "--input", ALLPASS],
+    ]
+    shared = [run(argv, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(run(argv, capsys))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, EXIT_USAGE, 0, 0, 0]
+    assert all(out for code, out, _ in shared if code == 0)
+
+
+def test_default_primes_are_prime():
+    # resolve checks only a given --p; the defaults must need no check
+    assert all(cli.is_prime(p) for p in ENTRIES["verify prinz"].defaults["p"])
+
+
+def test_sympy_is_loaded_only_by_the_code_that_uses_it():
+    script = (
+        "import contextlib, io, sys\n"
+        "import pelwedge, pelwedge.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = pelwedge.cli.main(['verify', 'prinz', '--trials', '2', '--m', '8', '--n', '2'])\n"
+        "assert code == 0 and 'sympy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    pelwedge.cli.main(['verify', 'vzehn', '--n', '2'])\n"
+        "assert 'sympy' in sys.modules and pelwedge.ModInt.__module__ == 'pelwedge.serretate'\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -220,3 +220,190 @@ def test_spadesuit_ramified_rejected(F4):
             cm_type(F4, [3]), cm_type(F4, [1]), 2, 3,
             _diag_module(F4, i, 1), _diag_module(F4, i, 2),
         )
+
+
+# -- reference oracle: the Fraction-coordinate element the kernel replaced ---
+
+
+def reference_zeta_powers(F):
+    """zeta^t as Fraction coordinates, t = 0 .. max(m, 2d - 1) - 1."""
+    d, poly = F.degree, cyclotomic_poly(F.m)
+    table = [tuple(Fraction(int(j == t)) for j in range(d)) for t in range(d)]
+    for t in range(d, max(F.m, 2 * d - 1)):
+        prev = list(table[t - 1])
+        top = prev[d - 1]
+        row = [Fraction(0)] + prev[:-1]
+        for j in range(d):
+            row[j] -= top * poly[j]
+        table.append(tuple(row))
+    return table
+
+
+def reference_mul(F, a, b):
+    d = F.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    table = reference_zeta_powers(F)
+    out = [Fraction(0)] * d
+    for t, c in enumerate(prod):
+        for j in range(d):
+            out[j] += c * table[t][j]
+    return tuple(out)
+
+
+def reference_conj(F, a):
+    table = reference_zeta_powers(F)
+    out = [Fraction(0)] * F.degree
+    for j, c in enumerate(a):
+        row = table[(F.m - j) % F.m]
+        for t in range(F.degree):
+            out[t] += c * row[t]
+    return tuple(out)
+
+
+def reference_inverse(F, a):
+    """Extended Euclid against the cyclotomic polynomial over Q."""
+
+    def trim(poly):
+        while poly and not poly[-1]:
+            poly.pop()
+        return poly
+
+    def divmod_poly(x, y):
+        x = list(x)
+        quot = [Fraction(0)] * max(len(x) - len(y) + 1, 0)
+        while len(x) >= len(y):
+            c = x[-1] / y[-1]
+            shift = len(x) - len(y)
+            quot[shift] = c
+            for i, yc in enumerate(y):
+                x[i + shift] -= c * yc
+            x.pop()
+            trim(x)
+        return quot, x
+
+    def mul_poly(x, y):
+        out = [Fraction(0)] * (len(x) + len(y) - 1) if x and y else []
+        for i, xc in enumerate(x):
+            for j, yc in enumerate(y):
+                out[i + j] += xc * yc
+        return trim(out)
+
+    def sub_poly(x, y):
+        out = list(x) + [Fraction(0)] * (len(y) - len(x))
+        for i, yc in enumerate(y):
+            out[i] -= yc
+        return trim(out)
+
+    r0 = [Fraction(c) for c in cyclotomic_poly(F.m)]
+    r1 = trim(list(a))
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = divmod_poly(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, sub_poly(s0, mul_poly(q, s1))
+    out = [Fraction(0)] * F.degree
+    for i, c in enumerate(s1):
+        out[i] = c / r1[0]
+    return tuple(out)
+
+
+def reference_pow(F, a, e):
+    if e < 0:
+        a, e = reference_inverse(F, a), -e
+    out = tuple(Fraction(int(j == 0)) for j in range(F.degree))
+    for _ in range(e):
+        out = reference_mul(F, out, a)
+    return out
+
+
+def reference_embed(F, a, k, prec_bits):
+    with mpmath.workprec(prec_bits):
+        zeta = mpmath.expjpi(mpmath.mpf(2) * k / F.m)
+        acc = mpmath.mpc(0)
+        power = mpmath.mpc(1)
+        for c in a:
+            if c:
+                acc += mpmath.mpf(c.numerator) / c.denominator * power
+            power *= zeta
+        return acc
+
+
+def rand_rational_element(F, rng):
+    """Coordinates with shared and unshared denominators, some zero, some large."""
+    dens = rng.choice([(1,), (2, 4), (3, 9, 1), (5, 7, 35), (6, 10, 15)])
+    coords = []
+    for _ in range(F.degree):
+        if rng.random() < 0.2:
+            coords.append(Fraction(0))
+        else:
+            size = rng.choice([3, 3, 3, 5000])
+            coords.append(Fraction(rng.randint(-size, size), rng.choice(dens)))
+    return F.element(coords)
+
+
+def assert_canonical(x):
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if not x:
+        assert x.den == 1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16])
+def test_integer_kernel_matches_the_fraction_reference(m):
+    F = cyclo_field(m)
+    rng = random.Random(3000 + m)
+    seen_fraction = False
+    for _ in range(25):
+        x, y = rand_rational_element(F, rng), rand_rational_element(F, rng)
+        a, b = x.coords, y.coords
+        seen_fraction |= any(c.denominator > 1 for c in a)
+        assert (x + y).coords == tuple(s + t for s, t in zip(a, b))
+        assert (x - y).coords == tuple(s - t for s, t in zip(a, b))
+        assert (-x).coords == tuple(-s for s in a)
+        assert (x * y).coords == reference_mul(F, a, b)
+        assert (x * 3).coords == (3 * x).coords == tuple(3 * s for s in a)
+        assert (x + Fraction(1, 6)).coords == (a[0] + Fraction(1, 6),) + a[1:]
+        assert x.conj().coords == reference_conj(F, a)
+        assert (x ** 3).coords == reference_pow(F, a, 3)
+        if y:
+            assert y.inverse().coords == reference_inverse(F, b)
+            assert (x / y).coords == reference_mul(F, a, reference_inverse(F, b))
+            assert (y ** -2).coords == reference_pow(F, b, -2)
+            assert (1 / y).coords == reference_inverse(F, b)
+        for k in F.units[:3]:
+            for prec in (10, 53, 128):
+                assert x.embed(k, prec) == reference_embed(F, a, k, prec)
+        assert x.is_rational() == (not any(a[1:]))
+        for results in (x + y, x - y, x * y, x.conj(), x ** 3, x - x, x * 0):
+            assert_canonical(results)
+    assert seen_fraction
+    q = F.from_rational(Fraction(-10, 4))
+    assert q.is_rational() and q.rational_value() == Fraction(-5, 2)
+    with pytest.raises(ValueError):
+        (q + F.zeta).rational_value()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16])
+def test_equal_elements_have_one_canonical_form(m):
+    F = cyclo_field(m)
+    rng = random.Random(4000 + m)
+    for _ in range(25):
+        x = rand_rational_element(F, rng)
+        y = rand_rational_element(F, rng)
+        # the same element reached along different paths
+        for twin in (x + y - y, (x * 6) / 6, x.conj().conj(), F.element(x.coords)):
+            assert twin == x
+            assert (twin.num, twin.den) == (x.num, x.den)
+            assert hash(twin) == hash(x)
+            assert_canonical(twin)
+    zero = rand_rational_element(F, rng) * 0
+    assert (zero.num, zero.den) == ((0,) * F.degree, 1)
+    assert F.element([Fraction(2, 4)] + [Fraction(0)] * (F.degree - 1)).den == 2
+    assert F.element([Fraction(1, 3)] * F.degree) * 3 == F.element([1] * F.degree)
+    assert trace_LQ(F.element([Fraction(1, 3)] * F.degree)) == Fraction(
+        sum(trace_LQ(F.zeta_power(t)) for t in range(F.degree)), 3
+    )

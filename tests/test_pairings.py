@@ -19,6 +19,9 @@ from pelwedge.instances import (
 from pelwedge.pairings import (
     DegenerateForm,
     TraceGram,
+    _bareiss,
+    _integer_matrix,
+    _unit_det_mod,
     perfectness_valuation,
     rational_det,
     trace_gram,
@@ -318,3 +321,200 @@ def test_cli_bytes_match_the_reference_oracles(argv, capsys, monkeypatch):
         monkeypatch.setattr(owner, "perfectness_valuation", reference_valuation)
     assert main(list(argv)) == code
     assert capsys.readouterr().out == fast
+
+
+# -- reference oracles: the Fraction determinant and the pure-Python certificate
+
+
+def reference_rational_det(matrix):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n = len(rows)
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        p = rows[col][col]
+        result *= p
+        for r in range(col + 1, n):
+            factor = rows[r][col] / p
+            if factor:
+                for c in range(col, n):
+                    rows[r][c] -= factor * rows[col][c]
+    return sign * result
+
+
+def reference_unit_det_mod(matrix, p):
+    """Elimination over Z/p in Python ints with unit pivots, entry by entry."""
+    rows = []
+    for row in matrix:
+        reduced = []
+        for x in map(Fraction, row):
+            if math.gcd(x.denominator, p) != 1:
+                return False
+            reduced.append(x.numerator * pow(x.denominator, -1, p) % p)
+        rows.append(reduced)
+    while rows:
+        pivot = next((r for r, row in enumerate(rows) if row[0] and math.gcd(row[0], p) == 1), None)
+        if pivot is None:
+            return False
+        head = rows.pop(pivot)
+        inv = pow(head[0], -1, p)
+        tail = [y * inv % p for y in head[1:]]
+        rows = [[(x - row[0] * y) % p for x, y in zip(row[1:], tail)] for row in rows]
+    return True
+
+
+def rand_matrix(rng, size, dens=(1,), bound=4):
+    return [
+        [Fraction(rng.randint(-bound, bound) if rng.random() > 0.3 else 0, rng.choice(dens))
+         for _ in range(size)]
+        for _ in range(size)
+    ]
+
+
+def determinant_cases(rng):
+    """(label, matrix): empty, 1 x 1, integer, rational, large, singular and
+    zero-leading-pivot matrices."""
+    yield "0 x 0", []
+    yield "1 x 1", [[Fraction(-7, 3)]]
+    yield "1 x 1 zero", [[0]]
+    yield "swap", [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+    yield "swap twice", [[0, 0, 1], [0, 2, 0], [3, 0, 0]]
+    for size in range(2, 8):
+        yield "integer", rand_matrix(rng, size)
+        yield "rational", rand_matrix(rng, size, (1, 2, 3, 9, 10))
+        yield "large", rand_matrix(rng, size, (1, 7), bound=10**12)
+        singular = rand_matrix(rng, size, (1, 3))
+        singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[1])]
+        yield "singular", singular
+        leading_zero = rand_matrix(rng, size, (1, 5))
+        leading_zero[0][0] = 0
+        yield "zero leading pivot", leading_zero
+        zero_column = rand_matrix(rng, size)
+        for row in zero_column:
+            row[size // 2] = 0
+        yield "zero column", zero_column
+
+
+def test_bareiss_matches_the_gaussian_reference():
+    rng = random.Random(5100)
+    seen = set()
+    for label, matrix in determinant_cases(rng):
+        value = rational_det(matrix)
+        assert type(value) is Fraction
+        assert value == reference_rational_det(matrix), label
+        nums, den = _integer_matrix(matrix)
+        assert _bareiss(nums) == value * den ** len(nums), label
+        seen.add("zero" if value == 0 else "integer" if value.denominator == 1 else "fraction")
+    assert seen == {"zero", "integer", "fraction"}
+    assert rational_det([]) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 9, 25, 2**31 - 1])
+def test_certificate_matches_the_pure_python_reference(p):
+    # p = 9 and 25 are local rings, where unit pivots decide the unit determinant
+    rng = random.Random(5200 + p)
+    outcomes = set()
+    cases = list(determinant_cases(rng))
+    for size in (12, 24):
+        # det = 0 mod p but not 0: the last row is a combination of the two
+        # rows above it plus p times a random row, so the residues must stay
+        # exact through every elimination step
+        matrix = rand_matrix(rng, size, bound=10**6)
+        matrix[-1] = [2 * x - y + p * rng.randint(-9, 9) for x, y in zip(matrix[-3], matrix[-2])]
+        cases += [("p | det", matrix), ("large", rand_matrix(rng, size, (1, 11), bound=10**6))]
+    for label, matrix in cases:
+        nums, den = _integer_matrix(matrix)
+        certified = _unit_det_mod(nums, den, p)
+        assert certified == reference_unit_det_mod(matrix, p), (label, p)
+        value = reference_rational_det(matrix)
+        if certified:
+            assert math.gcd(value.numerator * value.denominator, p) == 1, (label, p)
+        elif math.gcd(den, p) == 1 and value:
+            # a p-unit determinant over a p-unit denominator is always certified
+            assert math.gcd(value.numerator, p) != 1, (label, p)
+        outcomes.add(certified)
+    assert outcomes == {True, False}
+
+
+def test_composite_p_never_pivots_on_a_non_unit():
+    # mod 9: 3 and 6 are nonzero non-units and must be passed over
+    assert _unit_det_mod(((3, 1), (1, 3)), 1, 9)  # det 8
+    assert _unit_det_mod(((6, 1, 0), (3, 0, 1), (1, 0, 0)), 1, 9)  # det 1
+    assert not _unit_det_mod(((3, 1), (6, 1)), 1, 9)  # det -3: no unit in column 0
+    assert not _unit_det_mod(((3, 0), (0, 3)), 1, 9)
+    tg = TraceGram(cyclo_field(4), 1, [[0, 3], [-3, 0]])  # det 9
+    assert perfectness_valuation(tg, 9) == 1
+    tg = TraceGram(cyclo_field(4), 1, [[0, 6], [-6, 0]])  # det 36
+    assert perfectness_valuation(tg, 9) == 1
+
+
+def count_exact_paths(monkeypatch):
+    calls = []
+    exact = pairings._bareiss
+    monkeypatch.setattr(pairings, "_bareiss", lambda nums: calls.append(len(nums)) or exact(nums))
+    return calls
+
+
+def test_p_from_2_to_the_31_takes_the_exact_path(monkeypatch):
+    F = cyclo_field(5)
+    tg = trace_gram(HermitianModule(F, rand_skew_hermitian(F, 2, random.Random(5300))))
+    expected = {p: reference_valuation(tg, p) for p in (2**31 - 1, 2**31 + 11, 2**61 - 1)}
+    assert set(expected.values()) == {0}
+    calls = count_exact_paths(monkeypatch)
+    assert perfectness_valuation(tg, 2**31 - 1) == 0  # prime: certified in int64
+    assert calls == []
+    for p in (2**31 + 11, 2**61 - 1):  # primes with no int64 certificate
+        assert not _unit_det_mod(tg.nums, tg.den, p)
+        assert perfectness_valuation(tg, p) == 0
+    assert calls == [8, 8]
+
+
+def test_p_dividing_the_denominator_takes_the_exact_path(monkeypatch):
+    F = cyclo_field(8)
+    gram = scaled(F, rand_skew_hermitian(F, 2, random.Random(5400)), Fraction(1, 3))
+    tg = trace_gram(HermitianModule(F, gram))
+    assert tg.den % 3 == 0
+    expected = reference_valuation(tg, 3)
+    assert expected < 0
+    calls = count_exact_paths(monkeypatch)
+    assert not _unit_det_mod(tg.nums, tg.den, 3)
+    assert perfectness_valuation(tg, 3) == expected
+    assert calls == [8]
+    assert _unit_det_mod(tg.nums, tg.den, 5) == reference_unit_det_mod(tg.matrix, 5)
+
+
+def test_trace_gram_integers_and_rational_view():
+    rng = random.Random(5500)
+    F = cyclo_field(12)
+    gram = rand_fraction_skew(F, 2, rng, (1, 2, 3, 5))
+    tg = trace_gram(HermitianModule(F, gram))
+    rows = tuple(tuple(row) for row in tg.matrix)
+    # one least common denominator, in lowest terms
+    assert tg.den == math.lcm(*(x.denominator for row in rows for x in row)) > 1
+    assert math.gcd(tg.den, *(x for row in tg.nums for x in row)) == 1
+    assert rows == tuple(tuple(Fraction(x, tg.den) for x in row) for row in tg.nums)
+    assert tg.matrix == rows and rows == tg.matrix and tg.matrix == list(rows)
+    assert tg.matrix != rows[:-1]
+    assert tg.matrix[1:3] == rows[1:3] and tg.matrix[-1] == rows[-1]
+    assert len(tg.matrix) == F.degree * 2
+    rebuilt = TraceGram(F, 2, rows)
+    assert (rebuilt.nums, rebuilt.den) == (tg.nums, tg.den)
+    # (zeta - zeta^2) / 3 over Q(zeta_3) has an integral trace form
+    F3 = cyclo_field(3)
+    x = (F3.zeta - F3.zeta_power(2)) / 3
+    tg = trace_gram(HermitianModule(F3, [[x]]))
+    assert (tg.nums, tg.den) == (((0, -1), (1, 0)), 1)
+    assert (TraceGram(F3, 1, tg.matrix).nums, TraceGram(F3, 1, tg.matrix).den) == (tg.nums, 1)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        TraceGram(cyclo_field(4), 1, [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="antisymmetric"):
+        TraceGram(cyclo_field(4), 1, [[1, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="wrong size"):
+        TraceGram(cyclo_field(4), 2, [[0, 1], [-1, 0]])
