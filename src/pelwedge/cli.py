@@ -55,14 +55,16 @@ TABLE_KINDS = ("signatures", "traces", "weights", "embedding-matrix")
 class Entry:
     """What one verify suite or mode, table kind or command reads: each
     option with its default (None: none), the options it requires, the
-    least --n, the range k_span[0] <= --k <= n + k_span[1], and the
-    largest phi(--m) it accepts."""
+    least --n, the range k_span[0] <= --k <= n + k_span[1], the largest
+    phi(--m) it accepts, and the largest rank C(n, n/2) * phi(m) of an
+    exterior power it may build (phi(m) = 1 when it reads no --m)."""
 
     defaults: dict
     required: tuple[str, ...] = ()
     n_min: int = 1
     k_span: tuple[int, int] = (1, 0)
     degree_max: int | None = None
+    rank_max: int | None = None
 
 
 _HEADER = {"seed": 0, "precision": None}  # every verify header records both
@@ -71,10 +73,16 @@ _CSV = {"format": "csv"}
 ENTRIES = {
     # all pairs of the 2^(phi/2) CM types: phi <= 16 keeps it to 256 types
     "verify data": Entry({"n": 4, "m": (4, 5, 8), **_HEADER}, degree_max=16),
-    "verify prinz": Entry({"n": 4, "m": (4, 5), "p": (3, 5, 7, 13), "trials": 200, **_HEADER}),
+    # a random trial builds and certifies a trace form of up to that rank,
+    # with rank^2 entries: 560 is m=16, n=8
+    "verify prinz": Entry(
+        {"n": 4, "m": (4, 5), "p": (3, 5, 7, 13), "trials": 200, **_HEADER}, rank_max=560
+    ),
     "verify prinz --input": Entry({"input": None, "k": None, **_HEADER}, ("input",), k_span=(0, 0)),
-    "verify vdrei": Entry({"n": 7, "k": None, **_HEADER}),
-    "verify vzehn": Entry({"n": 7, "k": None, **_HEADER}, n_min=2),  # heights b = 1 .. n-1
+    # the dense compound of the n x n block has rank^2 entries: 2000 keeps n <= 13
+    "verify vdrei": Entry({"n": 7, "k": None, **_HEADER}, rank_max=2000),
+    # heights b = 1 .. n-1, so the largest wedge block is again of an n x n block
+    "verify vzehn": Entry({"n": 7, "k": None, **_HEADER}, n_min=2, rank_max=2000),
     "verify embedding": Entry(
         {"n": 6, "k": None, "trials": 1000, **_HEADER}, n_min=2, k_span=(1, -1)
     ),
@@ -187,6 +195,16 @@ def resolve(args) -> argparse.Namespace:
             )
         if "p" in opts and all(math.gcd(p, m) != 1 for p in opts["p"]):
             _usage_error(f"no --p value is coprime to m={m}")
+    if entry.rank_max is not None:
+        n = opts["n"]
+        m = max(opts.get("m", ()), key=_totient, default=None)
+        degree = 1 if m is None else _totient(m)
+        # C(n, n/2) > 2^n / (n + 1) passes every bound long before n = 64
+        rank = math.comb(n, n // 2) * degree if n < 64 else math.inf
+        if rank > entry.rank_max:
+            bound, got = ("C(n, n/2)", f"n={n}") if m is None else (
+                "C(n, n/2) * phi(m)", f"n={n} and phi({m}) = {degree}")
+            _usage_error(f"{name} takes {bound} <= {entry.rank_max}, got {got}")
     if opts.get("x") is not None:
         opts["x"] = _ball_point(opts["x"], opts["n"])
 
@@ -269,19 +287,16 @@ def _suite_vdrei(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
 
 
 def _suite_vzehn(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
-    import sympy
-
-    from .serretate import DeformationParams, verify_vzehn
+    from .serretate import DeformationParams, generators, verify_vzehn
 
     for b in range(1, n_max):
-        phi = DeformationParams(
-            1, b, (tuple(sympy.symbols(f"p1:{b + 1}")),) if b else ((),)
-        )
+        c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
+        phi = DeformationParams(1, b, (tuple(row),))
         ks = [k_only] if k_only is not None else range(1, b + 2)
         for k in ks:
             if not 1 <= k <= b + 1:
                 continue
-            ok = verify_vzehn(b, k, phi)
+            ok = verify_vzehn(b, k, phi, c1)
             doc.add(
                 check=f"vzehn b={b} k={k}",
                 b=b,

@@ -2,8 +2,9 @@
 matrices, wedge Gram construction, and the induced similitude map.
 
 All arithmetic here is exact and ring-generic: entries may be ints,
-Fractions, CycloElements, or sympy expressions, as long as they support
-+, -, * and truthiness-as-nonzero.  `compound` computes each minor once,
+Fractions, CycloElements, elements of a `sympy.polys.rings` polynomial
+ring or sympy expressions, as long as they support +, -, * and
+truthiness-as-nonzero.  `compound` computes each minor once,
 by Laplace expansion from the minors on one row fewer, and `det` is its
 n x n case.  `colex_subsets` is the one subset order and `removal_matrix`
 the one builder of the +-x_{i_nu} matrices of the deformation blocks and
@@ -13,7 +14,7 @@ the ball embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .cyclofield import CycloElement
 
@@ -116,10 +117,11 @@ def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
         first = prefix[-1] + 1 if prefix else 0
         for r in range(first, n - k + len(prefix) + 1):
             stack.append((prefix + (r,), _laplace(minors, rows[r])))
-    masks = {s: sum(1 << (i - 1) for i in s) for s in SubsetIndex.build(n, k).order}
+    order = SubsetIndex.build(n, k).order
+    masks = [sum(1 << (i - 1) for i in s) for s in order]
     return tuple(
-        tuple(by_rows[tuple(i - 1 for i in I)].get(mask, zero) for mask in masks.values())
-        for I in masks
+        tuple(map(by_rows[tuple(i - 1 for i in I)].get, masks, repeat(zero)))
+        for I in order
     )
 
 

@@ -4,7 +4,9 @@ A deformation is represented only by its parameter matrix phi (connected
 height a, etale height b); the Galois action on the Tate module is the
 block matrix [[c1*E_a, C], [0, E_b]].  Verification compares compounds
 of these blocks against the directly constructed wedge blocks, as exact
-(by default symbolic) identities.
+identities: by default in the polynomial ring Z[c1, ...] of
+`sympy.polys.rings`, whose elements are sparse dicts of monomials, so
+equal polynomials compare equal with no symbolic simplification.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import ring, sring
 
 from .exterior import compound, removal_matrix
 
@@ -139,28 +143,36 @@ class VdreiReport:
     witness: tuple[int, int, object, object] | None  # (row, col, got, expected)
 
 
-def _difference_is_zero(x, y) -> bool:
-    diff = x - y
-    if isinstance(diff, sympy.Basic):
-        return sympy.expand(diff) == 0
-    return not diff
+def generators(*names: str) -> tuple:
+    """The generators of the polynomial ring Z[names], in that order."""
+    return ring(names, ZZ)[1:]
+
+
+def _first_mismatch(left, right) -> tuple[int, int] | None:
+    """(row, col) of the first entry where two equal-shape matrices differ,
+    or None.  Whole rows compare first; only a differing row is scanned."""
+    for i, (lrow, rrow) in enumerate(zip(left, right)):
+        if lrow != rrow:
+            return i, next(j for j, (x, y) in enumerate(zip(lrow, rrow)) if x != y)
+    return None
 
 
 def verify_vdrei(n: int, k: int) -> VdreiReport:
-    """Symbolic identity: the k-th compound of the assembled 1 x (n-1)
-    block equals the directly constructed wedge block."""
+    """Polynomial identity in Z[c1..cn]: the k-th compound of the assembled
+    1 x (n-1) block equals the directly constructed wedge block.  A witness
+    holds the two differing entries as sympy expressions."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    c1 = sympy.Symbol("c1")
-    c = sympy.symbols(f"c2:{n + 1}") if n > 1 else ()
+    c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
     base = assemble_block(c1, (tuple(c),), 1, n - 1)
     left = compound(base.assembled, k)
     right = wedge_block(n, k, c1, c).assembled
-    for i in range(len(left)):
-        for j in range(len(left)):
-            if not _difference_is_zero(left[i][j], right[i][j]):
-                return VdreiReport(False, (i, j, left[i][j], right[i][j]))
-    return VdreiReport(True, None)
+    mismatch = _first_mismatch(left, right)
+    if mismatch is None:
+        return VdreiReport(True, None)
+    i, j = mismatch
+    R = c1.ring
+    return VdreiReport(False, (i, j, R(left[i][j]).as_expr(), R(right[i][j]).as_expr()))
 
 
 def contract(phi: DeformationParams, k: int) -> DeformationParams:
@@ -179,18 +191,23 @@ def contract(phi: DeformationParams, k: int) -> DeformationParams:
 
 def verify_vzehn(b: int, k: int, phi: DeformationParams, c1=None) -> bool:
     """The block built from contracted parameters equals the k-th wedge
-    block built from the original parameters."""
+    block built from the original parameters.
+
+    Entries may come from any commutative ring that compares exactly
+    (ints, `ModInt`, polynomial-ring elements); sympy expressions, such
+    as the default c1 = Symbol("c1"), are first mapped into one
+    polynomial ring."""
     if phi.a != 1 or phi.b != b:
         raise ValueError("phi must be a 1 x b parameter row")
     if not 1 <= k <= b + 1:
         raise ValueError(f"need 1 <= k <= b+1, got k={k}, b={b}")
     if c1 is None:
         c1 = sympy.Symbol("c1")
+    row = phi.phi[0]
+    if any(isinstance(x, sympy.Basic) for x in (c1, *row)):
+        _, (c1, *row) = sring((c1, *row))
+        phi = DeformationParams(1, b, (tuple(row),))
     contracted = contract(phi, k)
     left = assemble_block(c1, contracted.phi, contracted.a, contracted.b).assembled
-    right = wedge_block(b + 1, k, c1, phi.phi[0]).assembled
-    return all(
-        _difference_is_zero(left[i][j], right[i][j])
-        for i in range(len(left))
-        for j in range(len(left))
-    )
+    right = wedge_block(b + 1, k, c1, row).assembled
+    return left == right

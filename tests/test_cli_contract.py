@@ -156,6 +156,44 @@ def test_data_suite_accepts_phi_16(capsys, monkeypatch):
     assert (code, built) == (0, [17])
 
 
+def _no_work(args, opts):
+    raise AssertionError(f"{args.suite} ran")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify vdrei --n 16", "verify vdrei takes C(n, n/2) <= 2000, got n=16"),
+        ("verify vzehn --n 14 --k 2", "verify vzehn takes C(n, n/2) <= 2000, got n=14"),
+        ("verify vdrei --n 100000000000", "got n=100000000000"),
+        ("verify prinz --n 9 --m 9", "C(n, n/2) * phi(m) <= 560, got n=9 and phi(9) = 6"),
+        ("verify prinz --n 8 --m 13 --trials 1", "got n=8 and phi(13) = 12"),
+        ("verify prinz --n 10", "got n=10 and phi(5) = 4"),
+    ],
+)
+def test_sizes_past_the_rank_bound_are_refused_before_any_work(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "cmd_verify", _no_work)
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify vdrei --n 13",
+        "verify vzehn --n 13",
+        "verify vdrei --n 10",
+        "verify prinz --n 8 --m 16",
+        "verify prinz --n 8",
+        "verify prinz --trials 1 --seed 5 --m 16 --n 4",
+    ],
+)
+def test_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, opts: 0)
+    assert run(argv.split(), capsys)[0] == 0
+
+
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["pelwedge", "table", "traces", "--n", "2"])
     with pytest.raises(SystemExit) as exc:

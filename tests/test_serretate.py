@@ -1,15 +1,22 @@
+import contextlib
+import io
+import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 import sympy
 
+from pelwedge import serretate
+from pelwedge.cli import main
 from pelwedge.exterior import compound, mat_mul
 from pelwedge.serretate import (
     DeformationParams,
     ModInt,
     assemble_block,
     contract,
+    generators,
     verify_vdrei,
     verify_vzehn,
     wedge_block,
@@ -154,3 +161,115 @@ def test_compound_of_block_is_block():
         left = compound(base.assembled, k)
         right = wedge_block(4, k, 7, (2, -3, 5)).assembled
         assert left == right
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def perturb_wedge_block(monkeypatch, size, row, col, delta):
+    """Make serretate build each wedge block of a size x size block with
+    delta(c1) added at (row, col); col None is the first column of C."""
+    original = serretate.wedge_block
+
+    def perturbed(n, k, c1, c):
+        block = original(n, k, c1, c)
+        if n != size:
+            return block
+        rows = [list(r) for r in block.assembled]
+        j = block.a if col is None else col
+        rows[row][j] = rows[row][j] + delta(c1)
+        return replace(block, assembled=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(serretate, "wedge_block", perturbed)
+
+
+def test_vdrei_failure_reports_the_first_differing_entry(monkeypatch):
+    n, k, row, col = 4, 2, 1, 3
+    c1, *c = sympy.symbols("c1:5")
+    left = compound(assemble_block(c1, (tuple(c),), 1, n - 1).assembled, k)
+    right = wedge_block(n, k, c1, c).assembled
+    perturb_wedge_block(monkeypatch, n, row, col, lambda x: x * x)
+    code, lines = run_cli("verify", "vdrei", "--n", str(n), "--k", str(k))
+    records = [line["record"] for line in lines[1:-1]]
+    failed = [r for r in records if r["status"] == "fail"]
+    assert code == 1
+    assert failed == [{
+        "check": f"vdrei n={n} k={k}",
+        "n": n,
+        "k": k,
+        "status": "fail",
+        "witness": {
+            "row": row,
+            "col": col,
+            "got": str(sympy.expand(left[row][col])),
+            "expected": str(sympy.expand(right[row][col] + c1 * c1)),
+        },
+    }]
+    assert failed[0]["witness"]["got"] != "0"
+
+
+def test_vzehn_fails_on_a_perturbed_block_in_every_ring(monkeypatch):
+    b, k = 3, 2
+    c1, *row = generators("c1", "x1", "x2", "x3")
+    modulus = 3 ** 4
+    inputs = [
+        (c1, tuple(row)),
+        (None, tuple(sympy.symbols("x1:4"))),
+        (ModInt(4, modulus), tuple(ModInt(v, modulus) for v in (5, 7, 11))),
+    ]
+    for one, params in inputs:
+        assert verify_vzehn(b, k, DeformationParams(1, b, (params,)), c1=one)
+    perturb_wedge_block(monkeypatch, b + 1, 0, None, lambda x: 1)
+    for one, params in inputs:
+        assert not verify_vzehn(b, k, DeformationParams(1, b, (params,)), c1=one)
+
+
+def test_vzehn_compares_sympy_input_as_polynomials(monkeypatch):
+    # a zero written unexpanded leaves the perturbed entry equal
+    perturb_wedge_block(monkeypatch, 3, 0, None, lambda x: (x + 1) ** 2 - x * x - 2 * x - 1)
+    phi = DeformationParams(1, 2, (tuple(sympy.symbols("x1:3")),))
+    assert verify_vzehn(2, 1, phi) and verify_vzehn(2, 2, phi)
+
+
+def _vdrei_base(c1, c):
+    return assemble_block(c1, (tuple(c),), 1, len(c)).assembled
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ring_compound_equals_the_expanded_symbolic_compound(n):
+    # the polynomial ring replaced sympy.expand; the old path is the oracle
+    names = [f"c{i}" for i in range(1, n + 1)]
+    gens = generators(*names)
+    symbols = sympy.symbols(names)
+    blocks = [(_vdrei_base(gens[0], gens[1:]), _vdrei_base(symbols[0], symbols[1:]))]
+    if n <= 5:  # a Hankel matrix, whose minors merge and cancel terms
+        hankel = [f"h{s}" for s in range(2 * n - 1)]
+        blocks.append(tuple(
+            tuple(tuple(h[i + j] for j in range(n)) for i in range(n))
+            for h in (generators(*hankel), sympy.symbols(hankel))
+        ))
+    for ring_block, symbolic_block in blocks:
+        R = ring_block[0][0].ring
+        for k in range(1, n + 1):
+            got = [R(x).as_expr() for row in compound(ring_block, k) for x in row]
+            expected = [
+                sympy.expand(x) for row in compound(symbolic_block, k) for x in row
+            ]
+            assert got == expected
+
+
+def test_block_suites_never_call_sympy_expand(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy expand called")
+
+    monkeypatch.setattr(sympy, "expand", refuse)
+    monkeypatch.setattr(sympy.core.function, "expand", refuse)
+    monkeypatch.setattr(sympy.Expr, "expand", refuse)
+    for suite in ("vdrei", "vzehn"):
+        code, lines = run_cli("verify", suite, "--n", "6")
+        assert code == 0
+        assert lines[-1]["summary"]["failed"] == 0
