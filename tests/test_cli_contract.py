@@ -194,6 +194,72 @@ def test_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, argv):
     assert run(argv.split(), capsys)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify embedding --n 14", "verify embedding takes C(n, n/2) <= 1716, got n=14"),
+        ("verify embedding --n 14 --k 7 --trials 1", "got n=14"),
+        ("table embedding-matrix --n 14 --k 7 --x 0",
+         "table embedding-matrix takes C(n, n/2) <= 1716, got n=14"),
+        ("table embedding-matrix --n 100000000000 --k 1 --x 0", "got n=100000000000"),
+    ],
+)
+def test_embedding_sizes_past_the_rank_bound_are_refused_before_any_work(
+    capsys, monkeypatch, argv, message
+):
+    monkeypatch.setattr(cli, "cmd_verify", _no_work)
+    monkeypatch.setattr(cli, "cmd_table", _no_work)
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify embedding --n 13 --k 6 --trials 1",
+        "verify embedding --n 8",
+        "table embedding-matrix --n 13 --k 6 --x 0,0,0,0,0,0,0,0,0,0,0,0",
+    ],
+)
+def test_embedding_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, opts: 0)
+    monkeypatch.setattr(cli, "cmd_table", lambda kind, opts: 0)
+    assert run(argv.split(), capsys)[0] == 0
+
+
+def _no_factoring(m):
+    raise AssertionError(f"phi({m}) computed")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify data --m 1000000000000000000000001 --n 1",
+         "verify data takes phi(m) <= 16, got m=1000000000000000000000001 > 2 * 16^2"),
+        ("verify data --m 513", "got m=513 > 2 * 16^2"),
+        ("verify prinz --m 1000000000000000000000001 --trials 1",
+         "verify prinz takes C(n, n/2) * phi(m) <= 560, got m=1000000000000000000000001"),
+        ("verify prinz --m 627201 --n 1 --trials 1", "got m=627201 > 2 * 560^2"),
+    ],
+)
+def test_huge_conductors_are_refused_without_factoring(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "_totient", _no_factoring)
+    monkeypatch.setattr(cli, "cmd_verify", _no_work)
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("error:") == 1
+    assert message in err.splitlines()[-1]
+
+
+def test_conductors_at_the_factoring_bound_are_still_factored(capsys, monkeypatch):
+    # 2 * 16^2 = 512 is the largest m whose phi(m) must be computed
+    monkeypatch.setattr(cli, "cmd_verify", _no_work)
+    code, out, err = run(["verify", "data", "--m", "512"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "verify data takes phi(m) <= 16, got phi(512) = 256" in err
+
+
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["pelwedge", "table", "traces", "--n", "2"])
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
+from pelwedge import domains
 from pelwedge.domains import (
     BallPoint,
     embedding_trial_stats,
@@ -108,3 +109,58 @@ def test_embedding_trial_stats():
     assert 0 < stats["max_norm_ratio"] <= 1 + 1e-12
     again = embedding_trial_stats(4, 2, 200, seed=3)
     assert stats == again
+
+
+def per_point_trial_stats(n, k, trials, seed):
+    """One `satake_matrix` and two `op_norm` SVDs per point: the oracle of
+    the batched evaluation in `embedding_trial_stats`."""
+    rng = np.random.default_rng(seed)
+    failures = 0
+    max_ratio = 0.0
+    for _ in range(trials):
+        raw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        radius = rng.uniform(0.0, 1.0 - 1e-6) ** (1.0 / max(2 * (n - 1), 1))
+        norm = np.linalg.norm(raw)
+        coords = raw * (radius / norm) if norm > 0 else raw * 0
+        point = BallPoint.of(coords)
+        mat = satake_matrix(point, n, k)
+        if not in_ball(mat):
+            failures += 1
+        if point.norm > 0:
+            max_ratio = max(max_ratio, op_norm(mat) / point.norm)
+    return {
+        "n": n,
+        "k": k,
+        "trials": trials,
+        "seed": seed,
+        "failures": failures,
+        "max_norm_ratio": max_ratio,
+    }
+
+
+CONFIGS = [(n, k) for n in range(2, 8) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("chunk_entries", [domains.CHUNK_ENTRIES, 64])
+def test_batched_trials_equal_the_per_point_oracle(monkeypatch, chunk_entries):
+    # dict equality compares the float bits of max_norm_ratio; 75 trials is
+    # no multiple of any chunk at 64 entries, and one short chunk at 2^16
+    monkeypatch.setattr(domains, "CHUNK_ENTRIES", chunk_entries)
+    for n, k in CONFIGS:
+        for seed in (0, 1, 2):
+            assert embedding_trial_stats(n, k, 75, seed) == per_point_trial_stats(n, k, 75, seed)
+
+
+def test_failures_are_counted_as_the_oracle_counts_them(monkeypatch):
+    monkeypatch.setattr(domains, "GUARD_BAND", 0.4)  # fails points with op norm >= 0.6
+    monkeypatch.setattr(domains, "CHUNK_ENTRIES", 64)
+    for n, k in ((2, 1), (5, 2), (7, 3)):
+        stats = embedding_trial_stats(n, k, 150, seed=11)
+        assert stats == per_point_trial_stats(n, k, 150, seed=11)
+        assert 0 < stats["failures"] < 150
+
+
+def test_trial_stats_refuse_k_outside_one_to_n_minus_one():
+    for n, k in ((4, 0), (4, 4), (2, 2)):
+        with pytest.raises(ValueError):
+            embedding_trial_stats(n, k, 1, seed=0)
