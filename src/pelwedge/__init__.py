@@ -21,7 +21,7 @@ from .cyclofield import (
     frobenius_orbits,
     trace_LQ,
 )
-from .domains import BallPoint, in_ball, op_norm, satake_matrix
+from .domains import BallPoint, satake_matrix
 from .exterior import (
     NotASimilitude,
     SubsetIndex,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from . import __version__
 from .cyclofield import (
     DEFAULT_PREC_BITS,
+    PRIME_LIMIT,
     RamifiedPrimeError,
     _totient,
     all_cm_types,
@@ -26,7 +27,7 @@ from .cyclofield import (
     is_conductor,
     is_prime,
 )
-from .domains import embedding_trial_stats, satake_matrix, BallPoint
+from .domains import BallPoint, anticommutation_witness, satake_matrix
 from .hodge import (
     EmbeddingCase,
     SingularAtEmbedding,
@@ -86,7 +87,7 @@ ENTRIES = {
     # a point's matrix has C(n-1, k-1) * C(n-1, k) <= C(n, n/2)^2 entries:
     # 1716 keeps n <= 13
     "verify embedding": Entry(
-        {"n": 6, "k": None, "trials": 1000, **_HEADER}, n_min=2, k_span=(1, -1), rank_max=1716
+        {"n": 6, "k": None, **_HEADER}, n_min=2, k_span=(1, -1), rank_max=1716
     ),
     "verify all": Entry({"n": None, "trials": None, **_HEADER}),
     "table traces": Entry({"n": None, **_CSV}, ("n",)),
@@ -186,6 +187,8 @@ def resolve(args) -> argparse.Namespace:
     for p in opts["p"] if "p" in given else ():  # the default primes need no check
         if p < 2:
             _usage_error(f"--p must be at least 2, got {p}")
+        if p >= PRIME_LIMIT:
+            _usage_error(f"--p must be below 2^64, got {p}")
         if not is_prime(p):
             _usage_error(f"--p must be a prime, got {p}")
     for m in opts.get("m", ()):
@@ -382,31 +385,22 @@ def _suite_prinz_input(doc: ReportDocument, pel, k_only: int | None) -> None:
         )
 
 
-def _suite_embedding(doc: ReportDocument, n_max: int, k_only: int | None, trials: int, seed: int) -> None:
+def _suite_embedding(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
     for n in range(2, n_max + 1):
         ks = [k_only] if k_only is not None else range(1, n)
         for k in ks:
             if not 1 <= k <= n - 1:
                 continue
-            # derive a per-configuration seed so shards are independent
-            config_seed = [seed, n, k]
-            stats = embedding_trial_stats(n, k, trials, _fold_seed(config_seed))
-            doc.add(
-                check=f"embedding n={n} k={k}",
-                n=n,
-                k=k,
-                trials=trials,
-                failures=stats["failures"],
-                max_norm_ratio=stats["max_norm_ratio"],
-                status="pass" if stats["failures"] == 0 else "fail",
-            )
-
-
-def _fold_seed(parts) -> int:
-    acc = 0
-    for part in parts:
-        acc = (acc * 1000003 + int(part)) % (2**63)
-    return acc
+            witness = anticommutation_witness(n, k)
+            rec = {
+                "check": f"embedding n={n} k={k}",
+                "n": n,
+                "k": k,
+                "status": "pass" if witness is None else "fail",
+            }
+            if witness is not None:
+                rec["witness"] = witness
+            doc.add(**rec)
 
 
 def _suite_all(doc: ReportDocument, n: int | None, trials: int | None, seed: int) -> None:
@@ -417,7 +411,7 @@ def _suite_all(doc: ReportDocument, n: int | None, trials: int | None, seed: int
     _suite_vdrei(doc, capped(5, 7), None)
     _suite_vzehn(doc, capped(5, 7), None)
     _suite_prinz_random(doc, 20 if trials is None else trials, seed, (4, 5), (3, 5, 7, 13), 3)
-    _suite_embedding(doc, capped(4, 6), None, 200 if trials is None else trials, seed)
+    _suite_embedding(doc, capped(4, 6), None)
 
 
 def cmd_verify(args, opts) -> int:
@@ -439,7 +433,7 @@ def cmd_verify(args, opts) -> int:
     elif args.suite == "prinz":
         _suite_prinz_random(doc, opts.trials, opts.seed, opts.m, opts.p, opts.n)
     elif args.suite == "embedding":
-        _suite_embedding(doc, opts.n, opts.k, opts.trials, opts.seed)
+        _suite_embedding(doc, opts.n, opts.k)
     else:
         _suite_all(doc, opts.n, opts.trials, opts.seed)
 
@@ -448,13 +442,16 @@ def cmd_verify(args, opts) -> int:
     return doc.exit_code()
 
 
-def _emit_table(rows: list[dict], fmt: str) -> None:
+def _emit_table(rows, fmt: str) -> None:
+    """Print the rows, an iterable of dicts; CSV prints each row as it is
+    made, under a header taken from the first."""
     if fmt == "csv":
-        if rows:
-            keys = list(rows[0].keys())
-            print(",".join(keys))
-            for row in rows:
-                print(",".join(str(row[k]) for k in keys))
+        keys = None
+        for row in rows:
+            if keys is None:
+                keys = list(row)
+                print(",".join(keys))
+            print(",".join(str(row[k]) for k in keys))
     else:
         doc = ReportDocument(suite="table")
         for row in rows:
@@ -482,10 +479,10 @@ def cmd_table(kind: str, opts) -> int:
             rows.append({"embedding": residue, "p": pos, "q": neg})
     else:
         mat = satake_matrix(opts.x, opts.n, opts.k)
-        rows = [
+        rows = (
             {"row": i, **{f"c{j}": _fmt_complex(mat[i, j]) for j in range(mat.shape[1])}}
             for i in range(mat.shape[0])
-        ]
+        )
     _emit_table(rows, opts.format)
     return 0
 

@@ -1,25 +1,26 @@
 """The explicit embedding of the complex ball into larger bounded
-matrix domains, with operator-norm membership checks.
+matrix domains, and the exact proof that it maps ball to ball.
 
-This module is floating point by design: operator norms are analytic,
-so membership is tested with a guard band rather than exactly.
-`embedding_trial_stats` draws the same points as one `BallPoint` at a
-time but evaluates them in batches: it fills stacked matrices from one
-index pattern per (n, k) and takes one batched SVD per chunk, so each
-operator norm is computed once and its bits equal `op_norm`'s.
+`satake_matrix` is the contraction A_k(x) = sum_i x_i E_k^(i) from the
+k-th to the (k-1)-th exterior power of C^(n-1), with 0/+-1 matrices
+E_k^(i).  `anticommutation_witness` checks A_k A_k* + A_(k-1)* A_(k-1) =
+|x|^2 I coefficient by coefficient, in Python ints, on the matrices that
+`removal_matrix` builds `satake_matrix` from; A_(k-1)* A_(k-1) is positive
+semidefinite, so ||A_k(x)|| <= |x| < 1 on the whole ball.  `op_norm` and
+`embedding_trial_stats` are the floating-point cross-check on sampled
+points; no verdict reads them.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .exterior import removal_matrix
-
-GUARD_BAND = 1e-10
-# complex entries of the matrices stacked for one batched SVD (1 MiB)
-CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -57,67 +58,53 @@ def op_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-def in_ball(matrix: np.ndarray) -> bool:
-    """Strict operator-norm membership with a guard band."""
-    return op_norm(matrix) < 1 - GUARD_BAND
+def _entries(n: int, k: int, axis: int):
+    """The nonzero entries of the n, k removal matrix on the tags 1..n-1,
+    grouped by row (axis 0) or column (axis 1), each as (its index on the
+    other axis, tag i, sign): E_k^(i) has that sign there."""
+    groups = defaultdict(list)
+    for r, row in enumerate(removal_matrix(range(1, n), range(1, n), k)):
+        for c, tag in enumerate(row):
+            if tag:
+                groups[(r, c)[axis]].append(((c, r)[axis], abs(tag), 1 if tag > 0 else -1))
+    return groups.values()
 
 
-def _removal_pattern(n: int, k: int):
-    """Shape of the n, k removal matrix, and the row, column, coordinate
-    index and sign of each of its nonzero entries: `removal_matrix` on the
-    tags 1..n-1 gives +-tag."""
+def anticommutation_witness(n: int, k: int) -> dict | None:
+    """None when E_k^(i) E_k^(j)^T + E_(k-1)^(j)^T E_(k-1)^(i) = delta_ij I
+    for all i, j in 1..n-1 (the second term is empty at k = 1); otherwise
+    the least failing (i, j, row, col), rows and columns indexing the colex
+    (k-1)-subsets of 1..n-1, with the entry it got and the one expected."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    tagged = np.array(removal_matrix(range(1, n), range(1, n), k))
-    rows, cols = np.nonzero(tagged)
-    tags = tagged[rows, cols]
-    return tagged.shape, (rows, cols, np.abs(tags) - 1, np.sign(tags))
-
-
-def _op_norms(coords: list, shape, entries) -> np.ndarray:
-    """`op_norm` of the `satake_matrix` of each point, from one batched SVD."""
-    rows, cols, coordinate, sign = entries
-    stack = np.zeros((len(coords), *shape), dtype=complex)
-    stack[:, rows, cols] = sign * np.array(coords)[:, coordinate]
-    return np.linalg.svd(stack, compute_uv=False).max(-1)
+    # the coefficient of x_i conj(x_j) at (row, col), minus delta_ij I
+    residual = defaultdict(int)
+    for column in _entries(n, k, 1):  # (E_k^(i) E_k^(j)^T)[r, s]
+        for (r, i, a), (s, j, b) in product(column, repeat=2):
+            residual[i, j, r, s] += a * b
+    for row in _entries(n, k - 1, 0) if k > 1 else ():  # (E_(k-1)^(j)^T E_(k-1)^(i))[r, s]
+        for (r, j, a), (s, i, b) in product(row, repeat=2):
+            residual[i, j, r, s] += a * b
+    for i in range(1, n):
+        for r in range(math.comb(n - 1, k - 1)):
+            residual[i, i, r, r] -= 1
+    failing = min((key for key, value in residual.items() if value), default=None)
+    if failing is None:
+        return None
+    i, j, row, col = failing
+    expected = int(i == j and row == col)
+    return {"i": i, "j": j, "row": row, "col": col,
+            "got": residual[failing] + expected, "expected": expected}
 
 
 def embedding_trial_stats(n: int, k: int, trials: int, seed: int) -> dict:
-    """Ball-to-ball check over random interior points; reports, does not
-    assert, the maximum observed ratio op_norm(A) / ||x||.
-
-    Points are drawn one at a time, with the refusal of `BallPoint.of`;
-    their matrices are
-    evaluated in chunks of at most `CHUNK_ENTRIES` entries (one matrix when
-    it alone has more) by one batched SVD, which gives the bits `op_norm`
-    gives one matrix at a time."""
+    """The least and the largest op_norm(A_k(x)) / |x| over `trials`
+    seeded points x of the ball; the identity makes both 1 up to rounding."""
     rng = np.random.default_rng(seed)
-    shape, entries = _removal_pattern(n, k)
-    chunk = max(1, CHUNK_ENTRIES // (shape[0] * shape[1]))
-    failures = 0
-    max_ratio = 0.0
-    for start in range(0, trials, chunk):
-        coords, norms = [], []
-        for _ in range(min(chunk, trials - start)):
-            raw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-            radius = rng.uniform(0.0, 1.0 - 1e-6) ** (1.0 / max(2 * (n - 1), 1))
-            norm = np.linalg.norm(raw)
-            point = raw * (radius / norm) if norm > 0 else raw * 0
-            point_norm = float(np.linalg.norm(point))
-            if point_norm >= 1:
-                raise ValueError("point is not inside the unit ball")
-            coords.append(point)
-            norms.append(point_norm)
-        for op, point_norm in zip(_op_norms(coords, shape, entries).tolist(), norms):
-            if not op < 1 - GUARD_BAND:
-                failures += 1
-            if point_norm > 0:
-                max_ratio = max(max_ratio, op / point_norm)
-    return {
-        "n": n,
-        "k": k,
-        "trials": trials,
-        "seed": seed,
-        "failures": failures,
-        "max_norm_ratio": max_ratio,
-    }
+    ratios = []
+    for _ in range(trials):
+        raw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        point = BallPoint.of(raw * (rng.uniform(0.01, 0.99) / np.linalg.norm(raw)))
+        ratios.append(op_norm(satake_matrix(point, n, k)) / point.norm)
+    return {"n": n, "k": k, "trials": trials, "seed": seed,
+            "min_norm_ratio": min(ratios), "max_norm_ratio": max(ratios)}

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclofield import CMType, CycloField, cyclo_field, is_prime
+from .cyclofield import PRIME_LIMIT, CMType, CycloField, cyclo_field, is_prime
 from .hodge import HermitianModule
 
 SCHEMA_VERSION = "1"
@@ -177,6 +177,8 @@ def load_pel_input(path: str) -> PelInput:
         raise PelInputError(f"{path}: level l must be >= 3")
     if doc["p"] < 2:
         raise PelInputError(f"{path}: p must be >= 2")
+    if doc["p"] >= PRIME_LIMIT:
+        raise PelInputError(f"{path}: p must be below 2^64, got {doc['p']}")
     if not is_prime(doc["p"]):
         raise PelInputError(f"{path}: p must be a prime, got {doc['p']}")
 

@@ -57,12 +57,28 @@ def test_verify_prinz_random_small(capsys):
 
 def test_verify_embedding_small(capsys):
     code, out, _ = run(
-        capsys, "verify", "embedding", "--n", "3", "--trials", "50", "--seed", "1"
+        capsys, "verify", "embedding", "--n", "3", "--seed", "1"
     )
     assert code == 0
     _, records, _ = parse_jsonl(out)
-    assert all(r["failures"] == 0 for r in records)
-    assert all(r["max_norm_ratio"] <= 1 + 1e-12 for r in records)
+    assert [(r["n"], r["k"]) for r in records] == [(2, 1), (3, 1), (3, 2)]
+    assert all(r["status"] == "pass" and "witness" not in r for r in records)
+
+
+def test_verify_embedding_n8_passes_all_28(capsys):
+    code, out, _ = run(capsys, "verify", "embedding", "--n", "8")
+    assert code == 0
+    _, records, _ = parse_jsonl(out)
+    assert len(records) == 28
+    assert {r["status"] for r in records} == {"pass"}
+
+
+def test_verify_all_trials_still_sets_the_prinz_trials(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--trials", "2")
+    assert code == 0
+    _, records, _ = parse_jsonl(out)
+    assert sum(r["check"].startswith("prinz trial=") for r in records) == 2
+    assert sum(r["check"].startswith("embedding ") for r in records) == 6
 
 
 def test_verify_reproducible(capsys):
@@ -185,6 +201,20 @@ def test_table_embedding_matrix(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3  # header + 2 rows
+
+
+def test_csv_rows_are_printed_as_they_are_made(capsys):
+    from pelwedge.cli import _emit_table
+
+    def rows():
+        yield {"a": 1, "b": "x"}
+        assert capsys.readouterr().out == "a,b\n1,x\n"
+        yield {"a": 2, "b": "y"}
+
+    _emit_table(rows(), "csv")
+    assert capsys.readouterr().out == "2,y\n"
+    _emit_table(iter(()), "csv")
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_errors(capsys):

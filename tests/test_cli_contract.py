@@ -123,6 +123,30 @@ def test_composite_pel_prime_is_an_input_error(capsys, tmp_path, command):
     assert "p must be a prime" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "prinz"], ["table", "signatures"], ["spadesuit"]],
+)
+def test_pel_prime_past_2_64_is_an_input_error(capsys, tmp_path, command):
+    code, out, err = run([*command, "--input", write_pel(tmp_path, p=2**64 + 13)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "p must be below 2^64" in err
+
+
+@pytest.mark.parametrize("p", [2**64, 2**64 + 13, 2**89 - 1])
+def test_p_past_2_64_is_a_usage_error(capsys, monkeypatch, p):
+    monkeypatch.setattr(cli, "cmd_verify", _no_work)
+    code, out, err = run(["verify", "prinz", "--trials", "1", "--p", str(p)], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"--p must be below 2^64, got {p}" in err
+
+
+def test_verify_embedding_reads_no_trials(capsys):
+    code, out, err = run(["verify", "embedding", "--n", "3", "--trials", "5"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "verify embedding does not read --trials" in err
+
+
 def test_undecodable_pel_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "latin1.pel"
     path.write_bytes(b'{"m": "\xff"}')
@@ -198,7 +222,7 @@ def test_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, argv):
     "argv, message",
     [
         ("verify embedding --n 14", "verify embedding takes C(n, n/2) <= 1716, got n=14"),
-        ("verify embedding --n 14 --k 7 --trials 1", "got n=14"),
+        ("verify embedding --n 14 --k 7", "got n=14"),
         ("table embedding-matrix --n 14 --k 7 --x 0",
          "table embedding-matrix takes C(n, n/2) <= 1716, got n=14"),
         ("table embedding-matrix --n 100000000000 --k 1 --x 0", "got n=100000000000"),
@@ -217,7 +241,7 @@ def test_embedding_sizes_past_the_rank_bound_are_refused_before_any_work(
 @pytest.mark.parametrize(
     "argv",
     [
-        "verify embedding --n 13 --k 6 --trials 1",
+        "verify embedding --n 13 --k 6",
         "verify embedding --n 8",
         "table embedding-matrix --n 13 --k 6 --x 0,0,0,0,0,0,0,0,0,0,0,0",
     ],
@@ -321,7 +345,7 @@ def argvs(draw):
         argv.append(draw(st.sampled_from(TABLE_KINDS)))
     options = draw(st.lists(st.sampled_from(sorted(VALUES)), unique=True, max_size=5))
     random_prinz = argv == ["verify", "prinz"] and "--input" not in options
-    if random_prinz or argv in (["verify", "embedding"], ["verify", "all"]):
+    if random_prinz or argv == ["verify", "all"]:
         options = [o for o in options if o != "--trials"] + ["--trials"]
     for option in options:
         strategy = AT_MOST_3 if random_prinz and option == "--n" else VALUES[option]
@@ -379,6 +403,11 @@ def test_sympy_is_loaded_only_by_the_code_that_uses_it():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = pelwedge.cli.main(['verify', 'prinz', '--trials', '2', '--m', '8', '--n', '2'])\n"
         "assert code == 0 and 'sympy' not in sys.modules\n"
+        # a `.pel` input checks its prime, which needs no sympy either
+        "for argv in (['verify', 'prinz'], ['table', 'signatures'], ['spadesuit']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert pelwedge.cli.main([*argv, '--input', {ALLPASS!r}]) == 0, argv\n"
+        "    assert 'sympy' not in sys.modules, argv\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    pelwedge.cli.main(['verify', 'vzehn', '--n', '2'])\n"
         "assert 'sympy' in sys.modules and pelwedge.ModInt.__module__ == 'pelwedge.serretate'\n"

@@ -17,6 +17,7 @@ from pelwedge.cyclofield import (
     cyclo_field,
     cyclotomic_poly,
     frobenius_orbits,
+    is_prime,
     trace_LQ,
 )
 from pelwedge.hodge import HermitianModule
@@ -407,3 +408,35 @@ def test_equal_elements_have_one_canonical_form(m):
     assert trace_LQ(F.element([Fraction(1, 3)] * F.degree)) == Fraction(
         sum(trace_LQ(F.zeta_power(t)) for t in range(F.degree)), 3
     )
+
+
+def test_is_prime_agrees_with_sympy_below_10_5():
+    from sympy import isprime
+
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == [
+        n for n in range(-5, 10**5) if isprime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the bases 2 .. 23
+        561, 1105, 1729, 2465, 41041, 825265, 321197185, 5394826801,  # Carmichael numbers
+        2**61 - 1,
+        2**64 - 59,  # the largest prime below 2^64
+        2**64 - 1,
+        (2**32 - 5) * (2**32 - 17),
+    ],
+)
+def test_is_prime_agrees_with_sympy_on_hard_cases(n):
+    from sympy import isprime
+
+    assert is_prime(n) == isprime(n)
+
+
+def test_is_prime_refuses_2_64_and_beyond():
+    for n in (2**64, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            is_prime(n)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,15 @@ import pytest
 import sympy
 
 from pelwedge import domains
+from pelwedge.cli import main
 from pelwedge.domains import (
     BallPoint,
+    anticommutation_witness,
     embedding_trial_stats,
-    in_ball,
     op_norm,
     satake_matrix,
 )
+from pelwedge.exterior import removal_matrix
 from pelwedge.serretate import DeformationParams, contract
 
 
@@ -86,12 +89,6 @@ def test_op_norm_examples():
     assert op_norm(np.eye(3) * 0.5) == pytest.approx(0.5)
 
 
-def test_in_ball():
-    assert in_ball(np.array([[0.5]]))
-    assert not in_ball(np.array([[1.0]]))
-    assert not in_ball(np.array([[1 - 1e-12]]))  # inside the guard band
-
-
 def test_norm_never_exceeds_point_norm():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -103,61 +100,95 @@ def test_norm_never_exceeds_point_norm():
             assert op_norm(satake_matrix(point, n, k)) <= point.norm + 1e-12
 
 
-def test_embedding_trial_stats():
-    stats = embedding_trial_stats(4, 2, 200, seed=3)
-    assert stats["failures"] == 0
-    assert 0 < stats["max_norm_ratio"] <= 1 + 1e-12
-    again = embedding_trial_stats(4, 2, 200, seed=3)
-    assert stats == again
-
-
-def per_point_trial_stats(n, k, trials, seed):
-    """One `satake_matrix` and two `op_norm` SVDs per point: the oracle of
-    the batched evaluation in `embedding_trial_stats`."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    max_ratio = 0.0
-    for _ in range(trials):
-        raw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-        radius = rng.uniform(0.0, 1.0 - 1e-6) ** (1.0 / max(2 * (n - 1), 1))
-        norm = np.linalg.norm(raw)
-        coords = raw * (radius / norm) if norm > 0 else raw * 0
-        point = BallPoint.of(coords)
-        mat = satake_matrix(point, n, k)
-        if not in_ball(mat):
-            failures += 1
-        if point.norm > 0:
-            max_ratio = max(max_ratio, op_norm(mat) / point.norm)
-    return {
-        "n": n,
-        "k": k,
-        "trials": trials,
-        "seed": seed,
-        "failures": failures,
-        "max_norm_ratio": max_ratio,
-    }
-
-
 CONFIGS = [(n, k) for n in range(2, 8) for k in range(1, n)]
 
 
-@pytest.mark.parametrize("chunk_entries", [domains.CHUNK_ENTRIES, 64])
-def test_batched_trials_equal_the_per_point_oracle(monkeypatch, chunk_entries):
-    # dict equality compares the float bits of max_norm_ratio; 75 trials is
-    # no multiple of any chunk at 64 entries, and one short chunk at 2^16
-    monkeypatch.setattr(domains, "CHUNK_ENTRIES", chunk_entries)
+def test_sampled_operator_norms_equal_the_point_norm():
+    # the float oracle of the exact identity: ||A_k(x)|| = |x| for n <= 7
+    rng = np.random.default_rng(17)
     for n, k in CONFIGS:
-        for seed in (0, 1, 2):
-            assert embedding_trial_stats(n, k, 75, seed) == per_point_trial_stats(n, k, 75, seed)
+        for _ in range(20):
+            raw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            point = BallPoint.of(raw * (rng.uniform(0.01, 0.99) / np.linalg.norm(raw)))
+            norm = np.linalg.norm(satake_matrix(point, n, k), 2)
+            assert norm == pytest.approx(point.norm, rel=1e-12, abs=0)
 
 
-def test_failures_are_counted_as_the_oracle_counts_them(monkeypatch):
-    monkeypatch.setattr(domains, "GUARD_BAND", 0.4)  # fails points with op norm >= 0.6
-    monkeypatch.setattr(domains, "CHUNK_ENTRIES", 64)
-    for n, k in ((2, 1), (5, 2), (7, 3)):
-        stats = embedding_trial_stats(n, k, 150, seed=11)
-        assert stats == per_point_trial_stats(n, k, 150, seed=11)
-        assert 0 < stats["failures"] < 150
+def test_embedding_trial_stats():
+    stats = embedding_trial_stats(4, 2, 200, seed=3)
+    assert stats["min_norm_ratio"] == pytest.approx(1, rel=1e-12, abs=0)
+    assert stats["max_norm_ratio"] == pytest.approx(1, rel=1e-12, abs=0)
+    assert stats == embedding_trial_stats(4, 2, 200, seed=3)
+
+
+def test_anticommutation_identity_holds_through_the_rank_bound():
+    # n <= 13 is every n that verify embedding accepts
+    for n in range(2, 14):
+        for k in range(1, n):
+            assert anticommutation_witness(n, k) is None, (n, k)
+
+
+def test_anticommutation_identity_equals_the_symbolic_product():
+    # x_i and conj(x_i) as independent generators: A_k A_k* + A_(k-1)* A_(k-1)
+    # is (sum_i x_i conj(x_i)) I exactly where the integer check passes
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    for n in range(2, 7):
+        _, *gens = ring([f"x{i}" for i in range(1, n)] + [f"y{i}" for i in range(1, n)], ZZ)
+        xs, xbars = gens[: n - 1], gens[n - 1 :]
+
+        def matrix(values, k):
+            return removal_matrix(values, range(1, n), k) if k >= 1 else ()
+
+        for k in range(1, n):
+            a, abar = matrix(xs, k), matrix(xbars, k)
+            b, bbar = matrix(xs, k - 1), matrix(xbars, k - 1)
+            size = math.comb(n - 1, k - 1)
+            for r in range(size):
+                for s in range(size):
+                    entry = sum(a[r][c] * abar[s][c] for c in range(len(a[0])))
+                    entry += sum(bbar[q][r] * b[q][s] for q in range(len(b)))
+                    assert entry == (sum(x * y for x, y in zip(xs, xbars)) if r == s else 0)
+            assert anticommutation_witness(n, k) is None
+
+
+def _flip_first_sign(original):
+    def flipped(values, ground, k):
+        rows = [list(row) for row in original(values, ground, k)]
+        for row in rows:
+            for c, value in enumerate(row):
+                if value:
+                    row[c] = -value
+                    return tuple(map(tuple, rows))
+        return tuple(map(tuple, rows))
+
+    return flipped
+
+
+def test_a_flipped_sign_fails_every_k_from_two(monkeypatch):
+    monkeypatch.setattr(domains, "removal_matrix", _flip_first_sign(removal_matrix))
+    assert anticommutation_witness(5, 1) is None  # any signs make a row vector of norm |x|
+    for k in range(2, 5):
+        witness = anticommutation_witness(5, k)
+        assert witness is not None
+        assert witness["got"] != witness["expected"]
+        assert set(witness) == {"i", "j", "row", "col", "got", "expected"}
+
+
+def test_a_flipped_sign_fails_verify_embedding_with_a_witness(monkeypatch, capsys):
+    monkeypatch.setattr(domains, "removal_matrix", _flip_first_sign(removal_matrix))
+    assert main(["verify", "embedding", "--n", "4"]) == 1
+    records = [json.loads(line)["record"] for line in capsys.readouterr().out.splitlines()[1:-1]]
+    # at n = 3 the two flips are one change of basis sign, which keeps the norm
+    assert [r["status"] for r in records] == ["pass", "pass", "pass", "pass", "fail", "fail"]
+    assert all(("witness" in r) == (r["status"] == "fail") for r in records)
+
+
+def test_anticommutation_witness_refuses_k_outside_one_to_n_minus_one():
+    for n, k in ((4, 0), (4, 4), (2, 2)):
+        with pytest.raises(ValueError):
+            anticommutation_witness(n, k)
 
 
 def test_trial_stats_refuse_k_outside_one_to_n_minus_one():
