@@ -14,9 +14,7 @@ from .cyclofield import (
     SpadesuitReport,
     all_cm_types,
     check_spadesuit,
-    cm_trace,
     cm_type,
-    conj,
     cyclo_field,
     frobenius_orbits,
     trace_LQ,

@@ -554,9 +554,6 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.command == "spadesuit" and args.input is None:
-        print("error: spadesuit requires --input", file=sys.stderr)
-        return EXIT_USAGE
     try:
         opts = resolve(args)
         if args.command == "verify":

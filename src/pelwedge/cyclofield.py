@@ -3,10 +3,12 @@
 Elements are stored as integer numerators in the power basis
 1, zeta, ..., zeta^(phi(m)-1) over one positive denominator, in lowest
 terms.  Products are integer schoolbook products reduced modulo the
-monic m-th cyclotomic polynomial; the CM involution zeta -> zeta^(m-1)
-is an integer change of coordinates.  Everything here is immutable and
-exact; complex embeddings are evaluated with mpmath at a configurable
-binary precision.
+monic m-th cyclotomic polynomial; each Galois automorphism
+sigma_a : zeta -> zeta^a, the CM involution sigma_(m-1) among them, is an
+integer change of coordinates, and the inverse is the product of the
+other conjugates over the norm.  Everything here is immutable and exact;
+complex embeddings are evaluated with mpmath at a configurable binary
+precision.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
 import mpmath
@@ -152,11 +154,10 @@ class CycloField:
         self._zeta_powers = tuple(table)
         # zeta^d = -(poly[0] + ... + poly[d-1] zeta^(d-1)), as nonzero terms
         self._reduction = tuple((j, -c) for j, c in enumerate(poly[:d]) if c)
-        # conj(zeta^j) = zeta^(m-j), as nonzero terms of the power basis
-        self._conj_terms = tuple(
-            tuple((t, c) for t, c in enumerate(table[(m - j) % m]) if c)
-            for j in range(d)
-        )
+        # unit a -> sigma_a(zeta^j) = zeta^(ja) for j < d, as nonzero terms of
+        # the power basis; filled per a on first use, since all phi(m) tables
+        # together hold up to phi(m)^3 terms
+        self._automorphisms: dict[int, tuple] = {}
 
     def __repr__(self) -> str:
         return f"CycloField({self.m})"
@@ -194,6 +195,20 @@ class CycloField:
 
     def zeta_power(self, t: int) -> "CycloElement":
         return CycloElement(self, self._zeta_powers[t % self.m])
+
+    def _automorphism(self, a: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """sigma_a(zeta^j) for j < degree, each as its nonzero (t, coefficient)
+        terms in the power basis."""
+        a %= self.m
+        terms = self._automorphisms.get(a)
+        if terms is None:
+            if math.gcd(a, self.m) != 1:
+                raise ValueError(f"{a} is not a unit modulo {self.m}")
+            terms = self._automorphisms[a] = tuple(
+                tuple((t, c) for t, c in enumerate(self._zeta_powers[j * a % self.m]) if c)
+                for j in range(self.degree)
+            )
+        return terms
 
 
 @lru_cache(maxsize=None)
@@ -337,68 +352,31 @@ class CycloElement:
         return Fraction(self.num[0], self.den)
 
     def inverse(self) -> "CycloElement":
-        """Extended Euclid against the cyclotomic polynomial over Q."""
+        """den * prod_{a != 1} sigma_a(num) / N(num), where the norm
+        N(num) = num * prod_{a != 1} sigma_a(num) is a positive integer."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
+        field = self.field
+        num = CycloElement(field, self.num)
+        others = reduce(operator.mul, (num.galois(a) for a in field.units[1:]))
+        norm = (num * others).num[0]
+        return CycloElement(field, tuple(c * self.den for c in others.num), norm)
 
-        def trim(poly):
-            while poly and not poly[-1]:
-                poly.pop()
-            return poly
-
-        def divmod_poly(a, b):
-            a = list(a)
-            quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-            while len(a) >= len(b):
-                c = a[-1] / b[-1]
-                shift = len(a) - len(b)
-                quot[shift] = c
-                for i, bc in enumerate(b):
-                    a[i + shift] -= c * bc
-                a.pop()
-                trim(a)
-            return quot, a
-
-        def mul_poly(a, b):
-            out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-            for i, ac in enumerate(a):
-                if ac:
-                    for j, bc in enumerate(b):
-                        out[i + j] += ac * bc
-            return trim(out)
-
-        def sub_poly(a, b):
-            out = list(a) + [Fraction(0)] * (len(b) - len(a))
-            for i, bc in enumerate(b):
-                out[i] -= bc
-            return trim(out)
-
-        r0 = [Fraction(c) for c in cyclotomic_poly(self.field.m)]
-        r1 = trim(list(self.coords))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = divmod_poly(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, sub_poly(s0, mul_poly(q, s1))
-        if not r1:
-            raise ZeroDivisionError("element is a zero divisor (unexpected)")
-        lead = r1[0]
-        coords = [Fraction(0)] * self.field.degree
-        for i, c in enumerate(s1):
-            coords[i] = c / lead
-        return self.field.element(coords)
-
-    def conj(self) -> "CycloElement":
-        """The CM involution zeta -> zeta^(m-1).
+    def galois(self, a: int) -> "CycloElement":
+        """The automorphism sigma_a : zeta -> zeta^a, for a unit a mod m.
 
         It maps Z[zeta] onto itself, so the numerators keep their content
         and (num, den) stays in lowest terms."""
         out = [0] * self.field.degree
-        for c, terms in zip(self.num, self.field._conj_terms):
+        for c, terms in zip(self.num, self.field._automorphism(a)):
             if c:
                 for t, r in terms:
                     out[t] += c * r
         return CycloElement(self.field, tuple(out), self.den)
+
+    def conj(self) -> "CycloElement":
+        """The CM involution zeta -> zeta^(m-1)."""
+        return self.galois(self.field.m - 1)
 
     def embed(self, k: int, prec_bits: int = DEFAULT_PREC_BITS) -> mpmath.mpc:
         """Numeric value under sigma_k : zeta -> exp(2 pi i k / m).
@@ -431,10 +409,6 @@ class CycloElement:
         return " + ".join(terms) if terms else "0"
 
 
-def conj(x: CycloElement) -> CycloElement:
-    return x.conj()
-
-
 def trace_LQ(x: CycloElement) -> Fraction:
     """Trace to Q: sum of x over all phi(m) complex embeddings, exact."""
     m = x.field.m
@@ -462,9 +436,6 @@ class CMType:
         m = self.field.m
         return CMType(self.field, frozenset((m - k) % m for k in self.members))
 
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
 
 def cm_type(field: CycloField, members: Iterable[int]) -> CMType:
     return CMType(field, frozenset(members))
@@ -481,19 +452,6 @@ def all_cm_types(field: CycloField) -> list[CMType]:
         )
         types.append(CMType(field, members))
     return types
-
-
-def cm_trace(
-    phi: CMType, x: CycloElement, prec_bits: int = DEFAULT_PREC_BITS
-) -> mpmath.mpc:
-    """Partial embedding sum over the members of the CM type."""
-    if x.field != phi.field:
-        raise ValueError("element not in the CM type's field")
-    with mpmath.workprec(prec_bits):
-        return mpmath.fsum(
-            (x.embed(k, prec_bits) for k in phi.sorted_members()),
-            absolute=False,
-        )
 
 
 @dataclass(frozen=True)

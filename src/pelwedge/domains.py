@@ -4,8 +4,8 @@ matrix domains, and the exact proof that it maps ball to ball.
 `satake_matrix` is the contraction A_k(x) = sum_i x_i E_k^(i) from the
 k-th to the (k-1)-th exterior power of C^(n-1), with 0/+-1 matrices
 E_k^(i).  `anticommutation_witness` checks A_k A_k* + A_(k-1)* A_(k-1) =
-|x|^2 I coefficient by coefficient, in Python ints, on the matrices that
-`removal_matrix` builds `satake_matrix` from; A_(k-1)* A_(k-1) is positive
+|x|^2 I coefficient by coefficient, in Python ints, on the entries that
+`removal_entries` gives `satake_matrix`; A_(k-1)* A_(k-1) is positive
 semidefinite, so ||A_k(x)|| <= |x| < 1 on the whole ball.  `op_norm` and
 `embedding_trial_stats` are the floating-point cross-check on sampled
 points; no verdict reads them.
@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .exterior import removal_matrix
+from .exterior import removal_entries, removal_matrix
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,8 @@ def _entries(n: int, k: int, axis: int):
     grouped by row (axis 0) or column (axis 1), each as (its index on the
     other axis, tag i, sign): E_k^(i) has that sign there."""
     groups = defaultdict(list)
-    for r, row in enumerate(removal_matrix(range(1, n), range(1, n), k)):
-        for c, tag in enumerate(row):
-            if tag:
-                groups[(r, c)[axis]].append(((c, r)[axis], abs(tag), 1 if tag > 0 else -1))
+    for r, c, t, sign in removal_entries(range(1, n), k):
+        groups[(r, c)[axis]].append(((c, r)[axis], t + 1, sign))
     return groups.values()
 
 

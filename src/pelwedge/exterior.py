@@ -6,13 +6,14 @@ Fractions, CycloElements, elements of a `sympy.polys.rings` polynomial
 ring or sympy expressions, as long as they support +, -, * and
 truthiness-as-nonzero.  `compound` computes each minor once,
 by Laplace expansion from the minors on one row fewer, and `det` is its
-n x n case.  `colex_subsets` is the one subset order and `removal_matrix`
+n x n case.  `colex_subsets` is the one subset order and `removal_entries`
 the one builder of the +-x_{i_nu} matrices of the deformation blocks and
-the ball embedding.
+the ball embedding, which `removal_matrix` makes dense.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, repeat
 
@@ -49,23 +50,26 @@ class SubsetIndex:
         return len(self.order)
 
 
-def subsets_of_tail(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """k-subsets of {2..n} in colex order (the block-index convention)."""
-    return colex_subsets(range(2, n + 1), k)
+def removal_entries(ground, k: int):
+    """The nonzero entries of the removal matrix on ground, column by column,
+    as (row, col, t, sign): row and col index the colex (k-1)- and
+    k-subsets of ground, and column J holds sign = (-1)**nu times the t-th
+    value in the row J - {J[nu]}, where J[nu] = ground[t]."""
+    position = {x: t for t, x in enumerate(ground)}
+    row_of = {I: r for r, I in enumerate(colex_subsets(ground, k - 1))}
+    for c, J in enumerate(colex_subsets(ground, k)):
+        for nu, removed in enumerate(J):
+            yield row_of[J[:nu] + J[nu + 1 :]], c, position[removed], (-1) ** nu
 
 
 def removal_matrix(values, ground, k: int) -> tuple[tuple[object, ...], ...]:
     """Rows (k-1)-subsets, columns k-subsets of ground, both colex; entry
     (I, J) is (-1)**nu * values[t] when I = J - {J[nu]} and J[nu] = ground[t],
     else 0."""
-    value_of = dict(zip(ground, values))
-    rows = colex_subsets(ground, k - 1)
-    cols = colex_subsets(ground, k)
-    row_of = {I: r for r, I in enumerate(rows)}
-    out = [[0] * len(cols) for _ in rows]
-    for c, J in enumerate(cols):
-        for nu, removed in enumerate(J):
-            out[row_of[J[:nu] + J[nu + 1 :]]][c] = (-1) ** nu * value_of[removed]
+    size = len(ground)
+    out = [[0] * math.comb(size, k) for _ in range(math.comb(size, k - 1))]
+    for r, c, t, sign in removal_entries(ground, k):
+        out[r][c] = sign * values[t]
     return tuple(map(tuple, out))
 
 
@@ -96,7 +100,7 @@ def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
     Each minor is computed once: the minors on rows P + (r,) come from the
     minors on rows P by Laplace expansion along row r, walking the row
     prefixes depth first.  Only multiplication, addition and negation are
-    used, so any commutative ring works."""
+    used, so any commutative ring works; a vanishing minor is the int 0."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("compound requires a square matrix")
@@ -104,7 +108,6 @@ def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
         return ((1,),)
-    zero = matrix[0][0] - matrix[0][0]
     rows = [[(c, entry) for c, entry in enumerate(row) if entry] for row in matrix]
     by_rows = {}
     # one (row prefix, its minors) per unfinished prefix that can still reach k rows
@@ -120,7 +123,7 @@ def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
     order = SubsetIndex.build(n, k).order
     masks = [sum(1 << (i - 1) for i in s) for s in order]
     return tuple(
-        tuple(map(by_rows[tuple(i - 1 for i in I)].get, masks, repeat(zero)))
+        tuple(map(by_rows[tuple(i - 1 for i in I)].get, masks, repeat(0)))
         for I in order
     )
 
@@ -128,8 +131,8 @@ def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
 def det(matrix) -> object:
     """Exact determinant: the n x n case of compound.
 
-    The empty matrix has determinant 1 (as a plain int, which coerces
-    into any of the supported rings)."""
+    The empty matrix has determinant 1 and a singular one 0, as plain
+    ints, which coerce into any of the supported rings."""
     return compound(matrix, len(matrix))[0][0]
 
 
@@ -173,20 +176,6 @@ def wedge_gram(psi0: CycloElement, psi1, k: int):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     factor = psi0 ** (1 - k)
     return scalar_mul(factor, compound(psi1, k))
-
-
-def skew_sign(psi0: CycloElement, psi1, k: int) -> int:
-    """The sign s with conj-transpose(wedge_gram) = s * wedge_gram.
-
-    Recorded empirically per k rather than assumed; raises if the
-    computed gram satisfies neither sign."""
-    gram = wedge_gram(psi0, psi1, k)
-    ct = conj_transpose(gram)
-    if all(ct[i][j] == -gram[i][j] for i in range(len(gram)) for j in range(len(gram))):
-        return -1
-    if all(ct[i][j] == gram[i][j] for i in range(len(gram)) for j in range(len(gram))):
-        return 1
-    raise ArithmeticError(f"wedge gram at k={k} is neither Hermitian nor skew")
 
 
 # the induced similitude map gamma0^(1-k) * Lambda^k gamma1

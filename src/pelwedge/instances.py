@@ -83,7 +83,7 @@ def rand_unimodular(field: CycloField, n: int, rng: random.Random, steps: int = 
             M = [[field.one if a == b else field.zero for b in range(n)] for a in range(n)]
             Mi = [list(r) for r in M]
             M[d][d] = u
-            Mi[d][d] = u.conj() * (u * u.conj()).inverse()
+            Mi[d][d] = u.conj()
             apply(M, Mi)
     return tuple(map(tuple, B)), tuple(map(tuple, Binv))
 

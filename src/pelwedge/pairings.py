@@ -170,13 +170,6 @@ def _bareiss(nums) -> int:
     return sign * prev
 
 
-def rational_det(matrix) -> Fraction:
-    """Exact determinant of a rational matrix: Bareiss elimination on the
-    matrix scaled to integers by the least common denominator."""
-    nums, den = _integer_matrix(matrix)
-    return Fraction(_bareiss(nums), den ** len(nums))
-
-
 def _valuation(value: int, p: int) -> int:
     v = 0
     while value % p == 0:

@@ -143,12 +143,6 @@ def test_spadesuit_fixtures(capsys, fixtures_dir):
     assert verdicts["orbit_aligned"] == "fail"
 
 
-def test_spadesuit_requires_input(capsys):
-    code, _, err = run(capsys, "spadesuit")
-    assert code == EXIT_USAGE
-    assert "requires --input" in err
-
-
 def test_table_traces(capsys):
     code, out, _ = run(capsys, "table", "traces", "--n", "4")
     assert code == 0

@@ -147,6 +147,11 @@ def test_verify_embedding_reads_no_trials(capsys):
     assert "verify embedding does not read --trials" in err
 
 
+def test_spadesuit_requires_input(capsys):
+    code, out, err = run(["spadesuit"], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: spadesuit requires --input\n")
+
+
 def test_undecodable_pel_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "latin1.pel"
     path.write_bytes(b'{"m": "\xff"}')

@@ -12,7 +12,6 @@ from pelwedge.cyclofield import (
     RamifiedPrimeError,
     all_cm_types,
     check_spadesuit,
-    cm_trace,
     cm_type,
     cyclo_field,
     cyclotomic_poly,
@@ -91,6 +90,60 @@ def test_inverse(F5, F8):
             assert x ** -2 == (x.inverse()) ** 2
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 60])
+def test_galois_automorphisms(m):
+    F = cyclo_field(m)
+    rng = random.Random(6000 + m)
+    xs = [rand_rational_element(F, rng) for _ in range(4)]
+    for a in F.units:
+        # sigma_a is the ring map fixed by zeta -> zeta^a
+        assert F.zeta.galois(a) == F.zeta_power(a)
+        for x, y in zip(xs, xs[1:]):
+            assert (x + y).galois(a) == x.galois(a) + y.galois(a)
+            assert (x * y).galois(a) == x.galois(a) * y.galois(a)
+        for b in F.units[:4]:
+            assert xs[0].galois(b).galois(a) == xs[0].galois(a * b % m)
+    for x in xs:
+        assert x.galois(m - 1) == x.conj()
+        assert x.galois(1) == x
+    for a in (0, m, next(a for a in range(2, m + 1) if math.gcd(a, m) > 1)):
+        with pytest.raises(ValueError, match="not a unit"):
+            xs[0].galois(a)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 13, 16, 60])
+def test_norm_is_a_positive_integer(m):
+    F = cyclo_field(m)
+    rng = random.Random(6100 + m)
+    for _ in range(10):
+        x = rand_element(F, rng, -50, 50)
+        if not x:
+            continue
+        norm = F.one
+        for a in F.units:
+            norm = norm * x.galois(a)
+        assert norm.is_rational() and norm.den == 1 and norm.num[0] > 0
+
+
+@pytest.mark.parametrize("m", [17, 32, 40, 48, 60, 61])
+def test_inverse_matches_the_euclid_reference(m):
+    # phi(m) = 16 for m in 17 .. 60, and 60 at m = 61
+    F = cyclo_field(m)
+    rng = random.Random(6200 + m)
+    # the Euclid reference costs seconds per inverse at m = 61
+    ys = [rand_element(F, rng) / 7 + F.zeta] if m == 61 else [
+        rand_rational_element(F, rng) for _ in range(5)]
+    for y in ys:
+        if y:
+            assert y.inverse().coords == reference_inverse(F, y.coords)
+
+
+def test_inverse_at_m_101():
+    F = cyclo_field(101)
+    x = rand_element(F, random.Random(101)) / 5 + F.zeta
+    assert x * x.inverse() == F.one
+
+
 def test_trace_matches_embedding_sum(F5):
     rng = random.Random(5)
     with mpmath.workprec(140):
@@ -127,27 +180,6 @@ def test_all_cm_types(F5, F8):
         types = all_cm_types(F)
         assert len(types) == 2 ** (F.degree // 2)
         assert len({t.members for t in types}) == len(types)
-
-
-def test_cm_trace_examples(F4, F5):
-    t = cm_trace(cm_type(F4, [1]), F4.zeta, 96)
-    assert abs(t - mpmath.mpc(0, 1)) < 1e-25
-    # x = 1 sums to phi(m)/2 for any CM type
-    for F in (F4, F5):
-        for phi in all_cm_types(F):
-            assert abs(cm_trace(phi, F.one, 96) - F.degree // 2) < 1e-25
-    with mpmath.workprec(110):
-        expected = mpmath.expjpi(mpmath.mpf(2) / 5) + mpmath.expjpi(mpmath.mpf(4) / 5)
-        assert abs(cm_trace(cm_type(F5, [1, 2]), F5.zeta, 96) - expected) < 1e-20
-
-
-def test_cm_trace_conjugate_sum(F5):
-    rng = random.Random(17)
-    for phi in all_cm_types(F5):
-        x = rand_element(F5, rng)
-        total = cm_trace(phi, x, 128) + cm_trace(phi.conjugate(), x, 128)
-        exact = trace_LQ(x)
-        assert abs(total - mpmath.mpf(exact.numerator) / exact.denominator) < 1e-25
 
 
 def test_frobenius_orbit_examples():

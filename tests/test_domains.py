@@ -14,7 +14,7 @@ from pelwedge.domains import (
     op_norm,
     satake_matrix,
 )
-from pelwedge.exterior import removal_matrix
+from pelwedge.exterior import removal_entries, removal_matrix
 from pelwedge.serretate import DeformationParams, contract
 
 
@@ -154,20 +154,18 @@ def test_anticommutation_identity_equals_the_symbolic_product():
 
 
 def _flip_first_sign(original):
-    def flipped(values, ground, k):
-        rows = [list(row) for row in original(values, ground, k)]
-        for row in rows:
-            for c, value in enumerate(row):
-                if value:
-                    row[c] = -value
-                    return tuple(map(tuple, rows))
-        return tuple(map(tuple, rows))
+    def flipped(ground, k):
+        entries = original(ground, k)
+        for r, c, t, sign in entries:
+            yield r, c, t, -sign
+            break
+        yield from entries
 
     return flipped
 
 
 def test_a_flipped_sign_fails_every_k_from_two(monkeypatch):
-    monkeypatch.setattr(domains, "removal_matrix", _flip_first_sign(removal_matrix))
+    monkeypatch.setattr(domains, "removal_entries", _flip_first_sign(removal_entries))
     assert anticommutation_witness(5, 1) is None  # any signs make a row vector of norm |x|
     for k in range(2, 5):
         witness = anticommutation_witness(5, k)
@@ -177,7 +175,7 @@ def test_a_flipped_sign_fails_every_k_from_two(monkeypatch):
 
 
 def test_a_flipped_sign_fails_verify_embedding_with_a_witness(monkeypatch, capsys):
-    monkeypatch.setattr(domains, "removal_matrix", _flip_first_sign(removal_matrix))
+    monkeypatch.setattr(domains, "removal_entries", _flip_first_sign(removal_entries))
     assert main(["verify", "embedding", "--n", "4"]) == 1
     records = [json.loads(line)["record"] for line in capsys.readouterr().out.splitlines()[1:-1]]
     # at n = 3 the two flips are one change of basis sign, which keeps the norm

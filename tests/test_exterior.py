@@ -11,7 +11,7 @@ from pelwedge import serretate
 from pelwedge.cli import main
 from pelwedge.cyclofield import cyclo_field
 from pelwedge.domains import BallPoint, satake_matrix
-from pelwedge.hodge import binom
+from pelwedge.hodge import HermitianModule, binom
 from pelwedge.exterior import (
     NotASimilitude,
     SubsetIndex,
@@ -23,8 +23,6 @@ from pelwedge.exterior import (
     mat_mul,
     multiplier,
     removal_matrix,
-    skew_sign,
-    subsets_of_tail,
     wedge_gram,
 )
 from pelwedge.serretate import ModInt, assemble_block
@@ -48,11 +46,11 @@ def test_subset_index_split():
 
 def test_subset_index_tail_alignment():
     # the first half of SubsetIndex is {1} + I with I running through
-    # subsets_of_tail in the same order
+    # the colex (k-1)-subsets of {2..n} in the same order
     for n in range(2, 7):
         for k in range(1, n + 1):
             index = SubsetIndex.build(n, k)
-            tails = subsets_of_tail(n, k - 1)
+            tails = colex_subsets(range(2, n + 1), k - 1)
             first = index.order[: math.comb(n - 1, k - 1)]
             assert first == tuple((1,) + t for t in tails)
 
@@ -129,8 +127,8 @@ def test_wedge_gram_diagonal_example(F4):
 
 
 def test_skew_sign_recorded(F4, F5):
-    # the empirically forced sign is -1 for every k: the wedge gram stays
-    # genuinely skew-Hermitian
+    # the wedge gram stays genuinely skew-Hermitian for every k:
+    # HermitianModule refuses any other gram
     rng = random.Random(12)
     for F in (F4, F5):
         for _ in range(10):
@@ -141,7 +139,7 @@ def test_skew_sign_recorded(F4, F5):
             if not psi0:
                 continue
             for k in range(n + 1):
-                assert skew_sign(psi0, psi1, k) == -1
+                HermitianModule(F, wedge_gram(psi0, psi1, k))
 
 
 def test_g_k_trivial(F4):
