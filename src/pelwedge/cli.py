@@ -9,6 +9,7 @@ input error (bad or unreadable `.pel` file).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import random
@@ -443,20 +444,21 @@ def cmd_verify(args, opts) -> int:
 
 
 def _emit_table(rows, fmt: str) -> None:
-    """Print the rows, an iterable of dicts; CSV prints each row as it is
-    made, under a header taken from the first."""
+    """Print the rows, an iterable of dicts, each as it is made.  The first
+    row is made before anything is printed, so a row that raises leaves
+    stdout empty; CSV takes its header from that row."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        rows = itertools.chain((first,), rows)
     if fmt == "csv":
-        keys = None
+        if first is not None:
+            print(",".join(first))
         for row in rows:
-            if keys is None:
-                keys = list(row)
-                print(",".join(keys))
-            print(",".join(str(row[k]) for k in keys))
+            print(",".join(str(row[k]) for k in first))
     else:
-        doc = ReportDocument(suite="table")
-        for row in rows:
-            doc.add(**row)
-        sys.stdout.write(doc.to_jsonl())
+        for line in ReportDocument(suite="table").lines(rows):
+            sys.stdout.write(line)
 
 
 def cmd_table(kind: str, opts) -> int:

@@ -17,10 +17,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable
-
-import mpmath
 
 DEFAULT_PREC_BITS = 128
 
@@ -353,12 +351,19 @@ class CycloElement:
 
     def inverse(self) -> "CycloElement":
         """den * prod_{a != 1} sigma_a(num) / N(num), where the norm
-        N(num) = num * prod_{a != 1} sigma_a(num) is a positive integer."""
+        N(num) = num * prod_{a != 1} sigma_a(num) is a positive integer.
+
+        The conjugates are multiplied pairwise, a balanced product tree,
+        so both factors of each product have about the same size."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
         field = self.field
         num = CycloElement(field, self.num)
-        others = reduce(operator.mul, (num.galois(a) for a in field.units[1:]))
+        factors = [num.galois(a) for a in field.units[1:]]
+        while len(factors) > 1:
+            paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+            factors = paired + factors[len(paired) * 2:]
+        others = factors[0]
         norm = (num * others).num[0]
         return CycloElement(field, tuple(c * self.den for c in others.num), norm)
 
@@ -382,6 +387,8 @@ class CycloElement:
         """Numeric value under sigma_k : zeta -> exp(2 pi i k / m).
 
         Each coordinate is divided in lowest terms, num/g over den/g."""
+        import mpmath  # loaded on first use: nothing else in a check needs it
+
         if math.gcd(k, self.field.m) != 1:
             raise ValueError(f"{k} is not a unit modulo {self.field.m}")
         den = self.den

@@ -13,8 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import mpmath
+from functools import lru_cache
 
 from .cyclofield import (
     DEFAULT_PREC_BITS,
@@ -25,7 +24,8 @@ from .cyclofield import (
 
 
 class SingularAtEmbedding(ArithmeticError):
-    """An eigenvalue of the embedded Hermitian matrix is too close to zero."""
+    """The skew-Hermitian form is degenerate over L, so no embedding gives
+    it a signature."""
 
 
 def binom(n: int, k: int) -> int:
@@ -181,44 +181,132 @@ class HermitianModule:
                     raise ValueError("gram matrix is not *-skew-Hermitian")
         self.rank = n
         self.gram = gram
+        self._diagonal = None
 
-    def embedded_gram(self, k: int, prec_bits: int = DEFAULT_PREC_BITS):
-        """Gram matrix under sigma_k as an mpmath matrix."""
-        n = self.rank
-        out = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.gram[i][j].embed(k, prec_bits)
-        return out
+    def diagonal(self) -> tuple[CycloElement, ...]:
+        """The `congruence_diagonal` of the gram, computed on first use."""
+        if self._diagonal is None:
+            self._diagonal = congruence_diagonal(self.field, self.gram)
+        return self._diagonal
+
+
+def congruence_diagonal(field: CycloField, gram) -> tuple[CycloElement, ...]:
+    """delta_1 .. delta_n with P* Psi P = diag(delta_j) for some P in
+    GL_n(L), by symmetric elimination over L.  Each delta_j is nonzero and
+    totally imaginary.
+
+    Each step moves a nonzero diagonal entry of the remaining block to the
+    pivot and replaces the block by its Schur complement, which is again
+    *-skew-Hermitian.  When every diagonal entry of the block is 0 but some
+    Psi_ij is not, e_i + c*e_j has the diagonal entry c*Psi_ij -
+    conj(c*Psi_ij); that is 0 for both c = 1 and c = zeta only if zeta were
+    real.  A zero block means Psi is degenerate over L, and raises
+    SingularAtEmbedding."""
+    a = [list(row) for row in gram]
+    n = len(a)
+    deltas = []
+    for r in range(n):
+        pivot = next((i for i in range(r, n) if a[i][i]), None)
+        if pivot is None:
+            pivot, j = next(
+                ((i, j) for i in range(r, n) for j in range(i + 1, n) if a[i][j]), (None, None)
+            )
+            if pivot is None:
+                raise SingularAtEmbedding(
+                    f"the gram matrix is degenerate over Q(zeta_{field.m}): rank {r} < {n}"
+                )
+            c = field.one if (a[pivot][j] - a[pivot][j].conj()) else field.zeta
+            # e_pivot <- e_pivot + c * e_j: column pivot gains c times column j
+            for k in range(r, n):
+                if k != pivot:
+                    a[k][pivot] = a[k][pivot] + a[k][j] * c
+                    a[pivot][k] = -a[k][pivot].conj()
+            d = c * a[pivot][j]
+            a[pivot][pivot] = d - d.conj()
+        a[r], a[pivot] = a[pivot], a[r]
+        for row in a:
+            row[r], row[pivot] = row[pivot], row[r]
+        delta = a[r][r]
+        deltas.append(delta)
+        # a[i][j] -= a[i][r] * delta^-1 * a[r][j] on the upper triangle of
+        # the block; the lower one follows by skew-Hermitian symmetry
+        inverse = delta.inverse()
+        pivot_row = a[r]
+        for i in range(r + 1, n):
+            t = a[i][r] * inverse
+            row = a[i]
+            for j in range(i, n):
+                row[j] = row[j] - t * pivot_row[j]
+                if j > i:
+                    a[j][i] = -row[j].conj()
+    return tuple(deltas)
+
+
+@lru_cache(maxsize=None)
+def _sine_bounds(m: int, prec_bits: int) -> tuple[tuple[int, int], ...]:
+    """(lo_j, hi_j) with lo_j <= 2^prec_bits * sin(2 pi j / m) <= hi_j for
+    j < m, integers from the endpoints of mpmath's interval sine."""
+    # loaded on first use: a run that finds no signature never imports mpmath
+    from mpmath.libmp import from_int, libmpi, mpf_shift, round_ceiling, round_floor, to_int
+
+    def point(value: int):
+        return from_int(value), from_int(value)
+
+    pi = libmpi.mpi_pi(prec_bits)
+    bounds = []
+    for j in range(m):
+        angle = libmpi.mpi_div(libmpi.mpi_mul(pi, point(2 * j), prec_bits), point(m), prec_bits)
+        _, (lo, hi) = libmpi.mpi_cos_sin(angle, prec_bits)
+        bounds.append((
+            to_int(mpf_shift(lo, prec_bits), round_floor),
+            to_int(mpf_shift(hi, prec_bits), round_ceiling),
+        ))
+    return tuple(bounds)
+
+
+def imaginary_sign(x: CycloElement, k: int, prec_bits: int = DEFAULT_PREC_BITS) -> tuple[int, int]:
+    """The sign of Im sigma_k(x) for a nonzero totally imaginary x, and the
+    precision that certified it.
+
+    Im sigma_k(x) = sum_t num_t * sin(2 pi k t / m) / den.  The sum is
+    bounded exactly from the interval sines at `prec_bits` bits, and the
+    precision doubles until the bounds exclude 0; they do, since
+    sigma_k(x) is a nonzero imaginary number."""
+    m = x.field.m
+    terms = [(c, k * t % m) for t, c in enumerate(x.num) if c]
+    while True:
+        table = _sine_bounds(m, prec_bits)
+        lo = hi = 0
+        for c, j in terms:
+            low, high = table[j]
+            if c > 0:
+                lo += c * low
+                hi += c * high
+            else:
+                lo += c * high
+                hi += c * low
+        if lo > 0:
+            return 1, prec_bits
+        if hi < 0:
+            return -1, prec_bits
+        prec_bits *= 2
 
 
 def signature_at(
     module: HermitianModule,
     k: int,
     prec_bits: int = DEFAULT_PREC_BITS,
-    tolerance: float = 1e-20,
 ) -> tuple[int, int]:
-    """Signature (positives, negatives) of the Hermitian matrix i*Psi_sigma."""
-    n = module.rank
-    with mpmath.workprec(prec_bits):
-        mat = module.embedded_gram(k, prec_bits)
-        herm = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                herm[i, j] = mpmath.mpc(0, 1) * mat[i, j]
-        eigenvalues = mpmath.eighe(herm, eigvals_only=True)
-        pos = neg = 0
-        for ev in eigenvalues:
-            value = mpmath.re(ev)
-            if abs(value) <= tolerance:
-                raise SingularAtEmbedding(
-                    f"eigenvalue {value} within tolerance of 0 at sigma_{k}"
-                )
-            if value > 0:
-                pos += 1
-            else:
-                neg += 1
-    return pos, neg
+    """Signature (positives, negatives) of the Hermitian matrix i*Psi_sigma.
+
+    By Sylvester's law of inertia it is that of i*sigma_k(delta_j) over the
+    `HermitianModule.diagonal`, and i*sigma_k(delta_j) = -Im
+    sigma_k(delta_j) since delta_j is totally imaginary.  Each sign is
+    certified by `imaginary_sign`, starting at `prec_bits` bits."""
+    if math.gcd(k, module.field.m) != 1:
+        raise ValueError(f"{k} is not a unit modulo {module.field.m}")
+    neg = sum(imaginary_sign(delta, k, prec_bits)[0] > 0 for delta in module.diagonal())
+    return module.rank - neg, neg
 
 
 def compatible(

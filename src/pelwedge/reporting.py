@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .cyclofield import PRIME_LIMIT, CMType, CycloField, cyclo_field, is_prime
 from .hodge import HermitianModule
@@ -45,11 +46,7 @@ class ReportDocument:
         return sum(1 for r in self.records if r.get("status") == "vacuous")
 
     def exit_code(self) -> int:
-        if self.n_failed:
-            return 1
-        if self.n_vacuous:
-            return 2
-        return 0
+        return self.summary()["exit_code"]
 
     def header(self) -> dict:
         return {
@@ -62,21 +59,29 @@ class ReportDocument:
         }
 
     def summary(self) -> dict:
-        return {
-            "checks": len(self.records),
-            "failed": self.n_failed,
-            "vacuous": self.n_vacuous,
-            "exit_code": self.exit_code(),
-        }
+        return _summary(len(self.records), self.n_failed, self.n_vacuous)
+
+    def lines(self, records: Iterable[dict] | None = None) -> Iterator[str]:
+        """The JSONL report one newline-terminated line at a time: the
+        header, one line per record, then the summary.
+
+        `records`, when given, stands in for `self.records`: each is read
+        as its line is made and none is kept, so a caller can write every
+        line out before the next record exists."""
+        yield _dump({"header": self.header()})
+        if records is None:
+            records = self.records
+        checks = failed = vacuous = 0
+        for record in records:
+            status = record.get("status")
+            checks += 1
+            failed += status == "fail"
+            vacuous += status == "vacuous"
+            yield _dump({"record": record})
+        yield _dump({"summary": _summary(checks, failed, vacuous)})
 
     def to_jsonl(self) -> str:
-        def dump(obj) -> str:
-            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-        lines = [dump({"header": self.header()})]
-        lines.extend(dump({"record": r}) for r in self.records)
-        lines.append(dump({"summary": self.summary()}))
-        return "\n".join(lines) + "\n"
+        return "".join(self.lines())
 
     def human_summary(self) -> str:
         lines = [f"suite {self.suite}: {len(self.records)} checks"]
@@ -90,6 +95,19 @@ class ReportDocument:
             f"  failed={s['failed']} vacuous={s['vacuous']} exit={s['exit_code']}"
         )
         return "\n".join(lines)
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _summary(checks: int, failed: int, vacuous: int) -> dict:
+    return {
+        "checks": checks,
+        "failed": failed,
+        "vacuous": vacuous,
+        "exit_code": 1 if failed else 2 if vacuous else 0,
+    }
 
 
 def params_hash(params: dict) -> str:

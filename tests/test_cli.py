@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
 from pelwedge.cli import EXIT_INPUT, EXIT_USAGE, main
-from pelwedge.reporting import PelInputError, load_pel_input, params_hash
+from pelwedge.cyclofield import all_cm_types, cyclo_field
+from pelwedge.instances import rand_skew_hermitian
+from pelwedge.reporting import PelInputError, ReportDocument, load_pel_input, params_hash
 
 
 def run(capsys, *argv):
@@ -185,6 +188,77 @@ def test_table_signatures(capsys, fixtures_dir):
     rows = {int(l.split(",")[0]): tuple(map(int, l.split(",")[1:])) for l in lines[1:]}
     assert rows[1] == (0, 2)
     assert rows[3] == (2, 0)
+
+
+def _signature_pel(tmp_path, fixtures_dir, gram1, m=4):
+    raw = json.loads((fixtures_dir / "allpass.pel").read_text())
+    field = cyclo_field(m)
+    raw.update(m=m, n=len(gram1), phi0=sorted(all_cm_types(field)[0].members),
+               phin=sorted(all_cm_types(field)[1].members))
+    raw["gram0"] = [[[str(c) for c in (field.zeta - field.zeta.conj()).coords]]]
+    raw["gram1"] = [[[str(c) for c in x.coords] for x in row] for row in gram1]
+    path = tmp_path / "form.pel"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_table_signatures_of_a_degenerate_form(capsys, tmp_path, fixtures_dir):
+    F = cyclo_field(4)
+    i = F.zeta
+    path = _signature_pel(tmp_path, fixtures_dir, [[i, i], [i, i]])
+    for fmt in ("csv", "records"):
+        code, out, err = run(capsys, "table", "signatures", "--input", path, "--format", fmt)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: the gram matrix is degenerate over Q(zeta_4): rank 1 < 2\n"
+
+
+def test_table_signatures_from_a_low_starting_precision(capsys, tmp_path, fixtures_dir):
+    # 8 bits certify some signs of this form and the rest escalate: the rows stay
+    F = cyclo_field(16)
+    gram = rand_skew_hermitian(F, 12, random.Random(8))
+    path = _signature_pel(tmp_path, fixtures_dir, gram, m=16)
+    argv = ("table", "signatures", "--input", path, "--format", "records")
+    code, default, _ = run(capsys, *argv)
+    assert code == 0 and len(parse_jsonl(default)[1]) == 8
+    assert run(capsys, *argv, "--precision", "8") == (0, default, "")
+
+
+def test_records_are_printed_as_they_are_made(capsys):
+    from pelwedge.cli import _emit_table
+
+    def rows():
+        yield {"a": 1, "status": "pass"}
+        assert capsys.readouterr().out.count("\n") == 2  # the header and one record
+        yield {"a": 2, "status": "fail"}
+
+    _emit_table(rows(), "records")
+    assert capsys.readouterr().out == (
+        '{"record":{"a":2,"status":"fail"}}\n'
+        '{"summary":{"checks":2,"exit_code":1,"failed":1,"vacuous":0}}\n'
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "records"])
+def test_a_first_row_that_raises_prints_nothing(capsys, fmt):
+    from pelwedge.cli import _emit_table
+
+    def rows():
+        raise ArithmeticError("no row")
+        yield
+
+    with pytest.raises(ArithmeticError):
+        _emit_table(rows(), fmt)
+    assert capsys.readouterr().out == ""
+
+
+def test_report_lines_stream_what_to_jsonl_joins():
+    doc = ReportDocument(suite="s", seed=1, params={"n": 2})
+    doc.add(check="a", status="pass")
+    doc.add(check="b", status="vacuous")
+    assert "".join(doc.lines()) == doc.to_jsonl()
+    assert list(ReportDocument(suite="s", seed=1, params={"n": 2}).lines(iter(doc.records))) == list(
+        doc.lines())
+    assert doc.exit_code() == 2 and doc.summary()["checks"] == 2
 
 
 def test_table_embedding_matrix(capsys):

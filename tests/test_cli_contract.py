@@ -420,3 +420,22 @@ def test_sympy_is_loaded_only_by_the_code_that_uses_it():
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_mpmath_is_loaded_only_by_signatures():
+    script = (
+        "import contextlib, io, sys\n"
+        "import pelwedge, pelwedge.cli\n"
+        "for argv in (['verify', 'prinz', '--trials', '2', '--m', '8', '--n', '2'],\n"
+        "             ['verify', 'embedding', '--n', '3'],\n"
+        f"             ['verify', 'prinz', '--input', {ALLPASS!r}]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert pelwedge.cli.main(argv) == 0, argv\n"
+        "    assert 'mpmath' not in sys.modules, argv\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert pelwedge.cli.main(['table', 'signatures', '--input', {ALLPASS!r}]) == 0\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -125,9 +125,10 @@ def test_norm_is_a_positive_integer(m):
         assert norm.is_rational() and norm.den == 1 and norm.num[0] > 0
 
 
-@pytest.mark.parametrize("m", [17, 32, 40, 48, 60, 61])
+@pytest.mark.parametrize("m", [3, 7, 11, 17, 32, 40, 48, 60, 61])
 def test_inverse_matches_the_euclid_reference(m):
-    # phi(m) = 16 for m in 17 .. 60, and 60 at m = 61
+    # phi(m) = 16 for m in 17 .. 60, and 60 at m = 61; the product tree pairs
+    # phi(m) - 1 = 1, 5, 9, 15 or 59 conjugates
     F = cyclo_field(m)
     rng = random.Random(6200 + m)
     # the Euclid reference costs seconds per inverse at m = 61

@@ -1,8 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pelwedge.cyclofield import all_cm_types, cm_type, cyclo_field
+from pelwedge.exterior import det
 from pelwedge.hodge import (
     CMTraceVector,
     EmbeddingCase,
@@ -13,6 +17,7 @@ from pelwedge.hodge import (
     compatible,
     derived_cm_trace,
     dim_minus10,
+    imaginary_sign,
     signature_at,
     twist_weights,
     verify_type11,
@@ -144,20 +149,97 @@ def test_signature_singular(F8):
         signature_at(zero_block, 1)
 
 
-def test_signature_conjugation_swap(F4, F5):
+def reference_signature(module, k, prec_bits=128):
+    """Signature of i * Psi_sigma_k from mpmath eigenvalues: the float path
+    the exact one replaced, kept as an oracle for well-conditioned forms."""
+    n = module.rank
+    with mpmath.workprec(prec_bits):
+        herm = mpmath.matrix(n, n)
+        for a in range(n):
+            for b in range(n):
+                herm[a, b] = mpmath.mpc(0, 1) * module.gram[a][b].embed(k, prec_bits)
+        eigenvalues = [mpmath.re(ev) for ev in mpmath.eighe(herm, eigvals_only=True)]
+        scale = max(abs(ev) for ev in eigenvalues)
+        assert all(abs(ev) > scale * mpmath.mpf(2) ** (-prec_bits // 2) for ev in eigenvalues), (
+            "the oracle decides only well-conditioned forms")
+    return sum(ev > 0 for ev in eigenvalues), sum(ev < 0 for ev in eigenvalues)
+
+
+@pytest.mark.parametrize("m", [4, 5, 8, 13, 16])
+def test_signature_matches_the_eigenvalue_oracle(m):
+    F = cyclo_field(m)
+    rng = random.Random(1300 + m)
+    for n in (1, 2, rng.randint(3, 8), 12):
+        module = HermitianModule(F, rand_skew_hermitian(F, n, rng))
+        for k in F.units:
+            assert signature_at(module, k) == reference_signature(module, k)
+
+
+def test_signature_is_scale_invariant():
+    # at 1e-21 every eigenvalue is below the old absolute bound of 1e-20
+    F = cyclo_field(16)
+    module = HermitianModule(F, rand_skew_hermitian(F, 12, random.Random(16)))
+    expected = [reference_signature(module, k) for k in F.units]
+    for factor in (Fraction(1, 10**21), 10**30):
+        scaled = HermitianModule(F, [[x * factor for x in row] for row in module.gram])
+        assert [signature_at(scaled, k) for k in F.units] == expected
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12])
+def test_signature_of_the_hyperbolic_plane(m):
+    # every diagonal entry is 0, so the first pivot needs e_1 + c * e_2
+    F = cyclo_field(m)
+    plane = HermitianModule(F, [[F.zero, F.one], [-F.one, F.zero]])
+    assert all(signature_at(plane, k) == (1, 1) for k in F.units)
+    # here Psi_12 = zeta is not real: c = 1 serves
+    twisted = HermitianModule(F, [[F.zero, F.zeta], [-F.zeta.conj(), F.zero]])
+    assert all(signature_at(twisted, k) == (1, 1) for k in F.units)
+
+
+def test_congruence_diagonal_is_congruent(F5):
+    rng = random.Random(55)
+    module = HermitianModule(F5, rand_skew_hermitian(F5, 5, rng))
+    deltas = module.diagonal()
+    assert module.diagonal() is deltas  # computed once
+    assert all(d and d.conj() == -d for d in deltas)
+    # the product of the delta_j is det(Psi) times the norm |det P|^2 of P
+    ratio = det(module.gram) / math.prod(deltas, start=F5.one)
+    assert ratio.conj() == ratio
+
+
+def test_degenerate_forms_raise(F8):
+    d = F8.zeta - F8.zeta.conj()
+    rank_one = HermitianModule(F8, [[d, d], [d, d]])
+    with pytest.raises(SingularAtEmbedding, match="degenerate over Q\\(zeta_8\\): rank 1 < 2"):
+        signature_at(rank_one, 1)
+    zero = HermitianModule(F8, [[F8.zero] * 3 for _ in range(3)])
+    with pytest.raises(SingularAtEmbedding, match="rank 0 < 3"):
+        signature_at(zero, 3)
+
+
+def test_low_starting_precision_escalates():
+    F = cyclo_field(16)
+    module = HermitianModule(F, rand_skew_hermitian(F, 12, random.Random(8)))
+    bits = [imaginary_sign(d, k, 8)[1] for d in module.diagonal() for k in F.units]
+    assert min(bits) == 8 and max(bits) > 8
+    assert [signature_at(module, k, 8) for k in F.units] == [
+        signature_at(module, k) for k in F.units]
+
+
+def test_imaginary_sign(F5):
+    x = F5.zeta - F5.zeta.conj()  # 2i sin(2 pi k / 5) under sigma_k
+    assert [imaginary_sign(x, k)[0] for k in F5.units] == [1, 1, -1, -1]
+    assert imaginary_sign(x * Fraction(1, 10**40), 1, 8)[0] == 1
+
+
+def test_signature_conjugation_swap(F4, F5, F8):
     rng = random.Random(23)
-    for F in (F4, F5):
-        trials = 0
-        while trials < 20:
-            module = HermitianModule(F, rand_skew_hermitian(F, 3, rng))
-            try:
-                for k in F.units:
-                    pos, neg = signature_at(module, k)
-                    swapped = signature_at(module, (F.m - k) % F.m)
-                    assert swapped == (neg, pos)
-            except SingularAtEmbedding:
-                continue
-            trials += 1
+    for F in (F4, F5, F8, cyclo_field(13)):
+        for n in (1, 3, 6):
+            module = HermitianModule(F, rand_skew_hermitian(F, n, rng))
+            for k in F.units:
+                pos, neg = signature_at(module, k)
+                assert signature_at(module, F.m - k) == (neg, pos)
 
 
 def test_compatible(F4):
