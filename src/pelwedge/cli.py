@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .cyclofield import (
-    DEFAULT_PREC_BITS,
     PRIME_LIMIT,
     RamifiedPrimeError,
     _totient,
@@ -30,6 +29,7 @@ from .cyclofield import (
 )
 from .domains import BallPoint, anticommutation_witness, satake_matrix
 from .hodge import (
+    DEFAULT_PREC_BITS,
     EmbeddingCase,
     SingularAtEmbedding,
     binom,

@@ -6,9 +6,7 @@ terms.  Products are integer schoolbook products reduced modulo the
 monic m-th cyclotomic polynomial; each Galois automorphism
 sigma_a : zeta -> zeta^a, the CM involution sigma_(m-1) among them, is an
 integer change of coordinates, and the inverse is the product of the
-other conjugates over the norm.  Everything here is immutable and exact;
-complex embeddings are evaluated with mpmath at a configurable binary
-precision.
+other conjugates over the norm.  Everything here is immutable and exact.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
-
-DEFAULT_PREC_BITS = 128
 
 
 class RamifiedPrimeError(ValueError):
@@ -382,26 +378,6 @@ class CycloElement:
     def conj(self) -> "CycloElement":
         """The CM involution zeta -> zeta^(m-1)."""
         return self.galois(self.field.m - 1)
-
-    def embed(self, k: int, prec_bits: int = DEFAULT_PREC_BITS) -> mpmath.mpc:
-        """Numeric value under sigma_k : zeta -> exp(2 pi i k / m).
-
-        Each coordinate is divided in lowest terms, num/g over den/g."""
-        import mpmath  # loaded on first use: nothing else in a check needs it
-
-        if math.gcd(k, self.field.m) != 1:
-            raise ValueError(f"{k} is not a unit modulo {self.field.m}")
-        den = self.den
-        with mpmath.workprec(prec_bits):
-            zeta = mpmath.expjpi(mpmath.mpf(2) * k / self.field.m)
-            acc = mpmath.mpc(0)
-            power = mpmath.mpc(1)
-            for c in self.num:
-                if c:
-                    g = math.gcd(c, den)
-                    acc += mpmath.mpf(c // g) / (den // g) * power
-                power *= zeta
-            return acc
 
     def __repr__(self) -> str:
         terms = []

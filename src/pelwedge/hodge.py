@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclofield import (
-    DEFAULT_PREC_BITS,
     CMType,
     CycloElement,
     CycloField,
 )
+
+DEFAULT_PREC_BITS = 128  # starting precision of the certified embedding signs
 
 
 class SingularAtEmbedding(ArithmeticError):
@@ -242,7 +243,7 @@ def congruence_diagonal(field: CycloField, gram) -> tuple[CycloElement, ...]:
     return tuple(deltas)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # a table per field and precision in use
 def _sine_bounds(m: int, prec_bits: int) -> tuple[tuple[int, int], ...]:
     """(lo_j, hi_j) with lo_j <= 2^prec_bits * sin(2 pi j / m) <= hi_j for
     j < m, integers from the endpoints of mpmath's interval sine."""
@@ -264,9 +265,8 @@ def _sine_bounds(m: int, prec_bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(bounds)
 
 
-def imaginary_sign(x: CycloElement, k: int, prec_bits: int = DEFAULT_PREC_BITS) -> tuple[int, int]:
-    """The sign of Im sigma_k(x) for a nonzero totally imaginary x, and the
-    precision that certified it.
+def imaginary_sign(x: CycloElement, k: int, prec_bits: int = DEFAULT_PREC_BITS) -> int:
+    """The sign of Im sigma_k(x) for a nonzero totally imaginary x.
 
     Im sigma_k(x) = sum_t num_t * sin(2 pi k t / m) / den.  The sum is
     bounded exactly from the interval sines at `prec_bits` bits, and the
@@ -286,9 +286,9 @@ def imaginary_sign(x: CycloElement, k: int, prec_bits: int = DEFAULT_PREC_BITS) 
                 lo += c * high
                 hi += c * low
         if lo > 0:
-            return 1, prec_bits
+            return 1
         if hi < 0:
-            return -1, prec_bits
+            return -1
         prec_bits *= 2
 
 
@@ -305,7 +305,7 @@ def signature_at(
     certified by `imaginary_sign`, starting at `prec_bits` bits."""
     if math.gcd(k, module.field.m) != 1:
         raise ValueError(f"{k} is not a unit modulo {module.field.m}")
-    neg = sum(imaginary_sign(delta, k, prec_bits)[0] > 0 for delta in module.diagonal())
+    neg = sum(imaginary_sign(delta, k, prec_bits) > 0 for delta in module.diagonal())
     return module.rank - neg, neg
 
 
