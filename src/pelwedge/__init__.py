@@ -49,24 +49,12 @@ from .pairings import (
     trace_gram,
     verify_prinz,
 )
-
-# serretate computes over sympy, which adds about 30 MB to a process; its
-# names are imported on first use, so `import pelwedge` does not load it
-_SERRETATE = frozenset({
-    "DeformationBlock",
-    "DeformationParams",
-    "ModInt",
-    "assemble_block",
-    "contract",
-    "verify_vdrei",
-    "verify_vzehn",
-    "wedge_block",
-})
-
-
-def __getattr__(name):
-    if name in _SERRETATE:
-        from . import serretate
-
-        return getattr(serretate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .serretate import (
+    DeformationBlock,
+    DeformationParams,
+    assemble_block,
+    contract,
+    verify_vdrei,
+    verify_vzehn,
+    wedge_block,
+)

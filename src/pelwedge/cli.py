@@ -45,6 +45,7 @@ from .reporting import (
     load_pel_input,
     params_hash,
 )
+from .serretate import DeformationParams, generators, verify_vdrei, verify_vzehn
 
 EXIT_USAGE = 64
 EXIT_INPUT = 65
@@ -297,8 +298,6 @@ def _suite_data(doc: ReportDocument, m_list, n_max: int) -> None:
 
 
 def _suite_vdrei(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
-    from .serretate import verify_vdrei  # serretate loads sympy: only its suites import it
-
     for n in range(1, n_max + 1):
         ks = [k_only] if k_only is not None else range(1, n + 1)
         for k in ks:
@@ -323,8 +322,6 @@ def _suite_vdrei(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
 
 
 def _suite_vzehn(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
-    from .serretate import DeformationParams, generators, verify_vzehn
-
     for b in range(1, n_max):
         c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
         phi = DeformationParams(1, b, (tuple(row),))

@@ -2,13 +2,13 @@
 matrices, wedge Gram construction, and the induced similitude map.
 
 All arithmetic here is exact and ring-generic: entries may be ints,
-Fractions, CycloElements, elements of a `sympy.polys.rings` polynomial
-ring or sympy expressions, as long as they support +, -, * and
-truthiness-as-nonzero.  `compound` computes each minor once,
-by Laplace expansion from the minors on one row fewer, and `det` is its
-n x n case.  `colex_subsets` is the one subset order and `removal_entries`
-the one builder of the +-x_{i_nu} matrices of the deformation blocks and
-the ball embedding, which `removal_matrix` makes dense.
+Fractions, CycloElements, `serretate.Polynomial`s or sympy expressions,
+as long as they support +, -, * and truthiness-as-nonzero.  `compound`
+computes each minor once, by Laplace expansion from the minors on one
+row fewer, and `det` is its n x n case.  `colex_subsets` is the one
+subset order and `removal_entries` the one builder of the +-x_{i_nu}
+matrices of the deformation blocks and the ball embedding, which
+`removal_matrix` makes dense.
 """
 
 from __future__ import annotations

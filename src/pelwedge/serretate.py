@@ -4,82 +4,149 @@ A deformation is represented only by its parameter matrix phi (connected
 height a, etale height b); the Galois action on the Tate module is the
 block matrix [[c1*E_a, C], [0, E_b]].  Verification compares compounds
 of these blocks against the directly constructed wedge blocks, as exact
-identities: by default in the polynomial ring Z[c1, ...] of
-`sympy.polys.rings`, whose elements are sparse dicts of monomials, so
-equal polynomials compare equal with no symbolic simplification.
+identities in Z[c1, ...].  Its elements (`Polynomial`, made from
+`generators`) are sparse dicts from monomial to nonzero int, so equal
+polynomials compare equal with no symbolic simplification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import ring, sring
-
 from .exterior import compound, removal_matrix
 
+# A variable is its name, as a sympy Symbol is: the first `generators` call
+# that names it gives it the next _BITS-bit field of a monomial, and every
+# later call with that name returns the same variable.
+_BITS = 16
+_MAX_DEGREE = (1 << _BITS) - 1
+_VARIABLES: dict[str, int] = {}
 
-class ModInt:
-    """Element of Z / p^N Z; one of the pluggable coefficient rings."""
 
-    __slots__ = ("value", "modulus")
+class Polynomial:
+    """Element of Z[x1, x2, ...]: a dict from monomial to nonzero int.
 
-    def __init__(self, value: int, modulus: int):
-        self.modulus = modulus
-        self.value = value % modulus
+    A monomial packs one exponent per variable into _BITS bits of an int,
+    so multiplying monomials adds their ints and the constant monomial is
+    0.  `degree` bounds the total degree from above; a product past
+    _MAX_DEGREE raises, so no exponent carries into the next field.  Equal
+    polynomials have equal dicts, and ints compare as constants."""
 
-    def _coerce(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.modulus)
-        return NotImplemented
+    __slots__ = ("terms", "degree")
+
+    def __init__(self, terms: dict[int, int], degree: int):
+        self.terms = terms
+        self.degree = degree
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            if not other:
+                return self
+            other, degree = {0: other}, self.degree
+        elif isinstance(other, Polynomial):
+            other, degree = other.terms, max(self.degree, other.degree)
+        else:
             return NotImplemented
-        return ModInt(self.value + other.value, self.modulus)
+        terms = self.terms
+        if len(terms) < len(other):
+            terms, other = other, terms
+        out = terms.copy()
+        for m, b in other.items():
+            c = out.get(m, 0) + b
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Polynomial(out, degree)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ModInt(-self.value, self.modulus)
+        return Polynomial({m: -a for m, a in self.terms.items()}, self.degree)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value - other.value, self.modulus)
+        return self + -other if isinstance(other, (int, Polynomial)) else NotImplemented
 
     def __rsub__(self, other):
-        return -(self - other)
+        return -self + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            # most block entries are 1 or -1, which need no new products
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
+            terms = {m: a * other for m, a in self.terms.items()} if other else {}
+            return Polynomial(terms, self.degree)
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        return ModInt(self.value * other.value, self.modulus)
+        degree = self.degree + other.degree
+        if degree > _MAX_DEGREE:
+            raise OverflowError(f"degree {degree} exceeds {_MAX_DEGREE}")
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        if len(small) == 1:  # a monomial times a polynomial: no terms merge
+            ((m, a),) = small.items()
+            return Polynomial({m + n: a * b for n, b in large.items()}, degree)
+        out = {}
+        for m, a in small.items():
+            for n, b in large.items():
+                out[m + n] = out.get(m + n, 0) + a * b
+        return Polynomial({m: c for m, c in out.items() if c}, degree)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
+        if isinstance(other, Polynomial):
+            return self.terms == other.terms
+        if isinstance(other, int):
+            return self.terms == {0: other} if other else not self.terms
+        return NotImplemented
 
     def __bool__(self):
-        return self.value != 0
+        return bool(self.terms)
 
-    def __repr__(self):
-        return f"ModInt({self.value}, {self.modulus})"
+    def __str__(self):
+        """The polynomial as sympy prints it: terms in descending lex order
+        of their exponents over the variable names sorted as strings."""
+        names = sorted(_VARIABLES)
+        shifts = [_BITS * _VARIABLES[x] for x in names]
+        exponents = {m: [m >> s & _MAX_DEGREE for s in shifts] for m in self.terms}
+        order = sorted(self.terms, key=exponents.get, reverse=True)
+        # sympy's one exception: a positive constant and a negative multiple
+        # of one variable's power print the constant first, as in 1 - x
+        if (len(order) == 2 and order[1] == 0 and self.terms[0] > 0
+                and self.terms[order[0]] < 0 and sum(map(bool, exponents[order[0]])) == 1):
+            order.reverse()
+        out = []
+        for m in order:
+            c = self.terms[m]
+            factors = "*".join(
+                x if e == 1 else f"{x}**{e}" for x, e in zip(names, exponents[m]) if e
+            )
+            if not factors:
+                out.append(str(c))
+            elif c == 1:
+                out.append(factors)
+            elif c == -1:
+                out.append(f"-{factors}")
+            else:
+                out.append(f"{c}*{factors}")
+        if not out:
+            return "0"
+        return out[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in out[1:])
+
+    __repr__ = __str__
+
+
+def generators(*names: str) -> tuple[Polynomial, ...]:
+    """The variables of Z[names] as polynomials, in the order given."""
+    return tuple(
+        Polynomial({1 << _BITS * _VARIABLES.setdefault(x, len(_VARIABLES)): 1}, 1)
+        for x in names
+    )
 
 
 @dataclass(frozen=True)
@@ -113,12 +180,13 @@ def assemble_block(c1, C, a: int, b: int) -> DeformationBlock:
     if len(C) != a or any(len(row) != b for row in C):
         raise ValueError(f"C must be {a} x {b}")
     rows = []
-    for i in range(a):
-        row = [c1 * 1 if j == i else 0 for j in range(a)]
-        row.extend(C[i])
-        rows.append(tuple(row))
-    for i in range(b):
-        row = [0] * a + [1 if j == i else 0 for j in range(b)]
+    for i in range(a + b):
+        row = [0] * (a + b)
+        if i < a:
+            row[i] = c1
+            row[a:] = C[i]
+        else:
+            row[i] = 1
         rows.append(tuple(row))
     return DeformationBlock(c1, C, a, b, tuple(rows))
 
@@ -143,11 +211,6 @@ class VdreiReport:
     witness: tuple[int, int, object, object] | None  # (row, col, got, expected)
 
 
-def generators(*names: str) -> tuple:
-    """The generators of the polynomial ring Z[names], in that order."""
-    return ring(names, ZZ)[1:]
-
-
 def _first_mismatch(left, right) -> tuple[int, int] | None:
     """(row, col) of the first entry where two equal-shape matrices differ,
     or None.  Whole rows compare first; only a differing row is scanned."""
@@ -160,7 +223,7 @@ def _first_mismatch(left, right) -> tuple[int, int] | None:
 def verify_vdrei(n: int, k: int) -> VdreiReport:
     """Polynomial identity in Z[c1..cn]: the k-th compound of the assembled
     1 x (n-1) block equals the directly constructed wedge block.  A witness
-    holds the two differing entries as sympy expressions."""
+    holds the two differing entries, as `Polynomial`s or ints."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
@@ -171,8 +234,7 @@ def verify_vdrei(n: int, k: int) -> VdreiReport:
     if mismatch is None:
         return VdreiReport(True, None)
     i, j = mismatch
-    R = c1.ring
-    return VdreiReport(False, (i, j, R(left[i][j]).as_expr(), R(right[i][j]).as_expr()))
+    return VdreiReport(False, (i, j, left[i][j], right[i][j]))
 
 
 def contract(phi: DeformationParams, k: int) -> DeformationParams:
@@ -189,24 +251,17 @@ def contract(phi: DeformationParams, k: int) -> DeformationParams:
     return DeformationParams(len(matrix), len(matrix[0]), matrix)
 
 
-def verify_vzehn(b: int, k: int, phi: DeformationParams, c1=None) -> bool:
+def verify_vzehn(b: int, k: int, phi: DeformationParams, c1) -> bool:
     """The block built from contracted parameters equals the k-th wedge
     block built from the original parameters.
 
-    Entries may come from any commutative ring that compares exactly
-    (ints, `ModInt`, polynomial-ring elements); sympy expressions, such
-    as the default c1 = Symbol("c1"), are first mapped into one
-    polynomial ring."""
+    Entries may come from any commutative ring that compares exactly:
+    ints, `Polynomial`s from `generators`, or Z/p^N."""
     if phi.a != 1 or phi.b != b:
         raise ValueError("phi must be a 1 x b parameter row")
     if not 1 <= k <= b + 1:
         raise ValueError(f"need 1 <= k <= b+1, got k={k}, b={b}")
-    if c1 is None:
-        c1 = sympy.Symbol("c1")
     row = phi.phi[0]
-    if any(isinstance(x, sympy.Basic) for x in (c1, *row)):
-        _, (c1, *row) = sring((c1, *row))
-        phi = DeformationParams(1, b, (tuple(row),))
     contracted = contract(phi, k)
     left = assemble_block(c1, contracted.phi, contracted.a, contracted.b).assembled
     right = wedge_block(b + 1, k, c1, row).assembled

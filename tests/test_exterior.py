@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import sympy
+from modint import ModInt
 
 from pelwedge import serretate
 from pelwedge.cli import main
@@ -25,7 +26,7 @@ from pelwedge.exterior import (
     removal_matrix,
     wedge_gram,
 )
-from pelwedge.serretate import ModInt, assemble_block
+from pelwedge.serretate import assemble_block
 from pelwedge.instances import (
     rand_element,
     rand_similitude_pair,

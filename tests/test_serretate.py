@@ -7,13 +7,15 @@ from dataclasses import replace
 
 import pytest
 import sympy
+from hypothesis import example, given
+from hypothesis import strategies as st
+from modint import ModInt
 
 from pelwedge import serretate
 from pelwedge.cli import main
 from pelwedge.exterior import compound, mat_mul
 from pelwedge.serretate import (
     DeformationParams,
-    ModInt,
     assemble_block,
     contract,
     generators,
@@ -115,10 +117,10 @@ def test_contract_shape_law():
 
 def test_verify_vzehn_symbolic():
     for b in range(1, 5):
-        row = sympy.symbols(f"x1:{b + 1}")
+        c1, *row = generators("c1", *(f"x{i}" for i in range(1, b + 1)))
         phi = DeformationParams(1, b, (tuple(row),))
         for k in range(1, b + 2):
-            assert verify_vzehn(b, k, phi)
+            assert verify_vzehn(b, k, phi, c1)
 
 
 def test_verify_vzehn_modint():
@@ -218,7 +220,7 @@ def test_vzehn_fails_on_a_perturbed_block_in_every_ring(monkeypatch):
     modulus = 3 ** 4
     inputs = [
         (c1, tuple(row)),
-        (None, tuple(sympy.symbols("x1:4"))),
+        (4, (5, 7, 11)),
         (ModInt(4, modulus), tuple(ModInt(v, modulus) for v in (5, 7, 11))),
     ]
     for one, params in inputs:
@@ -228,38 +230,94 @@ def test_vzehn_fails_on_a_perturbed_block_in_every_ring(monkeypatch):
         assert not verify_vzehn(b, k, DeformationParams(1, b, (params,)), c1=one)
 
 
-def test_vzehn_compares_sympy_input_as_polynomials(monkeypatch):
-    # a zero written unexpanded leaves the perturbed entry equal
-    perturb_wedge_block(monkeypatch, 3, 0, None, lambda x: (x + 1) ** 2 - x * x - 2 * x - 1)
-    phi = DeformationParams(1, 2, (tuple(sympy.symbols("x1:3")),))
-    assert verify_vzehn(2, 1, phi) and verify_vzehn(2, 2, phi)
-
-
 def _vdrei_base(c1, c):
     return assemble_block(c1, (tuple(c),), 1, len(c)).assembled
 
 
+def _monomial(gens, exponents):
+    out = 1
+    for x, e in zip(gens, exponents):
+        for _ in range(e):
+            out = out * x
+    return out
+
+
+def _from_sympy(expr, names):
+    """The Polynomial of a sympy expression in the named variables, built
+    term by term from sympy's own expansion."""
+    gens = generators(*names)
+    out = 0
+    for monomial, coeff in sympy.Poly(sympy.expand(expr), *sympy.symbols(names)).terms():
+        out = out + int(coeff) * _monomial(gens, monomial)
+    return out
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_ring_compound_equals_the_expanded_symbolic_compound(n):
-    # the polynomial ring replaced sympy.expand; the old path is the oracle
+    # sympy.expand of the compound over sympy symbols is the oracle
     names = [f"c{i}" for i in range(1, n + 1)]
     gens = generators(*names)
     symbols = sympy.symbols(names)
-    blocks = [(_vdrei_base(gens[0], gens[1:]), _vdrei_base(symbols[0], symbols[1:]))]
+    blocks = [(_vdrei_base(gens[0], gens[1:]), _vdrei_base(symbols[0], symbols[1:]), names)]
     if n <= 5:  # a Hankel matrix, whose minors merge and cancel terms
         hankel = [f"h{s}" for s in range(2 * n - 1)]
         blocks.append(tuple(
             tuple(tuple(h[i + j] for j in range(n)) for i in range(n))
             for h in (generators(*hankel), sympy.symbols(hankel))
-        ))
-    for ring_block, symbolic_block in blocks:
-        R = ring_block[0][0].ring
+        ) + (hankel,))
+    for ring_block, symbolic_block, block_names in blocks:
         for k in range(1, n + 1):
-            got = [R(x).as_expr() for row in compound(ring_block, k) for x in row]
+            got = [x for row in compound(ring_block, k) for x in row]
             expected = [
                 sympy.expand(x) for row in compound(symbolic_block, k) for x in row
             ]
-            assert got == expected
+            assert got == [_from_sympy(x, block_names) for x in expected]
+            assert list(map(str, got)) == list(map(str, expected))
+
+
+_NAMES = ("c1", "c2", "c10", "x")
+_TERMS = st.lists(
+    st.tuples(st.integers(-6, 6), st.tuples(*(st.integers(0, 3) for _ in _NAMES))),
+    max_size=5,
+)
+
+
+def _both(terms):
+    """One polynomial as a Polynomial and as an expanded sympy expression."""
+    gens, symbols = generators(*_NAMES), sympy.symbols(_NAMES)
+    poly, expr = 0, sympy.Integer(0)
+    for coeff, exponents in terms:
+        poly = poly + coeff * _monomial(gens, exponents)
+        expr += coeff * sympy.Mul(*(s**e for s, e in zip(symbols, exponents)))
+    return poly, sympy.expand(expr)
+
+
+@given(_TERMS, _TERMS, st.integers(-3, 3))
+# sympy prints a positive constant first only beside a negative multiple of
+# one variable's power: 1 - x, but -c1*x + 1
+@example([(1, (0, 0, 0, 1))], [(1, (0, 0, 0, 2))], 1)
+@example([(1, (1, 0, 0, 1))], [(3, (0, 0, 0, 0)), (1, (0, 0, 0, 1))], 1)
+def test_polynomial_arithmetic_agrees_with_sympy(left, right, n):
+    (a, A), (b, B) = _both(left), _both(right)
+    for got, want in [
+        (a + b, A + B), (a - b, A - B), (a * b, A * B), (-a, -A),
+        (a + n, A + n), (n - a, n - A), (n * a, n * A), (a * n, A * n),
+    ]:
+        assert got == _from_sympy(want, _NAMES)
+        assert str(got) == str(sympy.expand(want))
+    assert (a == b) == (sympy.expand(A - B) == 0)
+    assert (a == n) == (sympy.expand(A - n) == 0)
+    assert bool(a) == (A != 0)
+    assert not (a - a) and a - a == 0 and str(a - a) == "0"
+
+
+def test_polynomial_degree_stays_inside_the_exponent_field():
+    (x,) = generators("x")
+    for _ in range(15):
+        x = x * x
+    assert str(x) == "x**32768" and x.degree == 2**15
+    with pytest.raises(OverflowError):
+        x * x
 
 
 def test_block_suites_never_call_sympy_expand(monkeypatch):
