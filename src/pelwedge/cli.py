@@ -60,7 +60,8 @@ class Entry:
     option with its default (None: none), the options it requires, the
     least --n, the range k_span[0] <= --k <= n + k_span[1], the largest
     phi(--m) it accepts, and the largest rank C(n, n/2) * phi(m) of an
-    exterior power it may build (phi(m) = 1 when it reads no --m)."""
+    exterior power it may build, of --n and --m or of the `.pel` it reads
+    (phi(m) = 1 when it reads no m)."""
 
     defaults: dict
     required: tuple[str, ...] = ()
@@ -81,7 +82,10 @@ ENTRIES = {
     "verify prinz": Entry(
         {"n": 4, "m": (4, 5), "p": (3, 5, 7, 13), "trials": 200, **_HEADER}, rank_max=560
     ),
-    "verify prinz --input": Entry({"input": None, "k": None, **_HEADER}, ("input",), k_span=(0, 0)),
+    # the same bound, on the n and m of the `.pel`
+    "verify prinz --input": Entry(
+        {"input": None, "k": None, **_HEADER}, ("input",), k_span=(0, 0), rank_max=560
+    ),
     # the dense compound of the n x n block has rank^2 entries: 2000 keeps n <= 13
     "verify vdrei": Entry({"n": 7, "k": None, **_HEADER}, rank_max=2000),
     # heights b = 1 .. n-1, so the largest wedge block is again of an n x n block
@@ -157,6 +161,19 @@ def _ball_point(text: str, n: int) -> BallPoint:
     return BallPoint.of(coords, require_in_ball=False)
 
 
+def _rank_excess(name: str, rank_max: int, n: int, m: int | None) -> str | None:
+    """Why `name` refuses an exterior power of rank C(n, n/2) * phi(m)
+    (phi(m) = 1 when m is None), or None when it is within rank_max."""
+    degree = 1 if m is None else _totient(m)
+    # C(n, n/2) > 2^n / (n + 1) passes every bound long before n = 64
+    rank = math.comb(n, n // 2) * degree if n < 64 else math.inf
+    if rank <= rank_max:
+        return None
+    bound, got = ("C(n, n/2)", f"n={n}") if m is None else (
+        "C(n, n/2) * phi(m)", f"n={n} and phi({m}) = {degree}")
+    return f"{name} takes {bound} <= {rank_max}, got {got}"
+
+
 def resolve(args) -> argparse.Namespace:
     """Check every option of the chosen entry against `ENTRIES` and fill in
     its defaults, exiting 64 on the first bad one before any check runs.
@@ -207,16 +224,11 @@ def resolve(args) -> argparse.Namespace:
             )
         if "p" in opts and all(math.gcd(p, m) != 1 for p in opts["p"]):
             _usage_error(f"no --p value is coprime to m={m}")
-    if entry.rank_max is not None:
-        n = opts["n"]
+    if entry.rank_max is not None and "n" in opts:
         m = max(opts.get("m", ()), key=_totient, default=None)
-        degree = 1 if m is None else _totient(m)
-        # C(n, n/2) > 2^n / (n + 1) passes every bound long before n = 64
-        rank = math.comb(n, n // 2) * degree if n < 64 else math.inf
-        if rank > entry.rank_max:
-            bound, got = ("C(n, n/2)", f"n={n}") if m is None else (
-                "C(n, n/2) * phi(m)", f"n={n} and phi({m}) = {degree}")
-            _usage_error(f"{name} takes {bound} <= {entry.rank_max}, got {got}")
+        excess = _rank_excess(name, entry.rank_max, opts["n"], m)
+        if excess:
+            _usage_error(excess)
     if opts.get("x") is not None:
         opts["x"] = _ball_point(opts["x"], opts["n"])
 
@@ -226,6 +238,10 @@ def resolve(args) -> argparse.Namespace:
             opts["pel"] = load_pel_input(opts["input"])
         except OSError as exc:
             raise PelInputError(f"{opts['input']}: {exc.strerror}") from None
+        if entry.rank_max is not None:
+            excess = _rank_excess(name, entry.rank_max, opts["pel"].n, opts["pel"].field.m)
+            if excess:
+                raise PelInputError(f"{opts['input']}: {excess}")
     if opts.get("k") is not None:
         n = opts["pel"].n if opts["pel"] is not None else opts["n"]
         low, high = entry.k_span[0], n + entry.k_span[1]

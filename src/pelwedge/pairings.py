@@ -8,12 +8,14 @@ the only case accepted here).
 
 Each entry of psi is a linear functional of the integer numerators of one
 Psi_ij, evaluated with the Ramanujan sums tr(zeta^t), so building psi
-needs no field multiplication.  The valuation is decided by elimination
-mod p first, in numpy int64 with unit pivots: when p < 2^31, p shares no
-factor with D and the determinant is a unit residue, v_p(det) = 0 and the
-form is nondegenerate.  Only otherwise is the exact determinant computed,
-by fraction-free (Bareiss) elimination on the numerators, and its
-valuation returned.
+needs no field multiplication.  The valuation has one algorithm for every
+prime p: the numerators are eliminated over Z/p^e with unit pivots, and a
+block that p divides throughout is divided by p, adding its size to the
+valuation at the cost of one digit of precision.  e starts at 1, where a
+p-perfect form finishes without dividing, and doubles whenever the
+precision runs out; once p^e passes the Hadamard bound the determinant is
+0.  The residues live in numpy int64 while p^e < 2^31 and in Python ints
+above that.  The denominator adds -size * v_p(D).
 """
 
 from __future__ import annotations
@@ -21,16 +23,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
-from .cyclofield import CycloElement, CycloField, RamifiedPrimeError, _ramanujan_sum
+from .cyclofield import (
+    PRIME_LIMIT,
+    CycloElement,
+    CycloField,
+    RamifiedPrimeError,
+    _ramanujan_sum,
+    is_prime,
+)
 from .exterior import wedge_gram
 from .hodge import HermitianModule
-
-# residues below this bound multiply without overflow in int64
-_INT64_MODULUS_BOUND = 2**31
 
 
 class DegenerateForm(ArithmeticError):
@@ -144,32 +150,6 @@ def trace_gram(module: HermitianModule) -> TraceGram:
     return TraceGram.from_integers(field, n, tuple(rows), den)
 
 
-def _bareiss(nums) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination
-    (Bareiss 1968): after step k every entry is a minor of the input, so
-    the division by the previous pivot is exact."""
-    rows = [list(row) for row in nums]
-    size = len(rows)
-    sign, prev = 1, 1
-    for k in range(size):
-        pivot = next((r for r in range(k, size) if rows[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        head = rows[k]
-        lead = head[k]
-        for r in range(k + 1, size):
-            row = rows[r]
-            f = row[k]
-            row[k + 1 :] = [
-                (x * lead - f * y) // prev for x, y in zip(row[k + 1 :], head[k + 1 :])
-            ]
-        prev = lead
-    return sign * prev
-
-
 def _valuation(value: int, p: int) -> int:
     v = 0
     while value % p == 0:
@@ -178,59 +158,86 @@ def _valuation(value: int, p: int) -> int:
     return v
 
 
-def _unit_det_mod(nums, den: int, p: int) -> bool:
-    """True when det(nums / den) is certified a unit mod p.
+def _det_valuation_mod(nums, p: int, e: int) -> int | None:
+    """v_p(det nums) for a square integer matrix and a prime p, by
+    elimination over Z/p^e, or None when e is too small to decide it.
 
-    There is no certificate when p >= 2^31 or p shares a factor with den.
-    Otherwise the residues are eliminated in numpy int64 over Z/p with
-    unit pivots only, so a False answer is inconclusive when p is
-    composite.  Row order is irrelevant: only whether det is a unit is
-    decided."""
-    if p >= _INT64_MODULUS_BOUND or gcd(den, p) != 1:
-        return False
+    A unit pivot leaves the valuation of the remaining block unchanged; it
+    is taken from the pivot column when it has one, else from anywhere in
+    the block after a column swap.  When p divides every entry of the
+    block, det(block) = p^size * det(block / p), and block / p is known mod
+    p^(e-1).  None means such a block was met mod p, so p^e divides det."""
+    q = p**e
     size = len(nums)
-    a = np.array([[x % p for x in row] for row in nums], dtype=np.int64).reshape(size, size)
-    a = a * pow(den, -1, p) % p
-    # pivot rows and columns are reduced mod p, so each update subtracts
-    # products below p^2 < 2^62; the rest is reduced only before |a| could
-    # reach 2^63
-    bound = p  # every |entry| is below bound
-    for c in range(size):
-        units = np.flatnonzero(np.gcd(a[c:, c] % p, p) == 1)
-        if not units.size:
-            return False
-        r = c + int(units[0])
+    # residues below 2^31 multiply without overflow in int64; larger moduli
+    # run the same loop on Python ints
+    dtype = np.int64 if q < 2**31 else object
+    a = np.array([[x % q for x in row] for row in nums], dtype=dtype).reshape(size, size)
+    v = 0
+    # pivot rows and columns are reduced mod q, so each update subtracts
+    # products below q^2; the rest is reduced only before |a| could reach
+    # 2^63, which on Python ints (q^2 >= 2^62) is after every step
+    bound = q  # every |entry| is below bound
+    c = 0
+    while c < size:
+        units = np.flatnonzero(a[c:, c] % p)
+        if units.size:
+            r = c + int(units[0])
+        else:
+            block = a[c:, c:]
+            units = np.flatnonzero(block % p)
+            if not units.size:
+                if q == p:
+                    return None
+                block %= q  # so every |entry| is below q // p after the division
+                block //= p
+                q //= p
+                bound = q
+                v += size - c
+                continue
+            r, j = divmod(int(units[0]), size - c)
+            r += c
+            a[c:, [c, c + j]] = a[c:, [c + j, c]]
         if r != c:
             a[[c, r]] = a[[r, c]]
         # the pivot row scaled to a leading 1
-        tail = a[c, c + 1 :] % p * pow(int(a[c, c]) % p, -1, p) % p
+        tail = a[c, c + 1 :] % q * pow(int(a[c, c]) % q, -1, q) % q
         block = a[c + 1 :, c + 1 :]
-        block -= np.outer(a[c + 1 :, c] % p, tail)
-        bound += p * p
+        block -= np.outer(a[c + 1 :, c] % q, tail)
+        bound += q * q
         if bound >= 2**62:
-            block %= p
-            bound = p
-    return True
+            block %= q
+            bound = q
+        c += 1
+    return v
+
+
+def _det_valuation(nums, p: int) -> int:
+    """v_p(det nums) for a square integer matrix and a prime p.
+
+    The matrix is eliminated mod p, then mod p^2, p^4, ... until the
+    precision decides the valuation.  Once p^e passes the Hadamard bound,
+    p^e | det means det = 0, and DegenerateForm is raised."""
+    e, hadamard = 1, None
+    while (v := _det_valuation_mod(nums, p, e)) is None:
+        if hadamard is None:
+            hadamard = prod(sum(x * x for x in row) for row in nums)  # >= det^2
+        if p ** (2 * e) > hadamard:
+            raise DegenerateForm("trace gram is degenerate over Q")
+        e *= 2
+    return v
 
 
 def perfectness_valuation(gram: TraceGram, p: int) -> int:
-    """p-adic valuation of det; 0 certifies Z_(p)-perfectness in this basis.
-
-    A nonzero residue of det mod p proves the valuation is 0 (and that the
-    form is nondegenerate); only otherwise is the exact determinant computed."""
-    if p < 2:
-        raise ValueError(f"perfectness test requires p >= 2, got p={p}")
+    """p-adic valuation of det for a prime p (ValueError for any other p);
+    0 certifies Z_(p)-perfectness in this basis."""
+    if not (2 <= p < PRIME_LIMIT and is_prime(p)):
+        raise ValueError(f"perfectness test requires a prime p below 2^64, got p={p}")
     if gcd(p, gram.field.m) != 1:
         raise RamifiedPrimeError(
             f"perfectness test requires p coprime to m, got p={p}, m={gram.field.m}"
         )
-    if _unit_det_mod(gram.nums, gram.den, p):
-        return 0
-    d = Fraction(_bareiss(gram.nums), gram.den ** len(gram.nums))
-    if d == 0:
-        raise DegenerateForm("trace gram is degenerate over Q")
-    # in lowest terms, so a composite p counts the same powers as before
-    return _valuation(d.numerator, p) - _valuation(d.denominator, p)
+    return _det_valuation(gram.nums, p) - len(gram.nums) * _valuation(gram.den, p)
 
 
 @dataclass(frozen=True)

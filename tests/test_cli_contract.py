@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from pelwedge import cli
 from pelwedge.cli import ENTRIES, EXIT_INPUT, EXIT_USAGE, TABLE_KINDS, VERIFY_SUITES, main
+from pelwedge.cyclofield import all_cm_types, cyclo_field
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 ALLPASS = str(FIXTURES / "allpass.pel")
@@ -221,6 +222,36 @@ def test_sizes_past_the_rank_bound_are_refused_before_any_work(capsys, monkeypat
 def test_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "cmd_verify", lambda args, opts: 0)
     assert run(argv.split(), capsys)[0] == 0
+
+
+def diagonal_pel(tmp_path, m, n):
+    """A `.pel` over Q(zeta_m) with Psi1 = (zeta - zeta^-1) * I_n."""
+    field = cyclo_field(m)
+    x = [str(c) for c in (field.zeta - field.zeta.conj()).coords]
+    zero = ["0"] * field.degree
+    phi0, phin = all_cm_types(field)[:2]
+    return write_pel(
+        tmp_path, m=m, n=n, phi0=sorted(phi0.members), phin=sorted(phin.members),
+        gram0=[[x]], gram1=[[x if i == j else zero for j in range(n)] for i in range(n)],
+    )
+
+
+def test_pel_sizes_past_the_rank_bound_are_refused_before_any_work(capsys, monkeypatch, tmp_path):
+    # C(11, 5) * phi(4) = 924 > 560, the bound of random verify prinz
+    monkeypatch.setattr(cli, "cmd_verify", _no_work)
+    path = diagonal_pel(tmp_path, 4, 11)
+    code, out, err = run(["verify", "prinz", "--input", path, "--k", "1"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == (
+        f"input error: {path}: verify prinz --input takes C(n, n/2) * phi(m) <= 560, "
+        "got n=11 and phi(4) = 2\n"
+    )
+
+
+@pytest.mark.parametrize("m, n", [(8, 7), (16, 5), (8, 8)])  # 140, 80 and 280 rows
+def test_pel_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, tmp_path, m, n):
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, opts: 0)
+    assert run(["verify", "prinz", "--input", diagonal_pel(tmp_path, m, n)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize(
