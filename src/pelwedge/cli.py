@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -19,11 +18,12 @@ from dataclasses import dataclass
 from . import __version__
 from .cyclofield import (
     PRIME_LIMIT,
+    CMType,
     RamifiedPrimeError,
     _totient,
-    all_cm_types,
     check_spadesuit,
     cyclo_field,
+    degree_excess,
     is_conductor,
     is_prime,
 )
@@ -58,25 +58,23 @@ TABLE_KINDS = ("signatures", "traces", "weights", "embedding-matrix")
 class Entry:
     """What one verify suite or mode, table kind or command reads: each
     option with its default (None: none), the options it requires, the
-    least --n, the range k_span[0] <= --k <= n + k_span[1], the largest
-    phi(--m) it accepts, and the largest rank C(n, n/2) * phi(m) of an
-    exterior power it may build, of --n and --m or of the `.pel` it reads
-    (phi(m) = 1 when it reads no m)."""
+    least --n, the range k_span[0] <= --k <= n + k_span[1], and the largest
+    rank C(n, n/2) * phi(m) of an exterior power it may build, of --n and
+    --m or of the `.pel` it reads (phi(m) = 1 when it reads no m).  Every
+    --m and every `.pel` also keep phi(m) <= `DEGREE_MAX`."""
 
     defaults: dict
     required: tuple[str, ...] = ()
     n_min: int = 1
     k_span: tuple[int, int] = (1, 0)
-    degree_max: int | None = None
     rank_max: int | None = None
 
 
-_HEADER = {"seed": 0, "precision": None}  # every verify header records both
+_HEADER = {"seed": 0}  # every verify header records it
 _CSV = {"format": "csv"}
 
 ENTRIES = {
-    # all pairs of the 2^(phi/2) CM types: phi <= 16 keeps it to 256 types
-    "verify data": Entry({"n": 4, "m": (4, 5, 8), **_HEADER}, degree_max=16),
+    "verify data": Entry({"n": 4, "m": (4, 5, 8), **_HEADER}),
     # a random trial builds and certifies a trace form of up to that rank,
     # with rank^2 entries: 560 is m=16, n=8
     "verify prinz": Entry(
@@ -100,7 +98,7 @@ ENTRIES = {
     "table weights": Entry(
         {"n": None, "k": None, "case": None, **_CSV}, ("n", "k", "case"), k_span=(0, 0)
     ),
-    "table signatures": Entry({"input": None, "precision": None, **_CSV}, ("input",)),
+    "table signatures": Entry({"input": None, **_CSV}, ("input",)),
     "table embedding-matrix": Entry(
         {"n": None, "k": None, "x": None, **_CSV}, ("n", "k", "x"), n_min=2, k_span=(1, -1),
         rank_max=1716,
@@ -126,19 +124,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         _usage_error(message)
-
-
-def default_precision() -> int:
-    env = os.environ.get("PELWEDGE_PRECISION")
-    if not env:
-        return DEFAULT_PREC_BITS
-    try:
-        bits = int(env)
-    except ValueError:
-        bits = 0
-    if bits < 1:
-        _usage_error(f"PELWEDGE_PRECISION must be a positive integer, got {env!r}")
-    return bits
 
 
 def _entry_name(args) -> str:
@@ -197,12 +182,10 @@ def resolve(args) -> argparse.Namespace:
         if option in given:
             opts[option] = (given[option],)
 
-    for option, low in (("n", entry.n_min), ("trials", 1), ("precision", 1)):
+    for option, low in (("n", entry.n_min), ("trials", 1)):
         value = opts.get(option)
         if value is not None and value < low:
             _usage_error(f"--{option} must be at least {low}, got {value}")
-    if "precision" in opts and opts["precision"] is None:
-        opts["precision"] = default_precision()
     for p in opts["p"] if "p" in given else ():  # the default primes need no check
         if p < 2:
             _usage_error(f"--p must be at least 2, got {p}")
@@ -213,15 +196,9 @@ def resolve(args) -> argparse.Namespace:
     for m in opts.get("m", ()):
         if not is_conductor(m):
             _usage_error(f"--m must be at least 3 and not 2 mod 4, got {m}")
-        # phi(m) >= sqrt(m/2): past 2 * bound^2, m is refused without factoring
-        for bound, what in ((entry.degree_max, "phi(m)"), (entry.rank_max, "C(n, n/2) * phi(m)")):
-            if bound is not None and m > 2 * bound**2:
-                _usage_error(f"{name} takes {what} <= {bound}, got m={m} > 2 * {bound}^2")
-        if entry.degree_max is not None and _totient(m) > entry.degree_max:
-            _usage_error(
-                f"{name} takes phi(m) <= {entry.degree_max}, "
-                f"got phi({m}) = {_totient(m)}"
-            )
+        excess = degree_excess(m)
+        if excess:
+            _usage_error(f"{name} takes {excess}")
         if "p" in opts and all(math.gcd(p, m) != 1 for p in opts["p"]):
             _usage_error(f"no --p value is coprime to m={m}")
     if entry.rank_max is not None and "n" in opts:
@@ -250,29 +227,28 @@ def resolve(args) -> argparse.Namespace:
     return argparse.Namespace(**opts)
 
 
-# On each conjugate pair {u, m-u} of embeddings two CM types either agree,
-# which gives the cases BOTH and NEITHER, or disagree, which gives ONLY0 and
-# ONLYN; distinct types disagree somewhere.  So a pair of distinct types
-# meets either these two cases (phin = conj(phi0)) or all four.
-_CONJUGATE_CASES = frozenset({EmbeddingCase.ONLY0, EmbeddingCase.ONLYN})
-_ALL_CASES = frozenset(EmbeddingCase)
+def _case_representatives(field) -> tuple[int, list]:
+    """The number of ordered pairs of distinct CM types of `field`, and the
+    first such pair of each set of embedding cases that occurs, in the
+    order of `all_cm_types`.
 
-
-def _case_classes(types) -> tuple[int, list]:
-    """The number of ordered pairs of distinct CM types in `types` x `types`,
-    and the first such pair of each set of embedding cases that occurs, in
-    that order."""
-    pairs = 0
-    first = {}
-    for phi0 in types:
-        conj0 = phi0.conjugate().members
-        for phin in types:
-            if phi0.members == phin.members:
-                continue
-            pairs += 1
-            cases = _CONJUGATE_CASES if phin.members == conj0 else _ALL_CASES
-            first.setdefault(cases, (phi0, phin))
-    return pairs, list(first.values())
+    On each conjugate pair {u, m-u} of embeddings two CM types either
+    agree, which gives the cases BOTH and NEITHER, or disagree, which gives
+    ONLY0 and ONLYN; distinct types disagree somewhere.  So a pair of
+    distinct types meets either these two cases (phin = conj(phi0)) or all
+    four.  t0 takes the smaller residue u < m/2 of every pair, t1 flips
+    the first pair of t0 and conj(t0) flips them all: the first pair,
+    (t0, t1), meets all four cases unless there is only one conjugate
+    pair, and (t0, conj(t0)) is the first pair of conjugate types."""
+    m = field.m
+    smaller = [u for u in field.units if 2 * u < m]
+    h = 2 ** len(smaller)  # the number of CM types
+    t0 = CMType(field, frozenset(smaller))
+    conj0 = t0.conjugate()
+    if h == 2:  # t1 is conj(t0)
+        return 2, [(t0, conj0)]
+    t1 = CMType(field, t0.members ^ {smaller[0], m - smaller[0]})
+    return h * (h - 1), [(t0, t1), (t0, conj0)]
 
 
 def _suite_data(doc: ReportDocument, m_list, n_max: int) -> None:
@@ -284,7 +260,7 @@ def _suite_data(doc: ReportDocument, m_list, n_max: int) -> None:
     pair in pair order: the first pair of the first case set that fails."""
     for m in m_list:
         field = cyclo_field(m)
-        pairs, representatives = _case_classes(all_cm_types(field))
+        pairs, representatives = _case_representatives(field)
         for n in range(1, n_max + 1):
             for k in range(n + 1):
                 witness = None
@@ -431,7 +407,7 @@ def _suite_all(doc: ReportDocument, n: int | None, trials: int | None, seed: int
 def cmd_verify(args, opts) -> int:
     params = {"suite": args.suite} | {o: getattr(args, o) for o in ("n", "k", "m", "p", "trials")}
     doc = ReportDocument(
-        suite=args.suite, seed=opts.seed, precision_bits=opts.precision, params=params
+        suite=args.suite, seed=opts.seed, precision_bits=DEFAULT_PREC_BITS, params=params
     )
     pel = opts.pel
     doc.input_hash = pel.input_hash if pel else params_hash(params | {"seed": opts.seed})
@@ -477,10 +453,10 @@ def _emit_table(rows, fmt: str) -> None:
 def cmd_table(kind: str, opts) -> int:
     if kind == "traces":
         n = opts.n
-        rows = [
+        rows = (
             {"k": k, "coeff_phi0": binom(n - 1, k), "coeff_phin": binom(n - 1, k - 1)}
             for k in range(n + 1)
-        ]
+        )
     elif kind == "weights":
         ws = wedge_weights(EmbeddingCase(opts.case), opts.n, opts.k)
         rows = [
@@ -490,7 +466,7 @@ def cmd_table(kind: str, opts) -> int:
     elif kind == "signatures":
         rows = []
         for residue in opts.pel.field.units:
-            pos, neg = signature_at(opts.pel.gram1, residue, opts.precision)
+            pos, neg = signature_at(opts.pel.gram1, residue)
             rows.append({"embedding": residue, "p": pos, "q": neg})
     else:
         mat = satake_matrix(opts.x, opts.n, opts.k)

@@ -101,6 +101,23 @@ def is_conductor(m: int) -> bool:
     return m >= 3 and m % 4 != 2
 
 
+# The largest phi(m) of a field the CLI builds: random `verify prinz` takes
+# C(n, n/2) * phi(m) <= 560, which is phi(m) <= 560 at n = 1.
+DEGREE_MAX = 560
+
+
+def degree_excess(m: int) -> str | None:
+    """Why Q(zeta_m) is too large to build, phi(m) > `DEGREE_MAX`, or None.
+    Since phi(m) >= sqrt(m/2), an m above 2 * DEGREE_MAX^2 is refused
+    without factoring it."""
+    if m > 2 * DEGREE_MAX**2:
+        return f"phi(m) <= {DEGREE_MAX}, got m={m} > 2 * {DEGREE_MAX}^2"
+    degree = _totient(m)
+    if degree > DEGREE_MAX:
+        return f"phi(m) <= {DEGREE_MAX}, got phi({m}) = {degree}"
+    return None
+
+
 # Miller-Rabin on these bases decides every n < 3.18e23 (Sorenson-Webster)
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_LIMIT = 2**64

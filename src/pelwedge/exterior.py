@@ -77,18 +77,17 @@ def _laplace(minors: dict, row) -> dict:
     """Nonzero minors on the rows of `minors` plus one row below them.
 
     minors maps a column bitmask to the nonzero minor on those columns
-    ({0: 1} for no rows); row lists (column, entry) for its nonzero
-    entries.  The expansion is along the new last row: moving column c
-    past the chosen columns above it gives the sign."""
+    ({0: 1} for no rows); row lists (column, (entry, -entry)) for its
+    nonzero entries.  The expansion is along the new last row: the parity
+    of the chosen columns above column c picks the signed entry."""
     out = {}
     for cols, minor in minors.items():
-        for c, entry in row:
+        for c, signed in row:
             bit = 1 << c
             if cols & bit:
                 continue
+            entry = signed[(cols >> c).bit_count() & 1]
             term = entry * minor if cols else entry
-            if (cols >> c).bit_count() % 2:
-                term = -term
             key = cols | bit
             out[key] = out[key] + term if key in out else term
     return {key: value for key, value in out.items() if value}
@@ -108,7 +107,8 @@ def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
         return ((1,),)
-    rows = [[(c, entry) for c, entry in enumerate(row) if entry] for row in matrix]
+    # each entry with its negation, made once per row, not once per minor
+    rows = [[(c, (entry, -entry)) for c, entry in enumerate(row) if entry] for row in matrix]
     by_rows = {}
     # one (row prefix, its minors) per unfinished prefix that can still reach k rows
     stack = [((), {0: 1})]

@@ -54,9 +54,6 @@ class CMTraceVector:
             tuple(1 if k in phi.members else 0 for k in phi.field.units),
         )
 
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[self.field.units.index(k)]
-
     def __add__(self, other: "CMTraceVector") -> "CMTraceVector":
         if other.field != self.field:
             raise ValueError("vectors over different fields")
@@ -148,7 +145,7 @@ def verify_type11(n: int, k: int, phi0: CMType, phin: CMType) -> Type11Report:
     ok = True
     combined: dict[int, WeightMultiset] = {}
     minus10: dict[int, int] = {}
-    for residue in field.units:
+    for residue, coefficient in zip(field.units, derived.coeffs):
         case = case_of(residue, phi0, phin)
         tp, tq = twist_weights(residue in phi0.members, k)
         multiset: WeightMultiset = {}
@@ -160,7 +157,7 @@ def verify_type11(n: int, k: int, phi0: CMType, phin: CMType) -> Type11Report:
             ok = False
         mult10 = multiset.get((-1, 0), 0)
         minus10[residue] = mult10
-        if mult10 != derived.coefficient(residue):
+        if mult10 != coefficient:
             ok = False
         if sum(multiset.values()) != binom(n, k):
             ok = False
@@ -176,8 +173,9 @@ class HermitianModule:
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
+        # the (j, i) condition is the conjugate of the (i, j) one
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 if gram[j][i].conj() != -gram[i][j]:
                     raise ValueError("gram matrix is not *-skew-Hermitian")
         self.rank = n
@@ -265,15 +263,16 @@ def _sine_bounds(m: int, prec_bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(bounds)
 
 
-def imaginary_sign(x: CycloElement, k: int, prec_bits: int = DEFAULT_PREC_BITS) -> int:
+def imaginary_sign(x: CycloElement, k: int) -> int:
     """The sign of Im sigma_k(x) for a nonzero totally imaginary x.
 
     Im sigma_k(x) = sum_t num_t * sin(2 pi k t / m) / den.  The sum is
-    bounded exactly from the interval sines at `prec_bits` bits, and the
-    precision doubles until the bounds exclude 0; they do, since
+    bounded exactly from the interval sines at `DEFAULT_PREC_BITS` bits,
+    and the precision doubles until the bounds exclude 0; they do, since
     sigma_k(x) is a nonzero imaginary number."""
     m = x.field.m
     terms = [(c, k * t % m) for t, c in enumerate(x.num) if c]
+    prec_bits = DEFAULT_PREC_BITS
     while True:
         table = _sine_bounds(m, prec_bits)
         lo = hi = 0
@@ -292,33 +291,25 @@ def imaginary_sign(x: CycloElement, k: int, prec_bits: int = DEFAULT_PREC_BITS) 
         prec_bits *= 2
 
 
-def signature_at(
-    module: HermitianModule,
-    k: int,
-    prec_bits: int = DEFAULT_PREC_BITS,
-) -> tuple[int, int]:
+def signature_at(module: HermitianModule, k: int) -> tuple[int, int]:
     """Signature (positives, negatives) of the Hermitian matrix i*Psi_sigma.
 
     By Sylvester's law of inertia it is that of i*sigma_k(delta_j) over the
     `HermitianModule.diagonal`, and i*sigma_k(delta_j) = -Im
     sigma_k(delta_j) since delta_j is totally imaginary.  Each sign is
-    certified by `imaginary_sign`, starting at `prec_bits` bits."""
+    certified by `imaginary_sign`."""
     if math.gcd(k, module.field.m) != 1:
         raise ValueError(f"{k} is not a unit modulo {module.field.m}")
-    neg = sum(imaginary_sign(delta, k, prec_bits) > 0 for delta in module.diagonal())
+    neg = sum(imaginary_sign(delta, k) > 0 for delta in module.diagonal())
     return module.rank - neg, neg
 
 
-def compatible(
-    module: HermitianModule,
-    phi: CMTraceVector,
-    prec_bits: int = DEFAULT_PREC_BITS,
-) -> bool:
+def compatible(module: HermitianModule, phi: CMTraceVector) -> bool:
     """True iff p_sigma equals phi's coefficient at sigma, for every sigma."""
     if any(c < 0 or c > module.rank for c in phi.coeffs):
         raise ValueError("coefficients must lie in [0, rank]")
-    for k in module.field.units:
-        pos, _ = signature_at(module, k, prec_bits)
-        if pos != phi.coefficient(k):
+    for k, coefficient in zip(module.field.units, phi.coeffs):
+        pos, _ = signature_at(module, k)
+        if pos != coefficient:
             return False
     return True

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .cyclofield import PRIME_LIMIT, CMType, CycloField, cyclo_field, is_prime
+from .cyclofield import PRIME_LIMIT, CMType, CycloField, cyclo_field, degree_excess, is_prime
 from .hodge import HermitianModule
 
 SCHEMA_VERSION = "1"
@@ -187,6 +187,9 @@ def load_pel_input(path: str) -> PelInput:
     for key in ("m", "n", "p", "l"):
         if not isinstance(doc[key], int):
             raise PelInputError(f"{path}: key {key!r} must be an integer")
+    excess = degree_excess(doc["m"])
+    if excess:
+        raise PelInputError(f"{path}: m: need {excess}")
     try:
         field_obj = cyclo_field(doc["m"])
     except ValueError as exc:

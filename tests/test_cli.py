@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pelwedge import cli, hodge
 from pelwedge.cli import EXIT_INPUT, EXIT_USAGE, main
 from pelwedge.cyclofield import all_cm_types, cyclo_field
 from pelwedge.instances import rand_skew_hermitian
@@ -212,7 +213,9 @@ def test_table_signatures_of_a_degenerate_form(capsys, tmp_path, fixtures_dir):
         assert err == "input error: the gram matrix is degenerate over Q(zeta_4): rank 1 < 2\n"
 
 
-def test_table_signatures_from_a_low_starting_precision(capsys, tmp_path, fixtures_dir):
+def test_table_signatures_from_a_low_starting_precision(
+    capsys, monkeypatch, tmp_path, fixtures_dir
+):
     # 8 bits certify some signs of this form and the rest escalate: the rows stay
     F = cyclo_field(16)
     gram = rand_skew_hermitian(F, 12, random.Random(8))
@@ -220,7 +223,14 @@ def test_table_signatures_from_a_low_starting_precision(capsys, tmp_path, fixtur
     argv = ("table", "signatures", "--input", path, "--format", "records")
     code, default, _ = run(capsys, *argv)
     assert code == 0 and len(parse_jsonl(default)[1]) == 8
-    assert run(capsys, *argv, "--precision", "8") == (0, default, "")
+    bits = []
+    sine_bounds = hodge._sine_bounds
+    monkeypatch.setattr(
+        hodge, "_sine_bounds", lambda m, prec: bits.append(prec) or sine_bounds(m, prec)
+    )
+    monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 8)
+    assert run(capsys, *argv) == (0, default, "")
+    assert min(bits) == 8 and max(bits) > 8
 
 
 def test_records_are_printed_as_they_are_made(capsys):
@@ -236,6 +246,23 @@ def test_records_are_printed_as_they_are_made(capsys):
         '{"record":{"a":2,"status":"fail"}}\n'
         '{"summary":{"checks":2,"exit_code":1,"failed":1,"vacuous":0}}\n'
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "records"])
+def test_table_traces_prints_each_row_before_making_the_next(capsys, monkeypatch, fmt):
+    # each row makes two binomials: collect what stdout holds at every call
+    printed = []
+    binom = cli.binom
+    monkeypatch.setattr(
+        cli, "binom", lambda n, k: printed.append(capsys.readouterr().out) or binom(n, k)
+    )
+    assert main(["table", "traces", "--n", "3", "--format", fmt]) == 0
+    rest = capsys.readouterr().out
+    # a header and the rows k = 0..3, and in records a summary
+    assert len("".join(printed + [rest]).splitlines()) == {"csv": 5, "records": 6}[fmt]
+    # the first row is made before anything is printed, and each later row
+    # after the one before it (the first with the header) is out
+    assert [chunk.count("\n") for chunk in printed] == [0, 0, 2, 0, 1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "records"])
@@ -376,14 +403,6 @@ def test_input_errors(capsys, tmp_path):
     )
     code, _, err = run(capsys, "spadesuit", "--input", str(ramified))
     assert code == EXIT_INPUT
-
-
-def test_precision_env(capsys, monkeypatch):
-    monkeypatch.setenv("PELWEDGE_PRECISION", "200")
-    code, out, _ = run(capsys, "verify", "vdrei", "--n", "2")
-    assert code == 0
-    header, _, _ = parse_jsonl(out)
-    assert header["precision_bits"] == 200
 
 
 def test_params_hash_stable():

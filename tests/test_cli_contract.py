@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pelwedge import cli
+from pelwedge import cli, cyclofield, reporting
 from pelwedge.cli import ENTRIES, EXIT_INPUT, EXIT_USAGE, TABLE_KINDS, VERIFY_SUITES, main
 from pelwedge.cyclofield import all_cm_types, cyclo_field
 
@@ -61,14 +61,15 @@ def write_pel(tmp_path, **changes):
         f"verify data --input {ALLPASS}",
         "verify prinz --p 9 --trials 1",
         "verify prinz --p 2 --trials 1",
-        "verify data --m 105",
+        "verify data --m 1201",
         "table weights --n 3 --k 9 --case only0",
         "table embedding-matrix --n 3 --k 2 --x abc",
         "table embedding-matrix --n 3 --k 2 --x 0.3",
         "table embedding-matrix --n 1 --k 1 --x 0.3",
         "table traces --n -3",
         "table traces --n 3 --k 1",
-        f"table signatures --input {ALLPASS} --precision 0",
+        f"table signatures --input {ALLPASS} --precision 8",
+        "verify vdrei --n 1 --precision 128",
         f"table signatures --input {ALLPASS} --p 3",
         "table traces --n 2 --seed 4",
         f"spadesuit --input {ALLPASS} --l 7",
@@ -82,16 +83,9 @@ def test_bad_argv_is_a_usage_error(capsys, argv):
     assert err.splitlines()[-1].startswith("error: ")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
-def test_bad_precision_environment_is_a_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("PELWEDGE_PRECISION", value)
-    code, out, err = run(["verify", "vdrei", "--n", "1"], capsys)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert "PELWEDGE_PRECISION must be a positive integer" in err
-
-
-def test_empty_precision_environment_means_the_default(capsys, monkeypatch):
-    monkeypatch.setenv("PELWEDGE_PRECISION", "")
+def test_the_precision_environment_variable_is_not_read(capsys, monkeypatch):
+    # every sign is certified, so no starting precision is settable
+    monkeypatch.setenv("PELWEDGE_PRECISION", "abc")
     code, out, _ = run(["verify", "vdrei", "--n", "1"], capsys)
     assert code == 0
     assert json.loads(out.splitlines()[0])["header"]["precision_bits"] == 128
@@ -169,21 +163,29 @@ def test_equal_cm_types_are_an_input_error_for_spadesuit(capsys, tmp_path):
     assert "phi0 and phin must differ" in err
 
 
-def test_data_suite_refuses_large_fields_before_building_cm_types(capsys, monkeypatch):
-    def refuse(field):
-        raise AssertionError(f"all_cm_types called for m={field.m}")
+def _no_factoring(m):
+    raise AssertionError(f"phi({m}) computed")
 
-    monkeypatch.setattr(cli, "all_cm_types", refuse)
-    code, out, err = run(["verify", "data", "--m", "105"], capsys)
+
+def _no_field(m):
+    raise AssertionError(f"Q(zeta_{m}) built")
+
+
+@pytest.mark.parametrize("m, degree", [(1201, 1200), (1155 * 13, 5760), (569, 568)])
+def test_data_suite_refuses_large_fields_before_building_them(capsys, monkeypatch, m, degree):
+    monkeypatch.setattr(cli, "cyclo_field", _no_field)
+    code, out, err = run(["verify", "data", "--m", str(m), "--n", "1"], capsys)
     assert (code, out) == (EXIT_USAGE, "")
-    assert "phi(105) = 48" in err
+    assert err == f"error: verify data takes phi(m) <= 560, got phi({m}) = {degree}\n"
 
 
-def test_data_suite_accepts_phi_16(capsys, monkeypatch):
+@pytest.mark.parametrize("m", [105, 17, 1155, 2100])  # phi 48, 16, 480 and 480
+def test_data_suite_accepts_phi_up_to_560(capsys, monkeypatch, m):
     built = []
-    monkeypatch.setattr(cli, "all_cm_types", lambda field: built.append(field.m) or [])
-    code, _, _ = run(["verify", "data", "--m", "17", "--n", "1"], capsys)
-    assert (code, built) == (0, [17])
+    monkeypatch.setattr(cli, "cyclo_field", lambda m: built.append(m) or cyclo_field(m))
+    code, out, _ = run(["verify", "data", "--m", str(m), "--n", "2"], capsys)
+    assert (code, built) == (0, [m])
+    assert json.loads(out.splitlines()[-1])["summary"]["checks"] == 5
 
 
 def _no_work(args, opts):
@@ -248,6 +250,23 @@ def test_pel_sizes_past_the_rank_bound_are_refused_before_any_work(capsys, monke
     )
 
 
+@pytest.mark.parametrize("command", [["verify", "prinz"], ["table", "signatures"], ["spadesuit"]])
+@pytest.mark.parametrize("m, message", [
+    (1201, "m: need phi(m) <= 560, got phi(1201) = 1200"),
+    (10**30, f"m: need phi(m) <= 560, got m={10**30} > 2 * 560^2"),
+])
+def test_pel_fields_past_the_degree_bound_are_refused_before_they_are_built(
+    capsys, monkeypatch, tmp_path, command, m, message
+):
+    monkeypatch.setattr(reporting, "cyclo_field", _no_field)
+    if m > 2 * 560**2:
+        monkeypatch.setattr(cyclofield, "_totient", _no_factoring)
+    path = write_pel(tmp_path, m=m)
+    code, out, err = run([*command, "--input", path], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"input error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("m, n", [(8, 7), (16, 5), (8, 8)])  # 140, 80 and 280 rows
 def test_pel_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, tmp_path, m, n):
     monkeypatch.setattr(cli, "cmd_verify", lambda args, opts: 0)
@@ -288,23 +307,20 @@ def test_embedding_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch,
     assert run(argv.split(), capsys)[0] == 0
 
 
-def _no_factoring(m):
-    raise AssertionError(f"phi({m}) computed")
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
         ("verify data --m 1000000000000000000000001 --n 1",
-         "verify data takes phi(m) <= 16, got m=1000000000000000000000001 > 2 * 16^2"),
-        ("verify data --m 513", "got m=513 > 2 * 16^2"),
+         "verify data takes phi(m) <= 560, got m=1000000000000000000000001 > 2 * 560^2"),
+        ("verify data --m 627201", "got m=627201 > 2 * 560^2"),
         ("verify prinz --m 1000000000000000000000001 --trials 1",
-         "verify prinz takes C(n, n/2) * phi(m) <= 560, got m=1000000000000000000000001"),
+         "verify prinz takes phi(m) <= 560, got m=1000000000000000000000001"),
         ("verify prinz --m 627201 --n 1 --trials 1", "got m=627201 > 2 * 560^2"),
     ],
 )
 def test_huge_conductors_are_refused_without_factoring(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "_totient", _no_factoring)
+    monkeypatch.setattr(cyclofield, "_totient", _no_factoring)
     monkeypatch.setattr(cli, "cmd_verify", _no_work)
     code, out, err = run(argv.split(), capsys)
     assert (code, out) == (EXIT_USAGE, "")
@@ -313,11 +329,11 @@ def test_huge_conductors_are_refused_without_factoring(capsys, monkeypatch, argv
 
 
 def test_conductors_at_the_factoring_bound_are_still_factored(capsys, monkeypatch):
-    # 2 * 16^2 = 512 is the largest m whose phi(m) must be computed
+    # 2 * 560^2 = 627200 = 2^9 * 5^2 * 7^2 is the largest m whose phi(m) is computed
     monkeypatch.setattr(cli, "cmd_verify", _no_work)
-    code, out, err = run(["verify", "data", "--m", "512"], capsys)
+    code, out, err = run(["verify", "data", "--m", "627200"], capsys)
     assert (code, out) == (EXIT_USAGE, "")
-    assert "verify data takes phi(m) <= 16, got phi(512) = 256" in err
+    assert "verify data takes phi(m) <= 560, got phi(627200) = 215040" in err
 
 
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
@@ -338,7 +354,7 @@ def _settable(parser) -> dict[str, set[str]]:
 
 def test_each_command_declares_only_what_its_entries_read():
     settable = _settable(cli.build_parser())
-    assert sum(len(dests) for dests in settable.values()) == 18
+    assert sum(len(dests) for dests in settable.values()) == 16
     for command, dests in settable.items():
         read = set()
         for name, entry in ENTRIES.items():
@@ -360,7 +376,6 @@ VALUES = {
     "--m": SMALL,
     "--p": SMALL,
     "--seed": SMALL,
-    "--precision": SMALL,
     "--l": SMALL,
     "--trials": AT_MOST_3,
     "--input": st.sampled_from([ALLPASS, str(FIXTURES / "orbit_fail.pel"),

@@ -11,12 +11,12 @@ from pelwedge.reporting import ReportDocument
 MS = (3, 4, 5, 8, 12, 16)
 
 
-def brute_force_records(m_list, n_max, types_of=all_cm_types):
+def brute_force_records(m_list, n_max):
     """Every ordered pair of distinct CM types through `verify_type11`, the
     witness being the first failing pair."""
     records = []
     for m in m_list:
-        types = types_of(cyclo_field(m))
+        types = all_cm_types(cyclo_field(m))
         for n in range(1, n_max + 1):
             for k in range(n + 1):
                 pairs = fails = 0
@@ -110,34 +110,17 @@ def test_a_failing_case_gives_the_oracle_status_and_witness(monkeypatch, case):
         assert {r["m"] for r in failed} == set(MS)
 
 
-def conjugates_adjacent(field):
-    """All CM types, each followed by its conjugate: the first pair of
-    types is a conjugate pair, unlike in `all_cm_types` order."""
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 20, 21, 24, 28])
+def test_representatives_are_the_first_pair_of_each_case_set(m):
+    field = cyclo_field(m)
     types = all_cm_types(field)
-    out = []
-    for phi in types[: len(types) // 2]:
-        out += [phi, phi.conjugate()]
-    return out
-
-
-@pytest.mark.parametrize("case", [EmbeddingCase.NEITHER, EmbeddingCase.ONLYN])
-def test_the_witness_follows_the_type_order(monkeypatch, case):
-    wedge_weights = hodge.wedge_weights
-    monkeypatch.setattr(
-        hodge, "wedge_weights",
-        lambda c, n, k: {(2, 2): 1} if c is case and n == 3 else wedge_weights(c, n, k),
-    )
-    monkeypatch.setattr(cli, "all_cm_types", conjugates_adjacent)
-    records = suite_records(MS, 3)
-    assert records == brute_force_records(MS, 3, conjugates_adjacent)
-    witnesses = [(r["witness"]["phi0"], r["witness"]["phin"]) for r in records if "witness" in r]
-    assert witnesses
-    if case is EmbeddingCase.NEITHER:  # the conjugate first pair passes
-        assert all(len(set(phi0) & set(phin)) > 0 for phi0, phin in witnesses)
-
-
-def test_no_cm_types_give_records_of_no_pairs(monkeypatch):
-    monkeypatch.setattr(cli, "all_cm_types", lambda field: [])
-    records = suite_records((5,), 2)
-    assert [(r["pairs"], r["status"]) for r in records] == [(0, "pass")] * 5
-    assert all("witness" not in r for r in records)
+    pairs, first = 0, {}
+    for phi0 in types:
+        for phin in types:
+            if phi0.members != phin.members:
+                pairs += 1
+                cases = frozenset(hodge.case_of(u, phi0, phin) for u in field.units)
+                first.setdefault(cases, (phi0.members, phin.members))
+    got_pairs, representatives = cli._case_representatives(field)
+    assert got_pairs == pairs
+    assert [(phi0.members, phin.members) for phi0, phin in representatives] == list(first.values())

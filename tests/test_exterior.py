@@ -340,11 +340,16 @@ def test_compound_and_det_match_the_cofactor_oracle():
 
 def test_compound_computes_each_minor_once():
     calls = []
+    negated = []
 
     class Counted(int):
         def __mul__(self, other):
             calls.append(other)
             return int(self) * other
+
+        def __neg__(self):
+            negated.append(self)
+            return Counted(-int(self))
 
     # a Vandermonde matrix with increasing positive nodes has every minor
     # nonzero; each j-row minor is built from the (j-1)-row minors of one
@@ -352,6 +357,7 @@ def test_compound_computes_each_minor_once():
     vandermonde = [[Counted((i + 1) ** j) for j in range(7)] for i in range(7)]
     compound(vandermonde, 3)
     assert len(calls) == 15 * 7 * 6 + 35 * 21 * 5
+    assert len(negated) == 7 * 7  # each entry once, never a product
     calls.clear()
     det([row[:6] for row in vandermonde[:6]])
     assert len(calls) == sum(j * math.comb(6, j) for j in range(2, 7))

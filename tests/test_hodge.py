@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from pelwedge import hodge
-from pelwedge.cyclofield import all_cm_types, cm_type, cyclo_field
+from pelwedge.cyclofield import CycloElement, all_cm_types, cm_type, cyclo_field
 from pelwedge.exterior import det
 from pelwedge.hodge import (
     CMTraceVector,
@@ -132,6 +132,21 @@ def test_hermitian_module_validation(F4):
     HermitianModule(F4, [[i, F4.one], [-F4.one, i]])
 
 
+def test_hermitian_module_checks_each_unordered_pair_once(F8, monkeypatch):
+    gram = rand_skew_hermitian(F8, 4, random.Random(3))
+    conj = CycloElement.conj
+    calls = []
+    monkeypatch.setattr(CycloElement, "conj", lambda x: calls.append(x) or conj(x))
+    HermitianModule(F8, gram)
+    assert len(calls) == 4 * 5 // 2
+    monkeypatch.undo()
+    for i, j in ((1, 0), (0, 1), (2, 2), (3, 0)):  # a bad entry on either side is refused
+        broken = [list(row) for row in gram]
+        broken[i][j] = broken[i][j] + F8.one
+        with pytest.raises(ValueError, match="not \\*-skew-Hermitian"):
+            HermitianModule(F8, broken)
+
+
 def test_signature_examples(F4):
     i = F4.zeta
     assert signature_at(HermitianModule(F4, [[i]]), 1) == (0, 1)
@@ -231,16 +246,18 @@ def test_low_starting_precision_escalates(monkeypatch):
         return sine_bounds(m, prec_bits)
 
     monkeypatch.setattr(hodge, "_sine_bounds", recording)
-    low = [signature_at(module, k, 8) for k in F.units]
+    monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 8)
+    low = [signature_at(module, k) for k in F.units]
     assert min(bits) == 8 and max(bits) > 8
     monkeypatch.undo()
     assert low == [signature_at(module, k) for k in F.units]
 
 
-def test_imaginary_sign(F5):
+def test_imaginary_sign(F5, monkeypatch):
     x = F5.zeta - F5.zeta.conj()  # 2i sin(2 pi k / 5) under sigma_k
     assert [imaginary_sign(x, k) for k in F5.units] == [1, 1, -1, -1]
-    assert imaginary_sign(x * Fraction(1, 10**40), 1, 8) == 1
+    monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 8)
+    assert imaginary_sign(x * Fraction(1, 10**40), 1) == 1
 
 
 def test_signature_conjugation_swap(F4, F5, F8):
