@@ -7,16 +7,29 @@ monic m-th cyclotomic polynomial; each Galois automorphism
 sigma_a : zeta -> zeta^a, the CM involution sigma_(m-1) among them, is an
 integer change of coordinates, and the inverse is the product of the
 other conjugates over the norm.  Everything here is immutable and exact.
+
+A matrix over the field is a `CycloMatrix`: one integer array of shape
+(rows, cols, phi(m)) over one positive denominator.  `CycloField` turns
+the same power tables into three integer matrices, built on first use,
+through which whole arrays are multiplied (`dot`), conjugated
+(`conjugate`) and traced against every power of zeta (`shifted_traces`).
+Each of these stages runs in numpy int64 only when a bound taken from the
+actual largest |entry| of its inputs proves that no intermediate value
+reaches 2^63, and otherwise runs the same code on Python ints (object
+dtype).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
+
+import numpy as np
 
 
 class RamifiedPrimeError(ValueError):
@@ -138,6 +151,58 @@ def is_prime(n: int) -> bool:
     )
 
 
+INT64_LIMIT = 2**63
+
+
+def exact_dtype(bound: int):
+    """int64 when `bound` < 2^63 bounds every |value| a stage makes, else
+    object dtype, which holds Python ints."""
+    return np.int64 if bound < INT64_LIMIT else object
+
+
+def magnitude(a: np.ndarray) -> int:
+    """The largest |entry| of an integer array as a Python int, 0 if empty."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def integer_array(values) -> np.ndarray:
+    """Nested sequences of ints as one array: int64 when every entry fits,
+    else object dtype.  An integer ndarray is returned as it is."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def lowest_terms(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """(nums / g, den / g) for g = gcd(den, *nums); an all-zero nums gets
+    the denominator 1."""
+    if den == 1:
+        return nums, 1
+    content = int(np.gcd.reduce(nums, axis=None)) if nums.size else 0
+    if not content:
+        return nums, 1
+    g = math.gcd(den, content)
+    return (nums // g, den // g) if g != 1 else (nums, den)
+
+
+class _IntegerMap:
+    """x -> x @ matrix on the last axis of integer arrays.  `bound` is the
+    largest column sum of |matrix|, so |x @ matrix| <= bound * max|x| and
+    every partial sum of the product stays below that too."""
+
+    def __init__(self, matrix: np.ndarray, bound: int | None = None):
+        self.matrix = matrix
+        self.bound = magnitude(np.abs(matrix).sum(axis=0)) if bound is None else bound
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """x @ matrix, in int64 when bound * max|x| < 2^63."""
+        dtype = exact_dtype(self.bound * magnitude(x))
+        return x.astype(dtype, copy=False) @ self.matrix.astype(dtype, copy=False)
+
+
 class CycloField:
     """The cyclotomic field Q(zeta_m), m >= 3 and m != 2 (mod 4)."""
 
@@ -220,6 +285,55 @@ class CycloField:
                 for j in range(self.degree)
             )
         return terms
+
+    @cached_property
+    def _products(self) -> _IntegerMap:
+        """Row s is zeta^s, s < 2*degree - 1: a convolution of numerators
+        times it is the product.  Its bound is max_t sum_s w_s |zeta^s_t|,
+        with w_s = min(s + 1, 2*degree - 1 - s) the number of terms of
+        convolution coefficient s, so |x*y| <= bound * max|x| * max|y|; the
+        bound is at least degree, which bounds each coefficient too."""
+        d = self.degree
+        table = integer_array(self._zeta_powers[: 2 * d - 1])
+        weights = np.minimum(np.arange(1, 2 * d), np.arange(2 * d - 1, 0, -1))
+        return _IntegerMap(table, magnitude(np.abs(table).T.astype(object) @ weights))
+
+    @cached_property
+    def conjugate(self) -> _IntegerMap:
+        """Numerators of the CM conjugates of a numerator array (last axis
+        degree): row j of the map is conj(zeta^j) = zeta^(-j), as `conj`
+        reads it from the automorphism sigma_(m-1)."""
+        table = np.zeros((self.degree, self.degree), dtype=object)
+        for j, terms in enumerate(self._automorphism(self.m - 1)):
+            for t, c in terms:
+                table[j, t] = c
+        return _IntegerMap(integer_array(table))
+
+    @cached_property
+    def shifted_traces(self) -> _IntegerMap:
+        """tr(zeta^s * x) * den for s = 1 - degree .. degree - 1 along the
+        last axis, for a numerator array x over den: entry (t, s + degree
+        - 1) of the map is tr(zeta^(t + s)), gathered from the m Ramanujan
+        sums."""
+        m, d = self.m, self.degree
+        sums = integer_array([_ramanujan_sum(m, t) for t in range(m)])
+        return _IntegerMap(sums[(np.arange(d)[:, None] + np.arange(1 - d, d)) % m])
+
+    def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Numerators of the sums over axis -2 of the products x * y, for
+        numerator arrays x and y of shape (..., terms, degree), the other
+        axes broadcast.  It runs in int64 when terms * bound * max|x| *
+        max|y| < 2^63, else on Python ints."""
+        d = self.degree
+        products = self._products
+        terms = max(x.shape[-2], y.shape[-2])
+        dtype = exact_dtype(terms * products.bound * magnitude(x) * magnitude(y))
+        # outer[..., i, j] = sum over the terms of x_i * y_j
+        outer = np.swapaxes(x.astype(dtype, copy=False), -1, -2) @ y.astype(dtype, copy=False)
+        conv = np.zeros(outer.shape[:-2] + (2 * d - 1,), dtype=dtype)
+        for i in range(d):
+            conv[..., i : i + d] += outer[..., i, :]
+        return conv @ products.matrix.astype(dtype, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -407,6 +521,81 @@ class CycloElement:
                 else:
                     terms.append(f"{c}*z^{j}")
         return " + ".join(terms) if terms else "0"
+
+
+class CycloMatrix(Sequence):
+    """A matrix over Q(zeta_m) as one integer array `nums` of shape
+    (rows, cols, phi(m)), the power-basis numerators of every entry, over
+    one positive denominator `den`, in lowest terms: gcd(den, *nums) = 1,
+    and den = 1 when every entry is 0.
+
+    It reads as a sequence of rows, each a tuple of CycloElements, made on
+    first read; it equals any sequence of equal rows."""
+
+    __slots__ = ("field", "nums", "den", "_rows")
+
+    def __init__(self, field: CycloField, nums: np.ndarray, den: int = 1):
+        if nums.ndim != 3 or nums.shape[2] != field.degree:
+            raise ValueError(f"expected an array of shape (rows, cols, {field.degree})")
+        self.field = field
+        self.nums, self.den = lowest_terms(nums, den)
+        self._rows = None
+
+    @classmethod
+    def of(cls, field: CycloField, rows) -> "CycloMatrix":
+        """rows as a CycloMatrix over field: a CycloMatrix is returned as it
+        is, and rows of CycloElements, ints or Fractions are packed over
+        the least common denominator of their entries."""
+        if isinstance(rows, CycloMatrix):
+            if rows.field != field:
+                raise ValueError("elements of different fields")
+            return rows
+        rows = [[x if isinstance(x, CycloElement) else field.from_rational(x) for x in row]
+                for row in rows]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("rows of different lengths")
+        if any(x.field != field for row in rows for x in row):
+            raise ValueError("elements of different fields")
+        den = math.lcm(*(x.den for row in rows for x in row))
+        nums = integer_array([
+            [x.num if x.den == den else [c * (den // x.den) for c in x.num] for x in row]
+            for row in rows
+        ]).reshape(len(rows), len(rows[0]) if rows else 0, field.degree)
+        matrix = cls(field, nums, den)
+        matrix._rows = tuple(map(tuple, rows))
+        return matrix
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.nums.shape[:2]
+
+    def _elements(self) -> tuple[tuple[CycloElement, ...], ...]:
+        if self._rows is None:
+            field, den = self.field, self.den
+            self._rows = tuple(
+                tuple(CycloElement(field, tuple(x), den) for x in row)
+                for row in self.nums.tolist()
+            )
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.nums.shape[0]
+
+    def __getitem__(self, i):
+        return self._elements()[i]
+
+    def __eq__(self, other):
+        if isinstance(other, CycloMatrix):
+            return (
+                other.field == self.field
+                and other.den == self.den
+                and np.array_equal(other.nums, self.nums)
+            )
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._elements() == tuple(map(tuple, other))
+
+    __hash__ = None
 
 
 def trace_LQ(x: CycloElement) -> Fraction:

@@ -1,23 +1,41 @@
 """Subset indexing, compound (exterior-power) matrices, removal
 matrices, wedge Gram construction, and the induced similitude map.
 
-All arithmetic here is exact and ring-generic: entries may be ints,
-Fractions, CycloElements, `serretate.Polynomial`s or sympy expressions,
-as long as they support +, -, * and truthiness-as-nonzero.  `compound`
-computes each minor once, by Laplace expansion from the minors on one
-row fewer, and `det` is its n x n case.  `colex_subsets` is the one
-subset order and `removal_entries` the one builder of the +-x_{i_nu}
-matrices of the deformation blocks and the ball embedding, which
-`removal_matrix` makes dense.
+All arithmetic here is exact.  `compound` computes each minor once, by
+Laplace expansion from the minors on one row fewer, and `det` is its
+n x n case.  It takes one of two paths, chosen from the entries:
+
+- Over L = Q(zeta_m), a `CycloMatrix` or rows holding a CycloElement, the
+  minors are built by levels on one integer array (rows, cols, phi(m)):
+  level j+1 is one gather from level j and from the matrix, one batched
+  product through the field's power table and one sum over the j+1 terms
+  of the expansion along the last row.  The gather indices are cached per
+  (n, k).  A level runs in int64 when (j+1) * bound * max|A| * max|M_j|
+  < 2^63, from the actual largest entries of the matrix A and of level
+  j and the field's product bound, and on Python ints otherwise.
+- Over any other commutative ring (ints, Fractions, `serretate.Polynomial`s
+  or sympy expressions, with +, -, * and truthiness-as-nonzero), `_laplace`
+  keeps only the nonzero minors in a dict per row prefix.  The Serre-Tate
+  blocks are sparse, and dense levels would enumerate all C(n, j)^2 minors
+  of each of them.
+
+`wedge_gram` is the L path followed by one more product, by psi0^(1-k),
+and returns a `CycloMatrix`; `multiplier` stays on CycloElements.
+`colex_subsets` is the one subset order and `removal_entries` the one
+builder of the +-x_{i_nu} matrices of the deformation blocks and the ball
+embedding, which `removal_matrix` makes dense.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, repeat
 
-from .cyclofield import CycloElement
+import numpy as np
+
+from .cyclofield import CycloElement, CycloMatrix, integer_array
 
 
 class NotASimilitude(ArithmeticError):
@@ -93,18 +111,37 @@ def _laplace(minors: dict, row) -> dict:
     return {key: value for key, value in out.items() if value}
 
 
-def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
+def compound(matrix, k: int):
     """Matrix of k x k minors in SubsetIndex order (the k-th compound).
 
-    Each minor is computed once: the minors on rows P + (r,) come from the
-    minors on rows P by Laplace expansion along row r, walking the row
-    prefixes depth first.  Only multiplication, addition and negation are
-    used, so any commutative ring works; a vanishing minor is the int 0."""
+    Over L (a `CycloMatrix`, or rows with a CycloElement among their
+    entries) the minors are built by levels on one array and returned as a
+    CycloMatrix.  Over any other commutative ring each minor is computed
+    once: the minors on rows P + (r,) come from the minors on rows P by
+    Laplace expansion along row r, walking the row prefixes depth first.
+    Only multiplication, addition and negation are used, and a vanishing
+    minor is the int 0."""
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
+    if isinstance(matrix, CycloMatrix):
+        square = matrix.shape == (n, n)
+    else:
+        square = all(len(row) == n for row in matrix)
+        field = next((x.field for row in matrix for x in row if isinstance(x, CycloElement)), None)
+        if square and field is not None:
+            matrix = CycloMatrix.of(field, matrix)
+    if not square:
         raise ValueError("compound requires a square matrix")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if isinstance(matrix, CycloMatrix):
+        return _field_compound(matrix, k)
+    return _ring_compound(matrix, k)
+
+
+def _ring_compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
+    """The k-th compound of a square matrix over any commutative ring, by
+    `_laplace` on the nonzero minors of each row prefix."""
+    n = len(matrix)
     if k == 0:
         return ((1,),)
     # each entry with its negation, made once per row, not once per minor
@@ -126,6 +163,61 @@ def compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
         tuple(map(by_rows[tuple(i - 1 for i in I)].get, masks, repeat(0)))
         for I in order
     )
+
+
+def _frozen(values) -> np.ndarray:
+    a = np.array(values, dtype=np.intp)
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _levels(n: int, k: int):
+    """Gather indices of the compound by levels, for an n x n matrix.
+
+    Level j holds the minors on the colex j-subsets R of the rows {0..n-1}
+    that can still grow to k rows (max R < n - k + j) and on every colex
+    j-subset of the columns.  The minor on R and J at level j+1 expands
+    along the last row r = R[-1]: it is the sum over nu of
+    (-1)^(j+nu) * A[r, J[nu]] * minor(R - {r}, J - {J[nu]}).  Each step is
+    (last, rest, entry, rest_cols, signs): last[R] = r and rest[R] the index
+    of R - {r} at level j; entry[J, nu] = J[nu] and rest_cols[J, nu] the
+    index of J - {J[nu]}.  At level k every k-subset is a row, so rows
+    and columns share one colex order, and `order` maps SubsetIndex order
+    to it."""
+    steps = []
+    rows = [()]
+    cols = [()]
+    for j in range(k):
+        row_index = {R: i for i, R in enumerate(rows)}
+        col_index = {J: i for i, J in enumerate(cols)}
+        rows = [R for R in colex_subsets(range(n), j + 1) if R[-1] < n - k + j + 1]
+        cols = colex_subsets(range(n), j + 1)
+        steps.append((
+            _frozen([R[-1] for R in rows]),
+            _frozen([row_index[R[:-1]] for R in rows]),
+            _frozen(cols),
+            _frozen([[col_index[J[:nu] + J[nu + 1 :]] for nu in range(j + 1)] for J in cols]),
+            _frozen([(-1) ** (j + nu) for nu in range(j + 1)]),
+        ))
+    position = {J: i for i, J in enumerate(cols)}
+    order = _frozen([position[tuple(i - 1 for i in I)] for I in SubsetIndex.build(n, k).order])
+    return tuple(steps), order
+
+
+def _field_compound(matrix: CycloMatrix, k: int) -> CycloMatrix:
+    """The k-th compound over L, level by level (see `_levels`); minors
+    of j rows are numerators over den^j."""
+    field = matrix.field
+    a = matrix.nums
+    minors = np.zeros((1, 1, field.degree), dtype=np.int64)
+    minors[0, 0, 0] = 1
+    steps, order = _levels(len(matrix), k)
+    for last, rest, entry, rest_cols, signs in steps:
+        terms = a[last[:, None, None], entry] * signs[:, None]
+        below = minors[rest[:, None, None], rest_cols]
+        minors = field.dot(terms, below)
+    return CycloMatrix(field, minors[order][:, order], matrix.den**k)
 
 
 def det(matrix) -> object:
@@ -160,22 +252,23 @@ def conj_transpose(matrix):
     )
 
 
-def scalar_mul(scalar, matrix):
-    return tuple(tuple(scalar * entry for entry in row) for row in matrix)
-
-
-def wedge_gram(psi0: CycloElement, psi1, k: int):
+def wedge_gram(psi0: CycloElement, psi1, k: int) -> CycloMatrix:
     """psi0^(1-k) times the k-th compound of psi1: entry (I,J) = psi0^(1-k) * det(psi1[I,J]).
 
     With a Gram pair this is the wedge Gram; with a similitude pair
-    (gamma0, gamma1) it is the induced similitude map `g_k`."""
+    (gamma0, gamma1) it is the induced similitude map `g_k`.  psi1 is a
+    CycloMatrix or rows over psi0's field; the compound takes the array
+    path, and the scaling is one more product of the whole array."""
     if not psi0:
         raise ValueError("psi0 must be nonzero")
     n = len(psi1)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    field = psi0.field
+    minors = compound(CycloMatrix.of(field, psi1), k)
     factor = psi0 ** (1 - k)
-    return scalar_mul(factor, compound(psi1, k))
+    nums = field.dot(minors.nums[..., None, :], integer_array([factor.num]))
+    return CycloMatrix(field, nums, minors.den * factor.den)
 
 
 # the induced similitude map gamma0^(1-k) * Lambda^k gamma1

@@ -1,6 +1,13 @@
 """CM-trace vectors, signatures of skew-Hermitian forms, and the
 weight-multiset bookkeeping for exterior powers.
 
+A `HermitianModule` holds its Gram matrix as a `CycloMatrix`, one
+(rank, rank, phi(m)) integer array over one denominator, and checks
+skew-Hermitian symmetry on that array in int64 when the conjugation
+bound times the largest |entry| is below 2^63, else on Python ints.  The
+signatures stay on CycloElements: `congruence_diagonal` eliminates over
+L entry by entry on the element view of the gram.
+
 The central check is `verify_type11`: combining the per-embedding wedge
 weight table with the twist table must land every weight in
 {(-1,0),(0,-1)}, with (-1,0)-multiplicity given by the derived trace
@@ -15,10 +22,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclofield import (
     CMType,
     CycloElement,
     CycloField,
+    CycloMatrix,
 )
 
 DEFAULT_PREC_BITS = 128  # starting precision of the certified embedding signs
@@ -165,20 +175,29 @@ def verify_type11(n: int, k: int, phi0: CMType, phin: CMType) -> Type11Report:
 
 
 class HermitianModule:
-    """Free O_L-lattice with a *-skew-Hermitian Gram matrix."""
+    """Free O_L-lattice with a *-skew-Hermitian Gram matrix.
+
+    `gram` is a `CycloMatrix`: the numerators of every entry in one
+    (rank, rank, phi(m)) integer array over one denominator, read as rows
+    of CycloElements only by the paths that stay on elements (the
+    congruence diagonal and so the signatures).  The gram may be given
+    as a CycloMatrix or as rows of CycloElements.  Skew-Hermitian symmetry,
+    conj(Psi)^T = -Psi, is one comparison of numerator arrays through the
+    field's conjugation matrix."""
 
     def __init__(self, field: CycloField, gram):
-        self.field = field
-        gram = tuple(tuple(entry for entry in row) for row in gram)
-        n = len(gram)
-        if any(len(row) != n for row in gram):
+        if isinstance(gram, CycloMatrix):
+            square = gram.shape[0] == gram.shape[1]
+        else:
+            gram = [list(row) for row in gram]
+            square = all(len(row) == len(gram) for row in gram)
+        if not square:
             raise ValueError("gram matrix must be square")
-        # the (j, i) condition is the conjugate of the (i, j) one
-        for i in range(n):
-            for j in range(i, n):
-                if gram[j][i].conj() != -gram[i][j]:
-                    raise ValueError("gram matrix is not *-skew-Hermitian")
-        self.rank = n
+        gram = CycloMatrix.of(field, gram)
+        if not np.array_equal(field.conjugate(gram.nums).transpose(1, 0, 2), -gram.nums):
+            raise ValueError("gram matrix is not *-skew-Hermitian")
+        self.field = field
+        self.rank = len(gram)
         self.gram = gram
         self._diagonal = None
 

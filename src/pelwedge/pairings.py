@@ -1,21 +1,25 @@
 """Rational trace forms of skew-Hermitian Grams and p-integral perfectness.
 
 The trace form psi = tr_{L/Q} Psi is an antisymmetric rational matrix in
-the basis {zeta^a e_i}, held as integer numerators over one common
-denominator D; perfectness at p is certified by the p-adic valuation of
-its determinant (equivalent to self-duality at unramified p, which is
-the only case accepted here).
+the basis {zeta^a e_i}, held as one integer array of numerators over one
+common denominator D; perfectness at p is certified by the p-adic
+valuation of its determinant (equivalent to self-duality at unramified p,
+which is the only case accepted here).
 
 Each entry of psi is a linear functional of the integer numerators of one
 Psi_ij, evaluated with the Ramanujan sums tr(zeta^t), so building psi
-needs no field multiplication.  The valuation has one algorithm for every
-prime p: the numerators are eliminated over Z/p^e with unit pivots, and a
-block that p divides throughout is divided by p, adding its size to the
-valuation at the cost of one digit of precision.  e starts at 1, where a
-p-perfect form finishes without dividing, and doubles whenever the
-precision runs out; once p^e passes the Hadamard bound the determinant is
-0.  The residues live in numpy int64 while p^e < 2^31 and in Python ints
-above that.  The denominator adds -size * v_p(D).
+needs no field multiplication: it is one matmul of the gram's
+(n, n, phi(m)) numerator array with the field's shift table, in int64
+when the table's bound times the largest |numerator| is below 2^63 and
+on Python ints otherwise, then one gather.  The valuation has one
+algorithm for every prime p: the numerators are eliminated over Z/p^e
+with unit pivots, and a block that p divides throughout is divided by p,
+adding its size to the valuation at the cost of one digit of precision.
+e starts at 1, where a p-perfect form finishes without dividing, and
+doubles whenever the precision runs out, up to e_H, the least e with
+p^(2e) above the Hadamard bound H >= det^2; a determinant that p^e_H
+divides is 0.  The residues live in numpy int64 while p^e < 2^31 and in
+Python ints above that.  The denominator adds -size * v_p(D).
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ import numpy as np
 
 from .cyclofield import (
     PRIME_LIMIT,
-    CycloElement,
     CycloField,
     RamifiedPrimeError,
-    _ramanujan_sum,
+    integer_array,
     is_prime,
+    lowest_terms,
 )
 from .exterior import wedge_gram
 from .hodge import HermitianModule
@@ -67,7 +71,7 @@ class FractionRows(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(len(self))[i])
-        return tuple(Fraction(x, self._den) for x in self._nums[i])
+        return tuple(Fraction(x, self._den) for x in self._nums[i].tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -80,31 +84,27 @@ class FractionRows(Sequence):
 class TraceGram:
     """tr_{L/Q} Psi in the basis {zeta^a e_i}, row index a*n + i.
 
-    The entries are the integers `nums` over the positive denominator
+    The entries are the integer array `nums` over the positive denominator
     `den`, in lowest terms (den is the least common denominator of the
     entries); `matrix` reads the same form as rows of Fractions.
     TraceGram(field, rank, matrix) takes rational rows."""
 
     def __init__(self, field: CycloField, rank: int, matrix):
         nums, den = _integer_matrix(matrix)
-        self._set(field, rank, nums, den)
+        self._set(field, rank, integer_array(nums), den)
 
     @classmethod
     def from_integers(cls, field: CycloField, rank: int, nums, den: int) -> "TraceGram":
-        """The form nums / den, for integer rows nums and den > 0."""
-        g = gcd(den, *(x for row in nums for x in row))
-        if g != 1:
-            nums = tuple(tuple(x // g for x in row) for row in nums)
-            den //= g
+        """The form nums / den, for an integer matrix nums and den > 0."""
         gram = cls.__new__(cls)
-        gram._set(field, rank, nums, den)
+        gram._set(field, rank, *lowest_terms(integer_array(nums), den))
         return gram
 
     def _set(self, field, rank, nums, den) -> None:
         size = field.degree * rank
-        if len(nums) != size or any(len(r) != size for r in nums):
+        if nums.shape != (size, size):
             raise ValueError("trace gram has the wrong size")
-        if list(zip(*nums)) != [tuple(-x for x in row) for row in nums]:
+        if not np.array_equal(nums.T, -nums):
             raise ValueError("trace gram is not antisymmetric")
         self.field = field
         self.rank = rank
@@ -116,38 +116,23 @@ class TraceGram:
         return FractionRows(self.nums, self.den)
 
 
-def _shifted_traces(x: CycloElement, shift_rows, scale: int) -> list[int]:
-    """scale * x.den * tr(zeta^s * x) for s = 1-d .. d-1, where
-    shift_rows[t] lists tr(zeta^(t+s)) over the same s."""
-    out = [0] * len(shift_rows[0])
-    for c, row in zip(x.num, shift_rows):
-        if c:
-            c *= scale
-            out = [acc + c * tr for acc, tr in zip(out, row)]
-    return out
-
-
 def trace_gram(module: HermitianModule) -> TraceGram:
     """psi(zeta^a e_i, zeta^b e_j) = tr(conj(zeta^a) * Psi_ij * zeta^b).
 
     Sesquilinear convention: conjugate-linear in the first argument.  As
     conj(zeta^a) = zeta^(-a), the entry is tr(zeta^(b-a) * Psi_ij), which
-    depends on (i, j) and the shift b - a only.  Every entry is put over
-    the least common denominator of the Psi_ij."""
+    depends on (i, j) and the shift b - a only: one matmul gives every
+    shift of every Psi_ij over the gram's denominator, and one gather puts
+    shift b - a at (a*n + i, b*n + j)."""
     field = module.field
     n = module.rank
     d = field.degree
-    m = field.m
-    shift_rows = [[_ramanujan_sum(m, (t + s) % m) for s in range(1 - d, d)] for t in range(d)]
-    den = lcm(*(x.den for row in module.gram for x in row))
-    shifted = [[_shifted_traces(x, shift_rows, den // x.den) for x in row] for row in module.gram]
-    rows = []
-    for a in range(d):
-        for i in range(n):
-            by_shift = shifted[i]
-            # by_shift[j][b - a + d - 1] = den * psi(zeta^a e_i, zeta^b e_j)
-            rows.append(tuple(by_shift[j][b - a + d - 1] for b in range(d) for j in range(n)))
-    return TraceGram.from_integers(field, n, tuple(rows), den)
+    # by_shift[i, j, s + d - 1] = den * tr(zeta^s * Psi_ij)
+    by_shift = field.shifted_traces(module.gram.nums)
+    shift = np.arange(d)
+    entries = by_shift[:, :, shift[None, :] - shift[:, None] + d - 1]  # [i, j, a, b]
+    nums = entries.transpose(2, 0, 3, 1).reshape(d * n, d * n)
+    return TraceGram.from_integers(field, n, nums, module.gram.den)
 
 
 def _valuation(value: int, p: int) -> int:
@@ -158,8 +143,8 @@ def _valuation(value: int, p: int) -> int:
     return v
 
 
-def _det_valuation_mod(nums, p: int, e: int) -> int | None:
-    """v_p(det nums) for a square integer matrix and a prime p, by
+def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
+    """v_p(det nums) for a square integer array and a prime p, by
     elimination over Z/p^e, or None when e is too small to decide it.
 
     A unit pivot leaves the valuation of the remaining block unchanged; it
@@ -171,8 +156,10 @@ def _det_valuation_mod(nums, p: int, e: int) -> int | None:
     size = len(nums)
     # residues below 2^31 multiply without overflow in int64; larger moduli
     # run the same loop on Python ints
-    dtype = np.int64 if q < 2**31 else object
-    a = np.array([[x % q for x in row] for row in nums], dtype=dtype).reshape(size, size)
+    if q < 2**31:
+        a = (nums % q).astype(np.int64, copy=False)
+    else:
+        a = nums.astype(object) % q
     v = 0
     # pivot rows and columns are reduced mod q, so each update subtracts
     # products below q^2; the rest is reduced only before |a| could reach
@@ -212,19 +199,32 @@ def _det_valuation_mod(nums, p: int, e: int) -> int | None:
     return v
 
 
+def _hadamard_exponent(nums: np.ndarray, p: int) -> int:
+    """e_H, the least e with p^(2e) > H, where H = prod of the squared row
+    norms is at least det^2; so p^e_H > |det| for a nonzero det."""
+    hadamard = prod(sum(x * x for x in row) for row in nums.tolist())
+    e, power = 0, 1
+    while power <= hadamard:
+        e += 1
+        power *= p * p
+    return e
+
+
 def _det_valuation(nums, p: int) -> int:
     """v_p(det nums) for a square integer matrix and a prime p.
 
     The matrix is eliminated mod p, then mod p^2, p^4, ... until the
-    precision decides the valuation.  Once p^e passes the Hadamard bound,
-    p^e | det means det = 0, and DegenerateForm is raised."""
-    e, hadamard = 1, None
+    precision decides the valuation, the last step at the Hadamard
+    exponent e_H.  p^e_H | det means det = 0, and DegenerateForm is
+    raised."""
+    nums = integer_array(nums).reshape(len(nums), len(nums))
+    e, e_hadamard = 1, None
     while (v := _det_valuation_mod(nums, p, e)) is None:
-        if hadamard is None:
-            hadamard = prod(sum(x * x for x in row) for row in nums)  # >= det^2
-        if p ** (2 * e) > hadamard:
+        if e_hadamard is None:
+            e_hadamard = _hadamard_exponent(nums, p)
+        if e >= e_hadamard:
             raise DegenerateForm("trace gram is degenerate over Q")
-        e *= 2
+        e = min(2 * e, e_hadamard)
     return v
 
 

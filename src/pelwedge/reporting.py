@@ -11,9 +11,19 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
-from .cyclofield import PRIME_LIMIT, CMType, CycloField, cyclo_field, degree_excess, is_prime
+from .cyclofield import (
+    PRIME_LIMIT,
+    CMType,
+    CycloField,
+    CycloMatrix,
+    cyclo_field,
+    degree_excess,
+    integer_array,
+    is_prime,
+)
 from .hodge import HermitianModule
 
 SCHEMA_VERSION = "1"
@@ -115,11 +125,11 @@ def params_hash(params: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _parse_rational(value, where: str) -> Fraction:
+def _parse_rational(value, where: str) -> int | Fraction:
+    if isinstance(value, int):
+        return int(value)
     try:
         if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise PelInputError(f"{where}: bad rational {value!r}: {exc}") from None
@@ -127,29 +137,28 @@ def _parse_rational(value, where: str) -> Fraction:
 
 
 def _parse_gram(field_obj: CycloField, raw, where: str) -> HermitianModule:
+    """The gram as (n, n, phi(m)) numerators over the least common
+    denominator of its coefficients, checked skew-Hermitian on that array."""
     if not isinstance(raw, list) or not raw:
         raise PelInputError(f"{where}: expected a nonempty matrix")
-    gram = []
+    coeffs = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != len(raw):
             raise PelInputError(f"{where}[{i}]: matrix must be square")
-        out_row = []
-        for j, coeffs in enumerate(row):
-            if not isinstance(coeffs, list) or len(coeffs) != field_obj.degree:
+        for j, entry in enumerate(row):
+            if not isinstance(entry, list) or len(entry) != field_obj.degree:
                 raise PelInputError(
                     f"{where}[{i}][{j}]: expected {field_obj.degree} coefficients"
                 )
-            out_row.append(
-                field_obj.element(
-                    [
-                        _parse_rational(c, f"{where}[{i}][{j}][{t}]")
-                        for t, c in enumerate(coeffs)
-                    ]
-                )
+            coeffs.extend(
+                _parse_rational(c, f"{where}[{i}][{j}][{t}]") for t, c in enumerate(entry)
             )
-        gram.append(out_row)
+    den = lcm(*(c.denominator for c in coeffs if type(c) is Fraction))
+    nums = integer_array(
+        [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in coeffs]
+    ).reshape(len(raw), len(raw), field_obj.degree)
     try:
-        return HermitianModule(field_obj, gram)
+        return HermitianModule(field_obj, CycloMatrix(field_obj, nums, den))
     except ValueError as exc:
         raise PelInputError(f"{where}: {exc}") from None
 

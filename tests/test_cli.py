@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -403,6 +404,31 @@ def test_input_errors(capsys, tmp_path):
     )
     code, _, err = run(capsys, "spadesuit", "--input", str(ramified))
     assert code == EXIT_INPUT
+
+
+def test_pel_grams_are_read_over_one_common_denominator(tmp_path, fixtures_dir):
+    # each pair (a, b), (b, a) scaled by its own 1/q: still skew-Hermitian,
+    # with coordinates over the denominators 1, 2, 3, 5 and 7
+    field = cyclo_field(12)
+    rng = random.Random(3100)
+    gram = [list(row) for row in rand_skew_hermitian(field, 3, rng)]
+    for a in range(3):
+        for b in range(a, 3):
+            q = rng.choice((1, 2, 3, 5, 7))
+            gram[a][b] = gram[a][b] / q
+            if b != a:
+                gram[b][a] = gram[b][a] / q
+    doc = json.loads((fixtures_dir / "allpass.pel").read_text()) | {
+        "m": 12, "n": 3, "phi0": [1, 7], "phin": [1, 5],
+        "gram0": [[[0, 0, 0, 1]]],  # zeta^3 = i
+        "gram1": [[[c.numerator if c.denominator == 1 else str(c) for c in x.coords]
+                   for x in row] for row in gram],
+    }
+    path = tmp_path / "rational.pel"
+    path.write_text(json.dumps(doc))
+    pel = load_pel_input(str(path))
+    assert pel.gram1.gram == gram
+    assert pel.gram1.gram.den == math.lcm(*(x.den for row in gram for x in row)) > 1
 
 
 def test_params_hash_stable():

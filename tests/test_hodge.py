@@ -132,13 +132,13 @@ def test_hermitian_module_validation(F4):
     HermitianModule(F4, [[i, F4.one], [-F4.one, i]])
 
 
-def test_hermitian_module_checks_each_unordered_pair_once(F8, monkeypatch):
+def test_hermitian_module_checks_skew_symmetry_on_the_array(F8, monkeypatch):
     gram = rand_skew_hermitian(F8, 4, random.Random(3))
     conj = CycloElement.conj
     calls = []
     monkeypatch.setattr(CycloElement, "conj", lambda x: calls.append(x) or conj(x))
     HermitianModule(F8, gram)
-    assert len(calls) == 4 * 5 // 2
+    assert calls == []  # one array comparison, no conj per entry
     monkeypatch.undo()
     for i, j in ((1, 0), (0, 1), (2, 2), (3, 0)):  # a bad entry on either side is refused
         broken = [list(row) for row in gram]

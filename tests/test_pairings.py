@@ -5,14 +5,21 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pelwedge import instances, pairings
+from pelwedge import cyclofield, exterior, instances, pairings
 from pelwedge.cli import main
-from pelwedge.cyclofield import RamifiedPrimeError, cyclo_field, trace_LQ
-from pelwedge.exterior import conj_transpose, det, mat_mul
+from pelwedge.cyclofield import (
+    CycloMatrix,
+    RamifiedPrimeError,
+    _ramanujan_sum,
+    cyclo_field,
+    trace_LQ,
+)
+from pelwedge.exterior import compound, conj_transpose, det, mat_mul, wedge_gram
 from pelwedge.hodge import HermitianModule, binom
 from pelwedge.instances import (
     rand_element,
@@ -175,6 +182,38 @@ def reference_trace_gram(module):
                 for j in range(n)
             ))
     return TraceGram(field, n, tuple(rows))
+
+
+def elementwise_wedge(psi0, psi1, k):
+    """psi0^(1-k) times each minor, with the compound over CycloElements
+    (`_laplace`) and one element product per entry."""
+    factor = psi0 ** (1 - k)
+    return tuple(tuple(factor * x for x in row) for row in exterior._ring_compound(psi1, k))
+
+
+def elementwise_trace_gram(module):
+    """The trace form from the CycloElement view, entry by entry: den *
+    tr(zeta^s * Psi_ij) for every shift s from the Ramanujan sums, each
+    Psi_ij over the least common denominator of the entries."""
+    field = module.field
+    n, d, m = module.rank, field.degree, field.m
+    shift_rows = [[_ramanujan_sum(m, (t + s) % m) for s in range(1 - d, d)] for t in range(d)]
+    den = math.lcm(*(x.den for row in module.gram for x in row))
+
+    def shifted_traces(x):
+        scale = den // x.den
+        out = [0] * (2 * d - 1)
+        for c, row in zip(x.num, shift_rows):
+            out = [acc + c * scale * tr for acc, tr in zip(out, row)]
+        return out
+
+    shifted = [[shifted_traces(x) for x in row] for row in module.gram]
+    rows = [
+        tuple(shifted[i][j][b - a + d - 1] for b in range(d) for j in range(n))
+        for a in range(d)
+        for i in range(n)
+    ]
+    return TraceGram.from_integers(field, n, tuple(rows), den)
 
 
 def reference_valuation(gram, p):
@@ -409,6 +448,7 @@ def test_a_280_row_non_perfect_input_is_valued_in_seconds(tmp_path, capsys, F8):
 def test_cli_bytes_match_the_reference_oracles(argv, capsys, monkeypatch):
     code = main(list(argv))
     fast = capsys.readouterr().out
+    monkeypatch.setattr(pairings, "wedge_gram", elementwise_wedge)
     for owner in (pairings, instances):
         monkeypatch.setattr(owner, "trace_gram", reference_trace_gram)
         monkeypatch.setattr(owner, "perfectness_valuation", reference_valuation)
@@ -548,17 +588,65 @@ def test_the_elimination_swaps_divides_restarts_and_gives_up(monkeypatch):
     swap = ((0, 3, 0, 0), (-3, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
     assert _det_valuation(swap, 3) == 2
     assert calls == [1, 2]
-    # pfaffian 1*2 - 1*2 + 0*5 = 0, Hadamard bound 2*30*30*8 = 14400 < 3^16
+    # pfaffian 1*2 - 1*2 + 0*5 = 0, Hadamard bound 2*30*30*8 = 14400 < 3^10:
+    # the last step runs at e_H = 5, not at the doubled e = 8
     calls.clear()
     singular = ((0, 1, 1, 0), (-1, 0, 5, 2), (-1, -5, 0, 2), (0, -2, -2, 0))
     with pytest.raises(DegenerateForm):
         _det_valuation(singular, 3)
-    assert calls == [1, 2, 4, 8]
+    assert calls == [1, 2, 4, 5]
     # a zero row bounds det by 0: no restart
     calls.clear()
     with pytest.raises(DegenerateForm):
         _det_valuation(((0, 0), (0, 0)), 5)
     assert calls == [1]
+
+
+def hadamard_exponent(nums, p):
+    """The least e with p^(2e) above the product of the squared row norms."""
+    bound = math.prod(sum(x * x for x in row) for row in nums)
+    e = 0
+    while p ** (2 * e) <= bound:
+        e += 1
+    return e
+
+
+def test_the_precision_stops_at_the_hadamard_exponent(monkeypatch, capsys):
+    seen = []
+    eliminate = pairings._det_valuation_mod
+    monkeypatch.setattr(
+        pairings, "_det_valuation_mod",
+        lambda nums, p, e: seen.append((nums.tolist(), p, e)) or eliminate(nums, p, e),
+    )
+    # S^T a S with a antisymmetric of size 14 and S of size 14 x 16: a
+    # degenerate 16-row form with entries of about 23 bits
+    rng = random.Random(5700)
+    a = [[0] * 14 for _ in range(14)]
+    for i in range(14):
+        for j in range(i + 1, 14):
+            a[i][j] = rng.randint(-2**12, 2**12)
+            a[j][i] = -a[i][j]
+    s = [[rng.randint(-3, 3) for _ in range(16)] for _ in range(14)]
+    form = [[sum(s[r][i] * a[r][c] * s[c][j] for r in range(14) for c in range(14))
+             for j in range(16)] for i in range(16)]
+    e_h = hadamard_exponent(form, 3)
+    with pytest.raises(DegenerateForm):
+        _det_valuation(form, 3)
+    precisions = [e for *_, e in seen]
+    # doubling up to e_H, and the last step at e_H where doubling overshoots
+    assert precisions == [2**i for i in range(len(precisions) - 1)] + [e_h]
+    assert precisions[-2] < e_h < 2 * precisions[-2]
+    # a form with p | det restarts, never past its own e_H, and the verdicts
+    # on the fixture stay those it has always had
+    seen.clear()
+    assert main(["verify", "prinz", "--input", NONPERFECT]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [
+        (r["k"], r["input_valuations"], r["output_valuation"], r["status"])
+        for r in (line["record"] for line in records if "record" in line)
+    ] == [(0, [0, 8], 0, "vacuous"), (1, [0, 8], 8, "vacuous"), (2, [0, 8], 8, "vacuous")]
+    assert max(e for *_, e in seen) > 1
+    assert all(e <= hadamard_exponent(nums, p) for nums, p, e in seen)
 
 
 PROPERTY_PRIMES = (2, 3, 5, 2**31 - 1, 2**61 - 1)
@@ -646,16 +734,113 @@ def test_trace_gram_integers_and_rational_view():
     assert tg.matrix[1:3] == rows[1:3] and tg.matrix[-1] == rows[-1]
     assert len(tg.matrix) == F.degree * 2
     rebuilt = TraceGram(F, 2, rows)
-    assert (rebuilt.nums, rebuilt.den) == (tg.nums, tg.den)
+    assert (rebuilt.nums.tolist(), rebuilt.den) == (tg.nums.tolist(), tg.den)
     # (zeta - zeta^2) / 3 over Q(zeta_3) has an integral trace form
     F3 = cyclo_field(3)
     x = (F3.zeta - F3.zeta_power(2)) / 3
     tg = trace_gram(HermitianModule(F3, [[x]]))
-    assert (tg.nums, tg.den) == (((0, -1), (1, 0)), 1)
-    assert (TraceGram(F3, 1, tg.matrix).nums, TraceGram(F3, 1, tg.matrix).den) == (tg.nums, 1)
+    assert (tg.nums.tolist(), tg.den) == ([[0, -1], [1, 0]], 1)
+    rebuilt = TraceGram(F3, 1, tg.matrix)
+    assert (rebuilt.nums.tolist(), rebuilt.den) == (tg.nums.tolist(), 1)
     with pytest.raises(ValueError, match="antisymmetric"):
         TraceGram(cyclo_field(4), 1, [[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="antisymmetric"):
         TraceGram(cyclo_field(4), 1, [[1, 1], [-1, 0]])
     with pytest.raises(ValueError, match="wrong size"):
         TraceGram(cyclo_field(4), 2, [[0, 1], [-1, 0]])
+
+
+# -- the array path against the element oracles ------------------------------
+
+# m = 105 is the only conductor below 120 whose power table has an entry of
+# absolute value 2
+ARRAY_CONDUCTORS = (3, 4, 5, 8, 12, 16, 105)
+
+
+@st.composite
+def rational_gram_pairs(draw):
+    """(psi0, psi1): a nonzero totally imaginary psi0 and a skew-Hermitian
+    psi1 of rank <= 4 (<= 2 at m = 105), coordinates over denominators
+    drawn from one of three sets."""
+    m = draw(st.sampled_from(ARRAY_CONDUCTORS))
+    field = cyclo_field(m)
+    n = draw(st.integers(1, 2 if m == 105 else 4))
+    dens = draw(st.sampled_from(((1,), (1, 2, 3), (1, 5, 7, 9))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    psi0 = field.zero
+    while not psi0:
+        x = rand_fraction_element(field, rng, dens)
+        psi0 = x - x.conj()
+    return psi0, rand_fraction_skew(field, n, rng, dens)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rational_gram_pairs())
+def test_array_wedge_and_trace_form_match_the_element_oracles(case):
+    psi0, psi1 = case
+    field = psi0.field
+    for k in range(len(psi1) + 1):
+        wedge = wedge_gram(psi0, psi1, k)
+        assert wedge == elementwise_wedge(psi0, psi1, k), (field.m, k)
+        module = HermitianModule(field, wedge)
+        got, want = trace_gram(module), elementwise_trace_gram(module)
+        assert (got.nums.tolist(), got.den) == (want.nums.tolist(), want.den), (field.m, k)
+
+
+def recorded_dtypes(monkeypatch):
+    """The dtype every array stage chooses, in call order."""
+    chosen = []
+    choose = cyclofield.exact_dtype
+    monkeypatch.setattr(cyclofield, "exact_dtype", lambda bound: chosen.append(choose(bound)) or chosen[-1])
+    return chosen
+
+
+def test_large_entries_run_on_python_ints_and_agree_with_int64(monkeypatch):
+    field = cyclo_field(16)
+    gram = CycloMatrix.of(field, rand_skew_hermitian(field, 5, random.Random(5800)))
+    scale = 2**40
+    chosen = recorded_dtypes(monkeypatch)
+    small = compound(gram, 3)
+    small_form = trace_gram(HermitianModule(field, gram))
+    assert set(chosen) == {np.int64}
+    chosen.clear()
+    big = compound(CycloMatrix(field, gram.nums * scale), 3)
+    # level 1 still fits int64; level 2 reaches about 2^80
+    assert chosen[0] is np.int64 and object in chosen
+    assert big.nums.dtype == object and big.den == small.den == 1
+    assert np.array_equal(big.nums, small.nums.astype(object) * scale**3)
+    # skew check and trace form: 2^62 times the entries passes 2^63
+    chosen.clear()
+    big_form = trace_gram(HermitianModule(field, CycloMatrix(field, gram.nums.astype(object) * 2**62)))
+    assert chosen == [object, object]
+    assert big_form.nums.dtype == object
+    assert np.array_equal(big_form.nums, small_form.nums.astype(object) * 2**62)
+    # -2^63 fits int64, but its absolute value does not
+    assert cyclofield.magnitude(cyclofield.integer_array([[-2**63, 1]])) == 2**63
+
+
+def test_a_minor_just_past_2_to_the_63_is_exact(monkeypatch):
+    # over Q(i), with a = d = M(1 + i) and b = -c = M(1 + i), det = 4M^2 i,
+    # the bound 2 * 2 * M^2 met with equality, and 4M^2 > 2^63 > 2M^2
+    field = cyclo_field(4)
+    M = 1518500250
+    x = field.element([M, M])
+    chosen = recorded_dtypes(monkeypatch)
+    minor = compound([[x, x], [-x, x]], 2)
+    assert chosen == [np.int64, object]
+    assert minor.nums.tolist() == [[[0, 4 * M * M]]] and 4 * M * M > 2**63
+
+
+def test_the_560_row_bound_runs_in_int64(monkeypatch):
+    # m=16, n=8, k=4: C(8, 4) * phi(16) = 560 rows, the bound of random `verify prinz`
+    field = cyclo_field(16)
+    module0, module1 = rand_perfect_pair(field, 8, 3, random.Random(16))
+    chosen = recorded_dtypes(monkeypatch)
+    wedge = wedge_gram(module0.gram[0][0], module1.gram, 4)
+    form = trace_gram(HermitianModule(field, wedge))
+    assert len(chosen) == 4 + 1 + 1 + 1  # four levels, the scaling, skew check, trace
+    assert set(chosen) == {np.int64}
+    assert wedge.nums.dtype == form.nums.dtype == np.int64
+    assert len(form.matrix) == 560
+    assert wedge == elementwise_wedge(module0.gram[0][0], module1.gram, 4)
+    assert perfectness_valuation(form, 3) == 0
