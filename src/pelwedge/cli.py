@@ -84,7 +84,9 @@ ENTRIES = {
     "verify prinz --input": Entry(
         {"input": None, "k": None, **_HEADER}, ("input",), k_span=(0, 0), rank_max=560
     ),
-    # the dense compound of the n x n block has rank^2 entries: 2000 keeps n <= 13
+    # C(n, n/2) is the most rows a block has; blocks and compounds keep only
+    # their C(n-1, k-1) + (k+1) * C(n-1, k) nonzero entries, but the compound
+    # still walks one row prefix per k-subset of rows: 2000 keeps n <= 13
     "verify vdrei": Entry({"n": 7, "k": None, **_HEADER}, rank_max=2000),
     # heights b = 1 .. n-1, so the largest wedge block is again of an n x n block
     "verify vzehn": Entry({"n": 7, "k": None, **_HEADER}, n_min=2, rank_max=2000),

@@ -15,23 +15,24 @@ n x n case.  It takes one of two paths, chosen from the entries:
   j and the field's product bound, and on Python ints otherwise.
 - Over any other commutative ring (ints, Fractions, `serretate.Polynomial`s
   or sympy expressions, with +, -, * and truthiness-as-nonzero), `_laplace`
-  keeps only the nonzero minors in a dict per row prefix.  The Serre-Tate
-  blocks are sparse, and dense levels would enumerate all C(n, j)^2 minors
-  of each of them.
+  keeps only the nonzero minors in a dict per row prefix, and the compound
+  is a `SparseRows` of them.  The Serre-Tate blocks are sparse: at n = 10
+  their compounds over every k hold 3,328 nonzero minors of 184,756.
 
 `wedge_gram` is the L path followed by one more product, by psi0^(1-k),
 and returns a `CycloMatrix`; `multiplier` stays on CycloElements.
 `colex_subsets` is the one subset order and `removal_entries` the one
 builder of the +-x_{i_nu} matrices of the deformation blocks and the ball
-embedding, which `removal_matrix` makes dense.
+embedding; `removal_matrix` makes them dense for the ball embedding.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
@@ -68,16 +69,82 @@ class SubsetIndex:
         return len(self.order)
 
 
-def removal_entries(ground, k: int):
-    """The nonzero entries of the removal matrix on ground, column by column,
-    as (row, col, t, sign): row and col index the colex (k-1)- and
-    k-subsets of ground, and column J holds sign = (-1)**nu times the t-th
-    value in the row J - {J[nu]}, where J[nu] = ground[t]."""
-    position = {x: t for t, x in enumerate(ground)}
-    row_of = {I: r for r, I in enumerate(colex_subsets(ground, k - 1))}
-    for c, J in enumerate(colex_subsets(ground, k)):
-        for nu, removed in enumerate(J):
-            yield row_of[J[:nu] + J[nu + 1 :]], c, position[removed], (-1) ** nu
+class SparseRows(Sequence):
+    """A matrix as its `shape` and `entries`, a dict from (row, col) to each
+    nonzero entry.  Every builder leaves out the falsy entries, and `of`
+    drops them from dense rows.
+
+    It reads as a sequence of rows, each a tuple with the int 0 where no
+    entry is stored, made on first read; it equals any sequence of equal
+    rows, and another SparseRows exactly when their entries are equal."""
+
+    __slots__ = ("shape", "entries", "_rows")
+
+    def __init__(self, shape: tuple[int, int], entries: dict):
+        self.shape = shape
+        self.entries = entries
+        self._rows = None
+
+    @classmethod
+    def of(cls, rows) -> "SparseRows":
+        """rows as a SparseRows: a SparseRows is returned as it is."""
+        if isinstance(rows, SparseRows):
+            return rows
+        rows = [tuple(row) for row in rows]
+        return cls(
+            (len(rows), len(rows[0]) if rows else 0),
+            {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x},
+        )
+
+    def _dense(self) -> tuple[tuple[object, ...], ...]:
+        if self._rows is None:
+            rows, cols = self.shape
+            out = [[0] * cols for _ in range(rows)]
+            for (i, j), x in self.entries.items():
+                out[i][j] = x
+            self._rows = tuple(map(tuple, out))
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, i):
+        return self._dense()[i]
+
+    def __iter__(self):
+        return iter(self._dense())
+
+    def __eq__(self, other):
+        if isinstance(other, SparseRows):
+            # every shape with no rows has the same (empty) rows
+            return self.entries == other.entries and (
+                self.shape == other.shape or not (self.shape[0] or other.shape[0])
+            )
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._dense() == tuple(map(tuple, other))
+
+    __hash__ = None
+
+
+def removal_entries(ground, k: int) -> Iterator[tuple[int, int, int, int]]:
+    """The nonzero entries of the removal matrix on the ascending sequence
+    ground, column by column, as (row, col, t, sign): row and col index the
+    colex (k-1)- and k-subsets of ground, and column J holds
+    sign = (-1)**nu times the t-th value in the row J - {J[nu]}, where
+    J[nu] = ground[t].  They depend only on len(ground) and k, and are
+    listed once per (len(ground), k); the iterator reads that list."""
+    return iter(_removal_positions(len(ground), k))
+
+
+@lru_cache(maxsize=64)
+def _removal_positions(size: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    row_of = {I: r for r, I in enumerate(colex_subsets(range(size), k - 1))}
+    return tuple(
+        (row_of[J[:nu] + J[nu + 1 :]], c, t, (-1) ** nu)
+        for c, J in enumerate(colex_subsets(range(size), k))
+        for nu, t in enumerate(J)
+    )
 
 
 def removal_matrix(values, ground, k: int) -> tuple[tuple[object, ...], ...]:
@@ -119,8 +186,8 @@ def compound(matrix, k: int):
     CycloMatrix.  Over any other commutative ring each minor is computed
     once: the minors on rows P + (r,) come from the minors on rows P by
     Laplace expansion along row r, walking the row prefixes depth first.
-    Only multiplication, addition and negation are used, and a vanishing
-    minor is the int 0."""
+    Only multiplication, addition and negation are used, and the result
+    is a `SparseRows` of the nonzero minors."""
     n = len(matrix)
     if isinstance(matrix, CycloMatrix):
         square = matrix.shape == (n, n)
@@ -138,12 +205,12 @@ def compound(matrix, k: int):
     return _ring_compound(matrix, k)
 
 
-def _ring_compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
+def _ring_compound(matrix, k: int) -> SparseRows:
     """The k-th compound of a square matrix over any commutative ring, by
     `_laplace` on the nonzero minors of each row prefix."""
     n = len(matrix)
     if k == 0:
-        return ((1,),)
+        return SparseRows((1, 1), {(0, 0): 1})
     # each entry with its negation, made once per row, not once per minor
     rows = [[(c, (entry, -entry)) for c, entry in enumerate(row) if entry] for row in matrix]
     by_rows = {}
@@ -157,12 +224,21 @@ def _ring_compound(matrix, k: int) -> tuple[tuple[object, ...], ...]:
         first = prefix[-1] + 1 if prefix else 0
         for r in range(first, n - k + len(prefix) + 1):
             stack.append((prefix + (r,), _laplace(minors, rows[r])))
-    order = SubsetIndex.build(n, k).order
-    masks = [sum(1 << (i - 1) for i in s) for s in order]
-    return tuple(
-        tuple(map(by_rows[tuple(i - 1 for i in I)].get, masks, repeat(0)))
-        for I in order
-    )
+    prefixes, column = _subset_masks(n, k)
+    return SparseRows((len(prefixes), len(prefixes)), {
+        (i, column[cols]): minor
+        for i, prefix in enumerate(prefixes)
+        for cols, minor in by_rows[prefix].items()
+    })
+
+
+@lru_cache(maxsize=64)
+def _subset_masks(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The k-subsets of {1..n} in SubsetIndex order, as row prefixes of
+    {0..n-1}, and the map from a column bitmask to its index in that order."""
+    prefixes = tuple(tuple(i - 1 for i in s) for s in SubsetIndex.build(n, k).order)
+    column = {sum(1 << i for i in s): c for c, s in enumerate(prefixes)}
+    return prefixes, column
 
 
 def _frozen(values) -> np.ndarray:

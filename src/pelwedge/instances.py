@@ -15,7 +15,7 @@ from .pairings import DegenerateForm, perfectness_valuation, trace_gram
 
 
 def rand_element(field: CycloField, rng: random.Random, lo: int = -3, hi: int = 3) -> CycloElement:
-    return field.element([rng.randint(lo, hi) for _ in range(field.degree)])
+    return CycloElement(field, tuple(rng.randint(lo, hi) for _ in range(field.degree)))
 
 
 def rand_skew_hermitian(field: CycloField, n: int, rng: random.Random):

@@ -7,13 +7,18 @@ of these blocks against the directly constructed wedge blocks, as exact
 identities in Z[c1, ...].  Its elements (`Polynomial`, made from
 `generators`) are sparse dicts from monomial to nonzero int, so equal
 polynomials compare equal with no symbolic simplification.
+
+Every block is a `SparseRows`: the compound keeps only its nonzero
+minors, the C-blocks are built from `removal_entries`, and two blocks
+are compared by their nonzero entries alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .exterior import compound, removal_matrix
+from .exterior import SparseRows, compound, removal_entries
 
 # A variable is its name, as a sympy Symbol is: the first `generators` call
 # that names it gives it the next _BITS-bit field of a monomial, and every
@@ -155,13 +160,20 @@ class DeformationParams:
 
     a: int
     b: int
-    phi: tuple[tuple[object, ...], ...]
+    phi: tuple[tuple[object, ...], ...] | SparseRows
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0:
             raise ValueError("heights must be nonnegative")
-        if len(self.phi) != self.a or any(len(r) != self.b for r in self.phi):
+        if not _has_shape(self.phi, self.a, self.b):
             raise ValueError(f"phi must be {self.a} x {self.b}")
+
+
+def _has_shape(matrix, a: int, b: int) -> bool:
+    """Whether matrix, a SparseRows or rows, is a x b."""
+    if isinstance(matrix, SparseRows):
+        return matrix.shape == (a, b)
+    return len(matrix) == a and all(len(row) == b for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -169,26 +181,34 @@ class DeformationBlock:
     """The Galois block [[c1*E_a, C], [0, E_b]]."""
 
     c1: object
-    C: tuple[tuple[object, ...], ...]
+    C: SparseRows
     a: int
     b: int
-    assembled: tuple[tuple[object, ...], ...]
+    assembled: SparseRows
 
 
 def assemble_block(c1, C, a: int, b: int) -> DeformationBlock:
-    C = tuple(tuple(row) for row in C)
-    if len(C) != a or any(len(row) != b for row in C):
+    """The block of C, an a x b SparseRows or rows, with c1 on the first a
+    diagonal entries and 1 on the last b."""
+    if not _has_shape(C, a, b):
         raise ValueError(f"C must be {a} x {b}")
-    rows = []
-    for i in range(a + b):
-        row = [0] * (a + b)
-        if i < a:
-            row[i] = c1
-            row[a:] = C[i]
-        else:
-            row[i] = 1
-        rows.append(tuple(row))
-    return DeformationBlock(c1, C, a, b, tuple(rows))
+    C = SparseRows.of(C)
+    entries = {(i, i): c1 for i in range(a)} if c1 else {}
+    entries.update(((i, a + j), x) for (i, j), x in C.entries.items())
+    entries.update(((i, i), 1) for i in range(a, a + b))
+    return DeformationBlock(c1, C, a, b, SparseRows((a + b, a + b), entries))
+
+
+def _removal_rows(values, ground, k: int) -> SparseRows:
+    """The removal matrix of values on ground (see `removal_entries`),
+    with each value negated once and falsy values dropped."""
+    signed = [(x, -x) if x else None for x in values]
+    size = len(ground)
+    return SparseRows((math.comb(size, k - 1), math.comb(size, k)), {
+        (r, c): signed[t][sign < 0]
+        for r, c, t, sign in removal_entries(ground, k)
+        if signed[t]
+    })
 
 
 def wedge_block(n: int, k: int, c1, c) -> DeformationBlock:
@@ -201,8 +221,8 @@ def wedge_block(n: int, k: int, c1, c) -> DeformationBlock:
     c = tuple(c)
     if len(c) != n - 1:
         raise ValueError(f"need {n - 1} cocycle entries, got {len(c)}")
-    C = removal_matrix(c, range(2, n + 1), k)
-    return assemble_block(c1, C, len(C), len(C[0]))
+    C = _removal_rows(c, range(2, n + 1), k)
+    return assemble_block(c1, C, *C.shape)
 
 
 @dataclass(frozen=True)
@@ -211,13 +231,17 @@ class VdreiReport:
     witness: tuple[int, int, object, object] | None  # (row, col, got, expected)
 
 
-def _first_mismatch(left, right) -> tuple[int, int] | None:
-    """(row, col) of the first entry where two equal-shape matrices differ,
-    or None.  Whole rows compare first; only a differing row is scanned."""
-    for i, (lrow, rrow) in enumerate(zip(left, right)):
-        if lrow != rrow:
-            return i, next(j for j, (x, y) in enumerate(zip(lrow, rrow)) if x != y)
-    return None
+def _first_mismatch(left, right) -> tuple[int, int, object, object] | None:
+    """(row, col, left entry, right entry) at the least (row, col) where two
+    equal-shape matrices differ, or None.  Only the nonzero entries are
+    compared, of a SparseRows as it is and of other rows by SparseRows.of."""
+    got, expected = SparseRows.of(left).entries, SparseRows.of(right).entries
+    if got == expected:
+        return None
+    i, j = min(
+        key for key in got.keys() | expected.keys() if got.get(key, 0) != expected.get(key, 0)
+    )
+    return i, j, got.get((i, j), 0), expected.get((i, j), 0)
 
 
 def verify_vdrei(n: int, k: int) -> VdreiReport:
@@ -228,13 +252,8 @@ def verify_vdrei(n: int, k: int) -> VdreiReport:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
     base = assemble_block(c1, (tuple(c),), 1, n - 1)
-    left = compound(base.assembled, k)
-    right = wedge_block(n, k, c1, c).assembled
-    mismatch = _first_mismatch(left, right)
-    if mismatch is None:
-        return VdreiReport(True, None)
-    i, j = mismatch
-    return VdreiReport(False, (i, j, left[i][j], right[i][j]))
+    witness = _first_mismatch(compound(base.assembled, k), wedge_block(n, k, c1, c).assembled)
+    return VdreiReport(witness is None, witness)
 
 
 def contract(phi: DeformationParams, k: int) -> DeformationParams:
@@ -247,8 +266,8 @@ def contract(phi: DeformationParams, k: int) -> DeformationParams:
     b = phi.b
     if not 1 <= k <= b + 1:
         raise ValueError(f"need 1 <= k <= b+1, got k={k}, b={b}")
-    matrix = removal_matrix(phi.phi[0], range(1, b + 1), k)
-    return DeformationParams(len(matrix), len(matrix[0]), matrix)
+    matrix = _removal_rows(phi.phi[0], range(1, b + 1), k)
+    return DeformationParams(*matrix.shape, matrix)
 
 
 def verify_vzehn(b: int, k: int, phi: DeformationParams, c1) -> bool:

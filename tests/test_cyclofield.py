@@ -90,6 +90,17 @@ def test_inverse(F5, F8):
             assert x ** -2 == (x.inverse()) ** 2
 
 
+@pytest.mark.parametrize("m", [3, 5, 8, 12, 16, 60])
+def test_rand_element_is_the_element_of_the_same_draws(m):
+    F = cyclo_field(m)
+    for seed in range(5):
+        drawn, replayed = random.Random(seed), random.Random(seed)
+        x = rand_element(F, drawn, -7, 7)
+        y = F.element([replayed.randint(-7, 7) for _ in range(F.degree)])
+        assert (x.num, x.den) == (y.num, y.den)
+        assert drawn.getstate() == replayed.getstate()
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 60])
 def test_galois_automorphisms(m):
     F = cyclo_field(m)
