@@ -36,7 +36,6 @@ from .hodge import (
     case_of,
     compatible,
     derived_cm_trace,
-    dim_minus10,
     signature_at,
     twist_weights,
     verify_type11,

@@ -9,10 +9,10 @@ input error (bad or unreadable `.pel` file).
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import __version__
@@ -253,7 +253,7 @@ def _case_representatives(field) -> tuple[int, list]:
     return h * (h - 1), [(t0, t1), (t0, conj0)]
 
 
-def _suite_data(doc: ReportDocument, m_list, n_max: int) -> None:
+def _suite_data(m_list, n_max: int) -> Iterator[dict]:
     """One record per (m, n, k) over all ordered pairs of distinct CM types.
 
     `verify_type11` checks each embedding from its `EmbeddingCase` alone,
@@ -288,10 +288,10 @@ def _suite_data(doc: ReportDocument, m_list, n_max: int) -> None:
                 }
                 if witness is not None:
                     rec["witness"] = witness
-                doc.add(**rec)
+                yield rec
 
 
-def _suite_vdrei(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
+def _suite_vdrei(n_max: int, k_only: int | None) -> Iterator[dict]:
     for n in range(1, n_max + 1):
         ks = [k_only] if k_only is not None else range(1, n + 1)
         for k in ks:
@@ -312,10 +312,10 @@ def _suite_vdrei(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
                     "got": str(got),
                     "expected": str(expected),
                 }
-            doc.add(**rec)
+            yield rec
 
 
-def _suite_vzehn(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
+def _suite_vzehn(n_max: int, k_only: int | None) -> Iterator[dict]:
     for b in range(1, n_max):
         c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
         phi = DeformationParams(1, b, (tuple(row),))
@@ -324,17 +324,11 @@ def _suite_vzehn(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
             if not 1 <= k <= b + 1:
                 continue
             ok = verify_vzehn(b, k, phi, c1)
-            doc.add(
-                check=f"vzehn b={b} k={k}",
-                b=b,
-                k=k,
-                status="pass" if ok else "fail",
-            )
+            status = "pass" if ok else "fail"
+            yield {"check": f"vzehn b={b} k={k}", "b": b, "k": k, "status": status}
 
 
-def _suite_prinz_random(
-    doc: ReportDocument, trials: int, seed: int, m_list, p_list, n_max: int
-) -> None:
+def _suite_prinz_random(trials: int, seed: int, m_list, p_list, n_max: int) -> Iterator[dict]:
     rng = random.Random(seed)
     for trial in range(trials):
         m = rng.choice(m_list)
@@ -344,20 +338,20 @@ def _suite_prinz_random(
         field = cyclo_field(m)
         module0, module1 = rand_perfect_pair(field, n, p, rng)
         report = verify_prinz(module0, module1, k, p)
-        doc.add(
-            check=f"prinz trial={trial}",
-            trial=trial,
-            m=m,
-            n=n,
-            k=k,
-            p=p,
-            input_valuations=list(report.input_valuations),
-            output_valuation=report.output_valuation,
-            status="pass" if report.implication_holds and report.hypotheses_met else "fail",
-        )
+        yield {
+            "check": f"prinz trial={trial}",
+            "trial": trial,
+            "m": m,
+            "n": n,
+            "k": k,
+            "p": p,
+            "input_valuations": list(report.input_valuations),
+            "output_valuation": report.output_valuation,
+            "status": "pass" if report.implication_holds and report.hypotheses_met else "fail",
+        }
 
 
-def _suite_prinz_input(doc: ReportDocument, pel, k_only: int | None) -> None:
+def _suite_prinz_input(pel, k_only: int | None) -> Iterator[dict]:
     ks = [k_only] if k_only is not None else range(pel.n + 1)
     for k in ks:
         report = verify_prinz(pel.gram0, pel.gram1, k, pel.p)
@@ -367,17 +361,17 @@ def _suite_prinz_input(doc: ReportDocument, pel, k_only: int | None) -> None:
             status = "pass"
         else:
             status = "fail"
-        doc.add(
-            check=f"prinz k={k}",
-            k=k,
-            p=pel.p,
-            input_valuations=list(report.input_valuations),
-            output_valuation=report.output_valuation,
-            status=status,
-        )
+        yield {
+            "check": f"prinz k={k}",
+            "k": k,
+            "p": pel.p,
+            "input_valuations": list(report.input_valuations),
+            "output_valuation": report.output_valuation,
+            "status": status,
+        }
 
 
-def _suite_embedding(doc: ReportDocument, n_max: int, k_only: int | None) -> None:
+def _suite_embedding(n_max: int, k_only: int | None) -> Iterator[dict]:
     for n in range(2, n_max + 1):
         ks = [k_only] if k_only is not None else range(1, n)
         for k in ks:
@@ -392,18 +386,18 @@ def _suite_embedding(doc: ReportDocument, n_max: int, k_only: int | None) -> Non
             }
             if witness is not None:
                 rec["witness"] = witness
-            doc.add(**rec)
+            yield rec
 
 
-def _suite_all(doc: ReportDocument, n: int | None, trials: int | None, seed: int) -> None:
+def _suite_all(n: int | None, trials: int | None, seed: int) -> Iterator[dict]:
     def capped(default: int, cap: int) -> int:
         return default if n is None else min(n, cap)
 
-    _suite_data(doc, (4, 5, 8), capped(4, 6))
-    _suite_vdrei(doc, capped(5, 7), None)
-    _suite_vzehn(doc, capped(5, 7), None)
-    _suite_prinz_random(doc, 20 if trials is None else trials, seed, (4, 5), (3, 5, 7, 13), 3)
-    _suite_embedding(doc, capped(4, 6), None)
+    yield from _suite_data((4, 5, 8), capped(4, 6))
+    yield from _suite_vdrei(capped(5, 7), None)
+    yield from _suite_vzehn(capped(5, 7), None)
+    yield from _suite_prinz_random(20 if trials is None else trials, seed, (4, 5), (3, 5, 7, 13), 3)
+    yield from _suite_embedding(capped(4, 6), None)
 
 
 def cmd_verify(args, opts) -> int:
@@ -415,41 +409,40 @@ def cmd_verify(args, opts) -> int:
     doc.input_hash = pel.input_hash if pel else params_hash(params | {"seed": opts.seed})
 
     if args.suite == "data":
-        _suite_data(doc, opts.m, opts.n)
+        records = _suite_data(opts.m, opts.n)
     elif args.suite == "vdrei":
-        _suite_vdrei(doc, opts.n, opts.k)
+        records = _suite_vdrei(opts.n, opts.k)
     elif args.suite == "vzehn":
-        _suite_vzehn(doc, opts.n, opts.k)
+        records = _suite_vzehn(opts.n, opts.k)
     elif args.suite == "prinz" and pel is not None:
-        _suite_prinz_input(doc, pel, opts.k)
+        records = _suite_prinz_input(pel, opts.k)
     elif args.suite == "prinz":
-        _suite_prinz_random(doc, opts.trials, opts.seed, opts.m, opts.p, opts.n)
+        records = _suite_prinz_random(opts.trials, opts.seed, opts.m, opts.p, opts.n)
     elif args.suite == "embedding":
-        _suite_embedding(doc, opts.n, opts.k)
+        records = _suite_embedding(opts.n, opts.k)
     else:
-        _suite_all(doc, opts.n, opts.trials, opts.seed)
+        records = _suite_all(opts.n, opts.trials, opts.seed)
+    return _write_report(doc, records)
 
-    sys.stdout.write(doc.to_jsonl())
+
+def _write_report(doc: ReportDocument, records) -> int:
+    """Write the report's lines to stdout as its records are made, then its
+    human summary to stderr; the summary's exit code."""
+    sys.stdout.writelines(doc.lines(records))
     print(doc.human_summary(), file=sys.stderr)
-    return doc.exit_code()
+    return doc.summary()["exit_code"]
 
 
-def _emit_table(rows, fmt: str) -> None:
-    """Print the rows, an iterable of dicts, each as it is made.  The first
-    row is made before anything is printed, so a row that raises leaves
-    stdout empty; CSV takes its header from that row."""
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        rows = itertools.chain((first,), rows)
-    if fmt == "csv":
-        if first is not None:
-            print(",".join(first))
-        for row in rows:
-            print(",".join(str(row[k]) for k in first))
-    else:
-        for line in ReportDocument(suite="table").lines(rows):
-            sys.stdout.write(line)
+def _emit_table(rows) -> None:
+    """Print the rows, an iterable of dicts, as CSV, each as it is made.  The
+    header comes from the first row, so nothing is printed before that row
+    exists and a first row that raises leaves stdout empty."""
+    header = None
+    for row in rows:
+        if header is None:
+            header = list(row)
+            print(",".join(header))
+        print(",".join(str(row[k]) for k in header))
 
 
 def cmd_table(kind: str, opts) -> int:
@@ -476,7 +469,10 @@ def cmd_table(kind: str, opts) -> int:
             {"row": i, **{f"c{j}": _fmt_complex(mat[i, j]) for j in range(mat.shape[1])}}
             for i in range(mat.shape[0])
         )
-    _emit_table(rows, opts.format)
+    if opts.format == "csv":
+        _emit_table(rows)
+    else:
+        sys.stdout.writelines(ReportDocument(suite="table").lines(rows))
     return 0
 
 
@@ -496,25 +492,22 @@ def cmd_spadesuit(opts) -> int:
         input_hash=pel.input_hash,
         params={"m": pel.field.m, "n": pel.n, "p": pel.p, "l": pel.l},
     )
-    bullets = [
-        ("perfect_at_p", report.perfect_at_p),
-        ("coprime_level", report.coprime_level),
-        ("orbit_aligned", report.orbit_aligned),
-        ("distinct_primes", report.distinct_primes),
-    ]
-    for name, verdict in bullets:
-        doc.add(check=name, status="pass" if verdict else "fail")
-    doc.add(
-        check="derived",
-        status="pass" if report.all_hold else "fail",
-        pi=[list(o) for o in report.pi] if report.pi else None,
-        pi_star=[list(o) for o in report.pi_star] if report.pi_star else None,
-        r=report.r,
-        num_primes=report.num_primes,
-    )
-    sys.stdout.write(doc.to_jsonl())
-    print(doc.human_summary(), file=sys.stderr)
-    return 0 if report.all_hold else 1
+    bullets = {
+        "perfect_at_p": report.perfect_at_p,
+        "coprime_level": report.coprime_level,
+        "orbit_aligned": report.orbit_aligned,
+        "distinct_primes": report.distinct_primes,
+    }
+    records = [{"check": name, "status": "pass" if ok else "fail"} for name, ok in bullets.items()]
+    records.append({
+        "check": "derived",
+        "status": "pass" if report.all_hold else "fail",
+        "pi": [list(o) for o in report.pi] if report.pi else None,
+        "pi_star": [list(o) for o in report.pi_star] if report.pi_star else None,
+        "r": report.r,
+        "num_primes": report.num_primes,
+    })
+    return _write_report(doc, records)
 
 
 def build_parser() -> _Parser:

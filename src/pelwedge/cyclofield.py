@@ -468,14 +468,6 @@ class CycloElement:
     def __bool__(self) -> bool:
         return any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
-
     def inverse(self) -> "CycloElement":
         """den * prod_{a != 1} sigma_a(num) / N(num), where the norm
         N(num) = num * prod_{a != 1} sigma_a(num) is a positive integer.

@@ -103,16 +103,6 @@ def case_of(k: int, phi0: CMType, phin: CMType) -> EmbeddingCase:
     return EmbeddingCase.NEITHER
 
 
-def dim_minus10(case: EmbeddingCase, n: int) -> int:
-    """Dimension of the (-1,0)-eigenspace at an embedding of the given case."""
-    return {
-        EmbeddingCase.BOTH: n,
-        EmbeddingCase.ONLY0: n - 1,
-        EmbeddingCase.ONLYN: 1,
-        EmbeddingCase.NEITHER: 0,
-    }[case]
-
-
 WeightMultiset = dict[tuple[int, int], int]
 
 

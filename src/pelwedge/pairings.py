@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -45,14 +45,6 @@ from .hodge import HermitianModule
 
 class DegenerateForm(ArithmeticError):
     """The trace form is degenerate over Q."""
-
-
-def _integer_matrix(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(nums, den) with matrix = nums / den and den the least common
-    denominator of the entries."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
 
 
 class FractionRows(Sequence):
@@ -87,20 +79,11 @@ class TraceGram:
     The entries are the integer array `nums` over the positive denominator
     `den`, in lowest terms (den is the least common denominator of the
     entries); `matrix` reads the same form as rows of Fractions.
-    TraceGram(field, rank, matrix) takes rational rows."""
+    TraceGram(field, rank, nums, den) takes any integer matrix nums and
+    den > 0 and reduces nums / den to lowest terms."""
 
-    def __init__(self, field: CycloField, rank: int, matrix):
-        nums, den = _integer_matrix(matrix)
-        self._set(field, rank, integer_array(nums), den)
-
-    @classmethod
-    def from_integers(cls, field: CycloField, rank: int, nums, den: int) -> "TraceGram":
-        """The form nums / den, for an integer matrix nums and den > 0."""
-        gram = cls.__new__(cls)
-        gram._set(field, rank, *lowest_terms(integer_array(nums), den))
-        return gram
-
-    def _set(self, field, rank, nums, den) -> None:
+    def __init__(self, field: CycloField, rank: int, nums, den: int):
+        nums, den = lowest_terms(integer_array(nums), den)
         size = field.degree * rank
         if nums.shape != (size, size):
             raise ValueError("trace gram has the wrong size")
@@ -132,7 +115,7 @@ def trace_gram(module: HermitianModule) -> TraceGram:
     shift = np.arange(d)
     entries = by_shift[:, :, shift[None, :] - shift[:, None] + d - 1]  # [i, j, a, b]
     nums = entries.transpose(2, 0, 3, 1).reshape(d * n, d * n)
-    return TraceGram.from_integers(field, n, nums, module.gram.den)
+    return TraceGram(field, n, nums, module.gram.den)
 
 
 def _valuation(value: int, p: int) -> int:

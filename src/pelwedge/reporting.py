@@ -3,11 +3,19 @@
 Reports are newline-delimited JSON records with a stable field order
 (sorted keys) so that a run is byte-identical given the same seed and
 input hash.  Timings never enter the structured stream.
+
+`ReportDocument.lines` is the one writer of every verify, spadesuit and
+`table --format records` report.  It makes the first record before it
+yields the header, so an input error there leaves stdout empty, and then
+yields each record's line as the record is made.  It keeps the check
+count and the records that failed or were vacuous, which is all the
+summary line and `human_summary` read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,28 +43,18 @@ class PelInputError(ValueError):
 
 @dataclass
 class ReportDocument:
-    """Machine-readable (JSONL) and human-readable renderings of a run."""
+    """One run's report: `lines` writes it as JSONL while its records are
+    made, and `human_summary` renders the records that did not pass."""
 
     suite: str
     seed: int | None = None
     precision_bits: int | None = None
     input_hash: str | None = None
     params: dict = field(default_factory=dict)
-    records: list[dict] = field(default_factory=list)
-
-    def add(self, **fields) -> None:
-        self.records.append(fields)
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for r in self.records if r.get("status") == "fail")
-
-    @property
-    def n_vacuous(self) -> int:
-        return sum(1 for r in self.records if r.get("status") == "vacuous")
-
-    def exit_code(self) -> int:
-        return self.summary()["exit_code"]
+    checks: int = field(default=0, init=False)
+    # the failed and vacuous records, in order; a record that passed or has
+    # no status (a table row) is only counted
+    unpassed: list[dict] = field(default_factory=list, init=False)
 
     def header(self) -> dict:
         return {
@@ -69,55 +67,46 @@ class ReportDocument:
         }
 
     def summary(self) -> dict:
-        return _summary(len(self.records), self.n_failed, self.n_vacuous)
+        failed = sum(r["status"] == "fail" for r in self.unpassed)
+        vacuous = len(self.unpassed) - failed
+        return {
+            "checks": self.checks,
+            "failed": failed,
+            "vacuous": vacuous,
+            "exit_code": 1 if failed else 2 if vacuous else 0,
+        }
 
-    def lines(self, records: Iterable[dict] | None = None) -> Iterator[str]:
+    def lines(self, records: Iterable[dict]) -> Iterator[str]:
         """The JSONL report one newline-terminated line at a time: the
         header, one line per record, then the summary.
 
-        `records`, when given, stands in for `self.records`: each is read
-        as its line is made and none is kept, so a caller can write every
-        line out before the next record exists."""
-        yield _dump({"header": self.header()})
-        if records is None:
-            records = self.records
-        checks = failed = vacuous = 0
-        for record in records:
-            status = record.get("status")
-            checks += 1
-            failed += status == "fail"
-            vacuous += status == "vacuous"
-            yield _dump({"record": record})
-        yield _dump({"summary": _summary(checks, failed, vacuous)})
+        The first record is made before the header is yielded, so a first
+        record that raises yields nothing; each later record is made after
+        the line before it is out, and none is kept but the unpassed."""
+        records = iter(records)
+        first = next(records, None)
+        yield self.to_jsonl({"header": self.header()})
+        if first is not None:
+            for record in itertools.chain((first,), records):
+                self.checks += 1
+                if record.get("status") in ("fail", "vacuous"):
+                    self.unpassed.append(record)
+                yield self.to_jsonl({"record": record})
+        yield self.to_jsonl({"summary": self.summary()})
 
-    def to_jsonl(self) -> str:
-        return "".join(self.lines())
+    def to_jsonl(self, obj) -> str:
+        """One report line: `obj` with sorted keys and no spaces."""
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
     def human_summary(self) -> str:
-        lines = [f"suite {self.suite}: {len(self.records)} checks"]
-        for r in self.records:
-            status = r.get("status", "?")
-            name = r.get("check", "?")
-            if status != "pass":
-                lines.append(f"  {name}: {status.upper()} {r}")
+        lines = [f"suite {self.suite}: {self.checks} checks"]
+        for r in self.unpassed:
+            lines.append(f"  {r['check']}: {r['status'].upper()} {r}")
         s = self.summary()
         lines.append(
             f"  failed={s['failed']} vacuous={s['vacuous']} exit={s['exit_code']}"
         )
         return "\n".join(lines)
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _summary(checks: int, failed: int, vacuous: int) -> dict:
-    return {
-        "checks": checks,
-        "failed": failed,
-        "vacuous": vacuous,
-        "exit_code": 1 if failed else 2 if vacuous else 0,
-    }
 
 
 def params_hash(params: dict) -> str:

@@ -1,6 +1,10 @@
+import contextlib
 import json
 import math
+import os
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -235,14 +239,12 @@ def test_table_signatures_from_a_low_starting_precision(
 
 
 def test_records_are_printed_as_they_are_made(capsys):
-    from pelwedge.cli import _emit_table
-
     def rows():
         yield {"a": 1, "status": "pass"}
         assert capsys.readouterr().out.count("\n") == 2  # the header and one record
         yield {"a": 2, "status": "fail"}
 
-    _emit_table(rows(), "records")
+    sys.stdout.writelines(ReportDocument(suite="table").lines(rows()))
     assert capsys.readouterr().out == (
         '{"record":{"a":2,"status":"fail"}}\n'
         '{"summary":{"checks":2,"exit_code":1,"failed":1,"vacuous":0}}\n'
@@ -266,27 +268,110 @@ def test_table_traces_prints_each_row_before_making_the_next(capsys, monkeypatch
     assert [chunk.count("\n") for chunk in printed] == [0, 0, 2, 0, 1, 0, 1, 0]
 
 
+@pytest.mark.parametrize("argv, made", [
+    (["verify", "vdrei", "--n", "3"], "verify_vdrei"),
+    (["verify", "prinz", "--trials", "3", "--m", "5", "--n", "2"], "rand_perfect_pair"),
+    # Q(i) has one pair of CM types up to conjugation: one check per record
+    (["verify", "data", "--m", "4", "--n", "2"], "verify_type11"),
+])
+def test_verify_prints_each_record_before_making_the_next(capsys, monkeypatch, argv, made):
+    # what stdout holds each time a record's check starts
+    printed = []
+    check = getattr(cli, made)
+    monkeypatch.setattr(
+        cli, made, lambda *args: printed.append(capsys.readouterr().out) or check(*args)
+    )
+    main(argv)
+    header, records, _ = parse_jsonl("".join(printed) + capsys.readouterr().out)
+    # nothing before the first record is made, then the header with the
+    # first record, then one record per check
+    assert [chunk.count("\n") for chunk in printed[:3]] == [0, 2, 1]
+    assert len(printed) == len(records) and header["suite"] == argv[1]
+
+
+@pytest.mark.parametrize("k", [None, 1])
+@pytest.mark.parametrize("fault", ["degenerate", "ramified"])
+def test_an_input_error_in_a_verify_record_prints_nothing(capsys, tmp_path, fixtures_dir, fault, k):
+    # the first record raises, before the header is written
+    if fault == "degenerate":
+        # Psi1 = [[i, i], [i, i]] has rank 1
+        path = fixtures_dir / "degenerate.pel"
+        message = "trace gram is degenerate over Q"
+    else:
+        raw = json.loads((fixtures_dir / "allpass.pel").read_text())
+        path = tmp_path / "ramified.pel"
+        path.write_text(json.dumps(raw | {"p": 2}))
+        message = "perfectness test requires p coprime to m, got p=2, m=4"
+    argv = ["verify", "prinz", "--input", str(path)] + ([] if k is None else ["--k", str(k)])
+    assert run(capsys, *argv) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+    def flush(self):
+        pass
+
+
+def test_verify_memory_does_not_grow_with_the_record_count():
+    # 11,476 passing records; written out, they are about 1.1 MB of JSONL
+    argv = ["verify", "data", "--m", "4", "--n", "150"]
+    with contextlib.redirect_stdout(_Discard()), contextlib.redirect_stderr(_Discard()):
+        main(argv[:-1] + ["2"])  # build the field and the parser's caches first
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 @pytest.mark.parametrize("fmt", ["csv", "records"])
 def test_a_first_row_that_raises_prints_nothing(capsys, fmt):
-    from pelwedge.cli import _emit_table
-
     def rows():
         raise ArithmeticError("no row")
         yield
 
     with pytest.raises(ArithmeticError):
-        _emit_table(rows(), fmt)
+        if fmt == "csv":
+            cli._emit_table(rows())
+        else:
+            sys.stdout.writelines(ReportDocument(suite="table").lines(rows()))
     assert capsys.readouterr().out == ""
 
 
-def test_report_lines_stream_what_to_jsonl_joins():
+def test_report_lines_are_to_jsonl_line_by_line():
+    records = [
+        {"check": "a", "status": "pass"},
+        {"check": "b", "status": "vacuous"},
+        {"check": "c", "status": "fail"},
+        {"row": 0},
+    ]
     doc = ReportDocument(suite="s", seed=1, params={"n": 2})
-    doc.add(check="a", status="pass")
-    doc.add(check="b", status="vacuous")
-    assert "".join(doc.lines()) == doc.to_jsonl()
-    assert list(ReportDocument(suite="s", seed=1, params={"n": 2}).lines(iter(doc.records))) == list(
-        doc.lines())
-    assert doc.exit_code() == 2 and doc.summary()["checks"] == 2
+    lines = list(doc.lines(iter(records)))
+    objs = [{"header": doc.header()}, *({"record": r} for r in records), {"summary": doc.summary()}]
+    assert lines == [doc.to_jsonl(obj) for obj in objs]
+    assert [json.loads(line) for line in lines] == objs
+    assert lines[-1] == '{"summary":{"checks":4,"exit_code":1,"failed":1,"vacuous":1}}\n'
+    # a list streams the same lines as an iterator; only the unpassed are kept
+    assert list(ReportDocument(suite="s", seed=1, params={"n": 2}).lines(records)) == lines
+    assert doc.unpassed == records[1:3]
+    assert doc.human_summary().splitlines() == [
+        "suite s: 4 checks",
+        "  b: VACUOUS {'check': 'b', 'status': 'vacuous'}",
+        "  c: FAIL {'check': 'c', 'status': 'fail'}",
+        "  failed=1 vacuous=1 exit=1",
+    ]
+    empty = ReportDocument(suite="e")
+    assert list(empty.lines([]))[1:] == [
+        '{"summary":{"checks":0,"exit_code":0,"failed":0,"vacuous":0}}\n'
+    ]
 
 
 def test_table_embedding_matrix(capsys):
@@ -300,16 +385,14 @@ def test_table_embedding_matrix(capsys):
 
 
 def test_csv_rows_are_printed_as_they_are_made(capsys):
-    from pelwedge.cli import _emit_table
-
     def rows():
         yield {"a": 1, "b": "x"}
         assert capsys.readouterr().out == "a,b\n1,x\n"
         yield {"a": 2, "b": "y"}
 
-    _emit_table(rows(), "csv")
+    cli._emit_table(rows())
     assert capsys.readouterr().out == "2,y\n"
-    _emit_table(iter(()), "csv")
+    cli._emit_table(iter(()))
     assert capsys.readouterr().out == ""
 
 

@@ -133,7 +133,7 @@ def test_norm_is_a_positive_integer(m):
         norm = F.one
         for a in F.units:
             norm = norm * x.galois(a)
-        assert norm.is_rational() and norm.den == 1 and norm.num[0] > 0
+        assert not any(norm.num[1:]) and norm.den == 1 and norm.num[0] > 0
 
 
 @pytest.mark.parametrize("m", [3, 7, 11, 17, 32, 40, 48, 60, 61])
@@ -419,14 +419,11 @@ def test_integer_kernel_matches_the_fraction_reference(m):
             assert (x / y).coords == reference_mul(F, a, reference_inverse(F, b))
             assert (y ** -2).coords == reference_pow(F, b, -2)
             assert (1 / y).coords == reference_inverse(F, b)
-        assert x.is_rational() == (not any(a[1:]))
         for results in (x + y, x - y, x * y, x.conj(), x ** 3, x - x, x * 0):
             assert_canonical(results)
     assert seen_fraction
     q = F.from_rational(Fraction(-10, 4))
-    assert q.is_rational() and q.rational_value() == Fraction(-5, 2)
-    with pytest.raises(ValueError):
-        (q + F.zeta).rational_value()
+    assert q.coords == (Fraction(-5, 2),) + (0,) * (F.degree - 1) and q.den == 2
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16])

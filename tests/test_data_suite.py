@@ -6,7 +6,6 @@ import pytest
 from pelwedge import cli, hodge
 from pelwedge.cyclofield import all_cm_types, cyclo_field
 from pelwedge.hodge import EmbeddingCase
-from pelwedge.reporting import ReportDocument
 
 MS = (3, 4, 5, 8, 12, 16)
 
@@ -53,9 +52,7 @@ def brute_force_records(m_list, n_max):
 
 
 def suite_records(m_list, n_max):
-    doc = ReportDocument(suite="data")
-    cli._suite_data(doc, m_list, n_max)
-    return doc.records
+    return list(cli._suite_data(m_list, n_max))
 
 
 def test_records_match_the_brute_force_loop():

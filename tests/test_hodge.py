@@ -17,7 +17,6 @@ from pelwedge.hodge import (
     case_of,
     compatible,
     derived_cm_trace,
-    dim_minus10,
     imaginary_sign,
     signature_at,
     twist_weights,
@@ -58,13 +57,6 @@ def test_case_of(F4, F5):
     assert case_of(2, p0, pn) is EmbeddingCase.ONLY0
     assert case_of(3, p0, pn) is EmbeddingCase.ONLYN
     assert case_of(4, p0, pn) is EmbeddingCase.NEITHER
-
-
-def test_dim_minus10():
-    assert dim_minus10(EmbeddingCase.BOTH, 4) == 4
-    assert dim_minus10(EmbeddingCase.ONLY0, 4) == 3
-    assert dim_minus10(EmbeddingCase.ONLYN, 4) == 1
-    assert dim_minus10(EmbeddingCase.NEITHER, 7) == 0
 
 
 def test_wedge_weights_tables():

@@ -31,7 +31,6 @@ from pelwedge.pairings import (
     DegenerateForm,
     TraceGram,
     _det_valuation,
-    _integer_matrix,
     perfectness_valuation,
     trace_gram,
     verify_prinz,
@@ -168,6 +167,14 @@ def test_verify_prinz_random_sweep():
 # -- reference oracles: the formulas the fast paths replaced ----------------
 
 
+def integer_matrix(matrix):
+    """(nums, den) with matrix = nums / den and den the least common
+    denominator of the entries."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
 def reference_trace_gram(module):
     """psi(zeta^a e_i, zeta^b e_j) as the triple product, traced entry by entry."""
     field = module.field
@@ -181,7 +188,7 @@ def reference_trace_gram(module):
                 for b in range(d)
                 for j in range(n)
             ))
-    return TraceGram(field, n, tuple(rows))
+    return TraceGram(field, n, *integer_matrix(rows))
 
 
 def elementwise_wedge(psi0, psi1, k):
@@ -213,7 +220,7 @@ def elementwise_trace_gram(module):
         for a in range(d)
         for i in range(n)
     ]
-    return TraceGram.from_integers(field, n, tuple(rows), den)
+    return TraceGram(field, n, tuple(rows), den)
 
 
 def reference_valuation(gram, p):
@@ -548,7 +555,7 @@ def test_det_valuation_matches_the_gaussian_reference(p):
         matrix[-1] = [2 * x - y + p * rng.randint(-9, 9) for x, y in zip(matrix[-3], matrix[-2])]
         cases += [("p | det", matrix), ("large", rand_matrix(rng, size, (1, 11), bound=10**6))]
     for label, matrix in cases:
-        nums, den = _integer_matrix(matrix)
+        nums, den = integer_matrix(matrix)
         value = reference_rational_det(matrix)
         if value == 0:
             with pytest.raises(DegenerateForm):
@@ -686,7 +693,7 @@ def scaled_antisymmetric(draw):
 def test_perfectness_valuation_is_the_valuation_of_the_determinant(case):
     p, nums, den = case
     # Q(zeta_3) and Q(i) have degree 2 and are unramified at every other prime
-    tg = TraceGram.from_integers(cyclo_field(4 if p == 3 else 3), len(nums) // 2, nums, den)
+    tg = TraceGram(cyclo_field(4 if p == 3 else 3), len(nums) // 2, nums, den)
     value = reference_rational_det(tg.matrix)
     if value == 0:
         with pytest.raises(DegenerateForm):
@@ -733,21 +740,23 @@ def test_trace_gram_integers_and_rational_view():
     assert tg.matrix != rows[:-1]
     assert tg.matrix[1:3] == rows[1:3] and tg.matrix[-1] == rows[-1]
     assert len(tg.matrix) == F.degree * 2
-    rebuilt = TraceGram(F, 2, rows)
+    # the constructor reduces to lowest terms
+    rebuilt = TraceGram(F, 2, tg.nums * 6, tg.den * 6)
     assert (rebuilt.nums.tolist(), rebuilt.den) == (tg.nums.tolist(), tg.den)
+    assert rebuilt.matrix == rows
     # (zeta - zeta^2) / 3 over Q(zeta_3) has an integral trace form
     F3 = cyclo_field(3)
     x = (F3.zeta - F3.zeta_power(2)) / 3
     tg = trace_gram(HermitianModule(F3, [[x]]))
     assert (tg.nums.tolist(), tg.den) == ([[0, -1], [1, 0]], 1)
-    rebuilt = TraceGram(F3, 1, tg.matrix)
+    rebuilt = TraceGram(F3, 1, *integer_matrix(tg.matrix))
     assert (rebuilt.nums.tolist(), rebuilt.den) == (tg.nums.tolist(), 1)
     with pytest.raises(ValueError, match="antisymmetric"):
-        TraceGram(cyclo_field(4), 1, [[0, 1], [1, 0]])
+        TraceGram(cyclo_field(4), 1, [[0, 1], [1, 0]], 1)
     with pytest.raises(ValueError, match="antisymmetric"):
-        TraceGram(cyclo_field(4), 1, [[1, 1], [-1, 0]])
+        TraceGram(cyclo_field(4), 1, [[1, 1], [-1, 0]], 2)
     with pytest.raises(ValueError, match="wrong size"):
-        TraceGram(cyclo_field(4), 2, [[0, 1], [-1, 0]])
+        TraceGram(cyclo_field(4), 2, [[0, 1], [-1, 0]], 1)
 
 
 # -- the array path against the element oracles ------------------------------
