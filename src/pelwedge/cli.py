@@ -9,6 +9,7 @@ input error (bad or unreadable `.pel` file).
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import random
 import sys
@@ -145,6 +146,8 @@ def _ball_point(text: str, n: int) -> BallPoint:
         _usage_error(f"--x must be comma-separated complex numbers, got {text!r}")
     if len(coords) != n - 1:
         _usage_error(f"--x needs n-1 = {n - 1} coordinates, got {len(coords)}")
+    if not all(map(cmath.isfinite, coords)):
+        _usage_error(f"--x must be finite, got {text!r}")
     return BallPoint.of(coords, require_in_ball=False)
 
 
@@ -477,9 +480,8 @@ def cmd_table(kind: str, opts) -> int:
 
 
 def _fmt_complex(z: complex) -> str:
-    if z.imag == 0:
-        return repr(z.real)
-    return repr(z)
+    z = complex(z)  # the repr of a numpy scalar depends on the numpy version
+    return repr(z.real) if z.imag == 0 else repr(z)
 
 
 def cmd_spadesuit(opts) -> int:

@@ -2,17 +2,21 @@
 
 Elements are stored as integer numerators in the power basis
 1, zeta, ..., zeta^(phi(m)-1) over one positive denominator, in lowest
-terms.  Products are integer schoolbook products reduced modulo the
-monic m-th cyclotomic polynomial; each Galois automorphism
-sigma_a : zeta -> zeta^a, the CM involution sigma_(m-1) among them, is an
-integer change of coordinates, and the inverse is the product of the
-other conjugates over the norm.  Everything here is immutable and exact.
+terms.  All arithmetic reads one table, the powers zeta^t in that basis.
+A product is an integer schoolbook convolution whose coefficients
+s >= phi(m) reach the basis through the rows zeta^s; each Galois
+automorphism sigma_a : zeta -> zeta^a, the CM involution sigma_(m-1)
+among them, is an integer change of coordinates, and the inverse is the
+product of the other conjugates over the norm.  Everything here is
+immutable and exact.
 
 A matrix over the field is a `CycloMatrix`: one integer array of shape
-(rows, cols, phi(m)) over one positive denominator.  `CycloField` turns
-the same power tables into three integer matrices, built on first use,
-through which whole arrays are multiplied (`dot`), conjugated
-(`conjugate`) and traced against every power of zeta (`shifted_traces`).
+(rows, cols, phi(m)) over one positive denominator, with a matrix
+product (`@`), a conjugate transpose and scaling by an element.
+`CycloField` turns the same power table into three integer matrices,
+built on first use, through which whole arrays are multiplied (`dot`),
+conjugated (`conjugate`) and traced against every power of zeta
+(`shifted_traces`).
 Each of these stages runs in numpy int64 only when a bound taken from the
 actual largest |entry| of its inputs proves that no intermediate value
 reaches 2^63, and otherwise runs the same code on Python ints (object
@@ -228,8 +232,11 @@ class CycloField:
                 (prev[j - 1] if j else 0) - top * poly[j] for j in range(d)
             ))
         self._zeta_powers = tuple(table)
-        # zeta^d = -(poly[0] + ... + poly[d-1] zeta^(d-1)), as nonzero terms
-        self._reduction = tuple((j, -c) for j, c in enumerate(poly[:d]) if c)
+        # zeta^s for d <= s < 2d - 1, as nonzero terms: the rows through
+        # which a product's convolution coefficient s reaches the basis
+        self._high_powers = tuple(
+            tuple((t, c) for t, c in enumerate(table[s]) if c) for s in range(d, 2 * d - 1)
+        )
         # unit a -> sigma_a(zeta^j) = zeta^(ja) for j < d, as nonzero terms of
         # the power basis; filled per a on first use, since all phi(m) tables
         # together hold up to phi(m)^3 terms
@@ -419,15 +426,13 @@ class CycloElement:
                 for j, b in enumerate(other.num):
                     if b:
                         prod[i + j] += a * b
-        # reduce modulo the monic cyclotomic polynomial, top degree first
-        reduction = field._reduction
-        for t in range(2 * d - 2, d - 1, -1):
-            c = prod[t]
+        # convolution coefficient s >= d times zeta^s, as `CycloField.dot` reduces
+        out = prod[:d]
+        for c, terms in zip(prod[d:], field._high_powers):
             if c:
-                base = t - d
-                for j, q in reduction:
-                    prod[base + j] += c * q
-        return CycloElement(field, tuple(prod[:d]), self.den * other.den)
+                for t, q in terms:
+                    out[t] += c * q
+        return CycloElement(field, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -588,6 +593,30 @@ class CycloMatrix(Sequence):
         return self._elements() == tuple(map(tuple, other))
 
     __hash__ = None
+
+    def __matmul__(self, other: "CycloMatrix") -> "CycloMatrix":
+        """The matrix product: one `CycloField.dot` over the inner axis."""
+        if not isinstance(other, CycloMatrix):
+            return NotImplemented
+        if other.field != self.field:
+            raise ValueError("elements of different fields")
+        if self.shape[1] != other.shape[0]:
+            raise ValueError("dimension mismatch")
+        nums = self.field.dot(self.nums[:, None], np.swapaxes(other.nums, 0, 1)[None])
+        return CycloMatrix(self.field, nums, self.den * other.den)
+
+    def __mul__(self, x: CycloElement) -> "CycloMatrix":
+        """Every entry times the element x: one `CycloField.dot`."""
+        if not isinstance(x, CycloElement):
+            return NotImplemented
+        if x.field != self.field:
+            raise ValueError("elements of different fields")
+        nums = self.field.dot(self.nums[..., None, :], integer_array([x.num]))
+        return CycloMatrix(self.field, nums, self.den * x.den)
+
+    def conj_transpose(self) -> "CycloMatrix":
+        """The transpose of the CM conjugates: one `CycloField.conjugate`."""
+        return CycloMatrix(self.field, self.field.conjugate(self.nums).transpose(1, 0, 2), self.den)
 
 
 def trace_LQ(x: CycloElement) -> Fraction:

@@ -5,22 +5,24 @@ All arithmetic here is exact.  `compound` computes each minor once, by
 Laplace expansion from the minors on one row fewer, and `det` is its
 n x n case.  It takes one of two paths, chosen from the entries:
 
-- Over L = Q(zeta_m), a `CycloMatrix` or rows holding a CycloElement, the
-  minors are built by levels on one integer array (rows, cols, phi(m)):
-  level j+1 is one gather from level j and from the matrix, one batched
-  product through the field's power table and one sum over the j+1 terms
-  of the expansion along the last row.  The gather indices are cached per
-  (n, k).  A level runs in int64 when (j+1) * bound * max|A| * max|M_j|
-  < 2^63, from the actual largest entries of the matrix A and of level
-  j and the field's product bound, and on Python ints otherwise.
-- Over any other commutative ring (ints, Fractions, `serretate.Polynomial`s
-  or sympy expressions, with +, -, * and truthiness-as-nonzero), `_laplace`
-  keeps only the nonzero minors in a dict per row prefix, and the compound
-  is a `SparseRows` of them.  The Serre-Tate blocks are sparse: at n = 10
-  their compounds over every k hold 3,328 nonzero minors of 184,756.
+- Over L = Q(zeta_m), a `CycloMatrix`, the minors are built by levels
+  on one integer array (rows, cols, phi(m)): level j+1 is one gather from
+  level j and from the matrix, one batched product through the field's
+  power table and one sum over the j+1 terms of the expansion along the
+  last row.  The gather indices are cached per (n, k).  A level runs in
+  int64 when (j+1) * bound * max|A| * max|M_j| < 2^63, from the actual
+  largest entries of the matrix A and of level j and the field's product
+  bound, and on Python ints otherwise.
+- Over any other commutative ring (ints, Fractions, `serretate.Polynomial`s,
+  sympy expressions or CycloElements given as rows, with +, -, * and
+  truthiness-as-nonzero), `_laplace` keeps only the nonzero minors in a
+  dict per row prefix, and the compound is a `SparseRows` of them.  The
+  Serre-Tate blocks are sparse: at n = 10 their compounds over every k
+  hold 3,328 nonzero minors of 184,756.
 
-`wedge_gram` is the L path followed by one more product, by psi0^(1-k),
-and returns a `CycloMatrix`; `multiplier` stays on CycloElements.
+`wedge_gram` is the L path followed by one scaling, by psi0^(1-k), and
+returns a `CycloMatrix`; `multiplier` is two `CycloMatrix` products and
+one scaling.
 `colex_subsets` is the one subset order and `removal_entries` the one
 builder of the +-x_{i_nu} matrices of the deformation blocks and the ball
 embedding; `removal_matrix` makes them dense for the ball embedding.
@@ -36,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cyclofield import CycloElement, CycloMatrix, integer_array
+from .cyclofield import CycloElement, CycloMatrix
 
 
 class NotASimilitude(ArithmeticError):
@@ -181,28 +183,20 @@ def _laplace(minors: dict, row) -> dict:
 def compound(matrix, k: int):
     """Matrix of k x k minors in SubsetIndex order (the k-th compound).
 
-    Over L (a `CycloMatrix`, or rows with a CycloElement among their
-    entries) the minors are built by levels on one array and returned as a
-    CycloMatrix.  Over any other commutative ring each minor is computed
-    once: the minors on rows P + (r,) come from the minors on rows P by
-    Laplace expansion along row r, walking the row prefixes depth first.
+    Over L (a `CycloMatrix`) the minors are built by levels on one array
+    and returned as a CycloMatrix.  Over any other commutative ring, rows
+    of CycloElements among them, each minor is computed once: the minors
+    on rows P + (r,) come from the minors on rows P by Laplace expansion
+    along row r, walking the row prefixes depth first.
     Only multiplication, addition and negation are used, and the result
     is a `SparseRows` of the nonzero minors."""
     n = len(matrix)
-    if isinstance(matrix, CycloMatrix):
-        square = matrix.shape == (n, n)
-    else:
-        square = all(len(row) == n for row in matrix)
-        field = next((x.field for row in matrix for x in row if isinstance(x, CycloElement)), None)
-        if square and field is not None:
-            matrix = CycloMatrix.of(field, matrix)
-    if not square:
+    over_l = isinstance(matrix, CycloMatrix)
+    if not (matrix.shape == (n, n) if over_l else all(len(row) == n for row in matrix)):
         raise ValueError("compound requires a square matrix")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if isinstance(matrix, CycloMatrix):
-        return _field_compound(matrix, k)
-    return _ring_compound(matrix, k)
+    return _field_compound(matrix, k) if over_l else _ring_compound(matrix, k)
 
 
 def _ring_compound(matrix, k: int) -> SparseRows:
@@ -304,30 +298,6 @@ def det(matrix) -> object:
     return compound(matrix, len(matrix))[0][0]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if any(len(row) != inner for row in a):
-        raise ValueError("dimension mismatch")
-    out = []
-    for i in range(rows):
-        out_row = []
-        for j in range(cols):
-            acc = None
-            for t in range(inner):
-                term = a[i][t] * b[t][j]
-                acc = term if acc is None else acc + term
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def conj_transpose(matrix):
-    return tuple(
-        tuple(matrix[j][i].conj() for j in range(len(matrix)))
-        for i in range(len(matrix[0]))
-    )
-
-
 def wedge_gram(psi0: CycloElement, psi1, k: int) -> CycloMatrix:
     """psi0^(1-k) times the k-th compound of psi1: entry (I,J) = psi0^(1-k) * det(psi1[I,J]).
 
@@ -340,37 +310,29 @@ def wedge_gram(psi0: CycloElement, psi1, k: int) -> CycloMatrix:
     n = len(psi1)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    field = psi0.field
-    minors = compound(CycloMatrix.of(field, psi1), k)
-    factor = psi0 ** (1 - k)
-    nums = field.dot(minors.nums[..., None, :], integer_array([factor.num]))
-    return CycloMatrix(field, nums, minors.den * factor.den)
+    return compound(CycloMatrix.of(psi0.field, psi1), k) * psi0 ** (1 - k)
 
 
 # the induced similitude map gamma0^(1-k) * Lambda^k gamma1
 g_k = wedge_gram
 
 
-def multiplier(gamma, psi) -> CycloElement:
-    """The unique mu with conj-transpose(gamma) * psi * gamma = mu * psi."""
-    n = len(gamma)
-    if len(psi) != n:
+def multiplier(gamma: CycloMatrix, psi: CycloMatrix) -> CycloElement:
+    """The unique mu with conj-transpose(gamma) * psi * gamma = mu * psi,
+    for square matrices of one size over one field."""
+    n = len(psi)
+    if gamma.shape != (n, n) or psi.shape != (n, n):
         raise ValueError("dimension mismatch")
-    transported = mat_mul(mat_mul(conj_transpose(gamma), psi), gamma)
-    mu = None
-    for i in range(n):
-        for j in range(n):
-            if psi[i][j]:
-                mu = transported[i][j] / psi[i][j]
-                break
-        if mu is not None:
-            break
-    if mu is None:
+    transported = gamma.conj_transpose() @ psi @ gamma
+    nonzero = np.argwhere(psi.nums.any(axis=2))
+    if not len(nonzero):
         raise ValueError("psi is the zero form")
-    for i in range(n):
-        for j in range(n):
-            if transported[i][j] != mu * psi[i][j]:
-                raise NotASimilitude(
-                    f"no single multiplier works (mismatch at {(i, j)})"
-                )
+    i, j = nonzero[0]
+    mu = transported[i][j] / psi[i][j]
+    expected = psi * mu
+    if transported != expected:
+        mismatch = next(
+            (i, j) for i in range(n) for j in range(n) if transported[i][j] != expected[i][j]
+        )
+        raise NotASimilitude(f"no single multiplier works (mismatch at {mismatch})")
     return mu

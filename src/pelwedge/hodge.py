@@ -172,8 +172,8 @@ class HermitianModule:
     of CycloElements only by the paths that stay on elements (the
     congruence diagonal and so the signatures).  The gram may be given
     as a CycloMatrix or as rows of CycloElements.  Skew-Hermitian symmetry,
-    conj(Psi)^T = -Psi, is one comparison of numerator arrays through the
-    field's conjugation matrix."""
+    conj(Psi)^T = -Psi, is one comparison of numerator arrays with
+    `CycloMatrix.conj_transpose`."""
 
     def __init__(self, field: CycloField, gram):
         if isinstance(gram, CycloMatrix):
@@ -184,7 +184,7 @@ class HermitianModule:
         if not square:
             raise ValueError("gram matrix must be square")
         gram = CycloMatrix.of(field, gram)
-        if not np.array_equal(field.conjugate(gram.nums).transpose(1, 0, 2), -gram.nums):
+        if not np.array_equal(gram.conj_transpose().nums, -gram.nums):
             raise ValueError("gram matrix is not *-skew-Hermitian")
         self.field = field
         self.rank = len(gram)

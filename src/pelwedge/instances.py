@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 
-from .cyclofield import CycloElement, CycloField, cyclo_field
-from .exterior import conj_transpose, mat_mul
+import numpy as np
+
+from .cyclofield import CycloElement, CycloField, CycloMatrix, cyclo_field
+from .exterior import det
 from .hodge import HermitianModule
 from .pairings import DegenerateForm, perfectness_valuation, trace_gram
 
@@ -18,17 +20,15 @@ def rand_element(field: CycloField, rng: random.Random, lo: int = -3, hi: int = 
     return CycloElement(field, tuple(rng.randint(lo, hi) for _ in range(field.degree)))
 
 
-def rand_skew_hermitian(field: CycloField, n: int, rng: random.Random):
-    """Random *-skew-Hermitian n x n gram over O_L."""
-    gram = [[field.zero] * n for _ in range(n)]
+def rand_skew_hermitian(field: CycloField, n: int, rng: random.Random) -> CycloMatrix:
+    """Random *-skew-Hermitian n x n gram over O_L: U - U^* for U upper
+    triangular, its entries drawn by `rand_element` row by row."""
+    upper = np.zeros((n, n, field.degree), dtype=np.int64)
     for a in range(n):
-        x = rand_element(field, rng)
-        gram[a][a] = x - x.conj()
-        for b in range(a + 1, n):
-            y = rand_element(field, rng)
-            gram[a][b] = y
-            gram[b][a] = -y.conj()
-    return gram
+        for b in range(a, n):
+            upper[a, b] = rand_element(field, rng).num
+    upper = CycloMatrix(field, upper)
+    return CycloMatrix(field, upper.nums - upper.conj_transpose().nums)
 
 
 def rand_perfect_pair(
@@ -58,34 +58,31 @@ def _unit(field: CycloField, rng: random.Random) -> CycloElement:
     return field.zeta_power(t) if rng.random() < 0.5 else -field.zeta_power(t)
 
 
+def _identity(field: CycloField, n: int) -> np.ndarray:
+    """Numerators of the n x n identity matrix over field."""
+    nums = np.zeros((n, n, field.degree), dtype=np.int64)
+    nums[range(n), range(n), 0] = 1
+    return nums
+
+
 def rand_unimodular(field: CycloField, n: int, rng: random.Random, steps: int = 4):
     """(B, B_inverse) with B a product of transvections and unit diagonals."""
-    B = [[field.one if a == b else field.zero for b in range(n)] for a in range(n)]
-    Binv = [list(row) for row in B]
-
-    def apply(M, Minv_factor):
-        nonlocal B, Binv
-        B = [list(r) for r in mat_mul(B, M)]
-        Binv = [list(r) for r in mat_mul(Minv_factor, Binv)]
-
+    B = Binv = CycloMatrix(field, _identity(field, n))
     for _ in range(steps):
+        M, Minv = _identity(field, n), _identity(field, n)
         if n >= 2 and rng.random() < 0.7:
             i, j = rng.sample(range(n), 2)
             lam = rand_element(field, rng, -2, 2)
-            M = [[field.one if a == b else field.zero for b in range(n)] for a in range(n)]
-            Mi = [list(r) for r in M]
-            M[i][j] = lam
-            Mi[i][j] = -lam
-            apply(M, Mi)
+            M[i, j] = lam.num
+            Minv[i, j] = (-lam).num
         else:
             d = rng.randrange(n)
             u = _unit(field, rng)
-            M = [[field.one if a == b else field.zero for b in range(n)] for a in range(n)]
-            Mi = [list(r) for r in M]
-            M[d][d] = u
-            Mi[d][d] = u.conj()
-            apply(M, Mi)
-    return tuple(map(tuple, B)), tuple(map(tuple, Binv))
+            M[d, d] = u.num
+            Minv[d, d] = u.conj().num
+        B = B @ CycloMatrix(field, M)
+        Binv = CycloMatrix(field, Minv) @ Binv
+    return B, Binv
 
 
 def rand_similitude_pair(n: int, rng: random.Random):
@@ -98,35 +95,25 @@ def rand_similitude_pair(n: int, rng: random.Random):
     field = cyclo_field(4)
     i = field.zeta
     c = 1
-    gamma = [[field.one if a == b else field.zero for b in range(n)] for a in range(n)]
-
-    def matm(A, Bm):
-        return [list(r) for r in mat_mul(A, Bm)]
-
+    gamma = CycloMatrix(field, _identity(field, n))
     for _ in range(3):
         if rng.random() < 0.5:
             perm = list(range(n))
             rng.shuffle(perm)
-            M = [
-                [_unit(field, rng) if perm[a] == b else field.zero for b in range(n)]
-                for a in range(n)
-            ]
+            M = np.zeros((n, n, field.degree), dtype=np.int64)
+            for a in range(n):
+                M[a, perm[a]] = _unit(field, rng).num
         else:
             scalar = rng.choice([2, 3, 5, -2])
             c *= scalar
-            M = [
-                [field.from_rational(scalar) if a == b else field.zero for b in range(n)]
-                for a in range(n)
-            ]
-        gamma = matm(gamma, M)
+            M = _identity(field, n) * scalar
+        gamma = gamma @ CycloMatrix(field, M)
 
     B, Binv = rand_unimodular(field, n, rng)
-    psi_std = [[i if a == b else field.zero for b in range(n)] for a in range(n)]
-    psi1 = mat_mul(mat_mul(conj_transpose(B), psi_std), B)
-    gamma1 = mat_mul(mat_mul(Binv, gamma), B)
+    psi1 = B.conj_transpose() @ B * i
+    gamma1 = Binv @ gamma @ B
     gamma0 = field.from_rational(c) * _unit(field, rng)
-    psi0_entry = i * field.from_rational(rng.choice([1, 1, 3]))
-    psi0 = ((psi0_entry,),)
+    psi0 = CycloMatrix.of(field, [[i * field.from_rational(rng.choice([1, 1, 3]))]])
     mu = field.from_rational(c * c)
     return gamma0, gamma1, psi0, psi1, mu
 
@@ -135,15 +122,12 @@ def rand_definite_instance(n: int, rng: random.Random):
     """(psi0, psi1) over Q(i), skew-Hermitian, with i * psi_sigma1
     positive definite for both (matching orientation at sigma_1)."""
     field = cyclo_field(4)
-    i = field.zeta
     while True:
-        A = [[rand_element(field, rng, -2, 2) for _ in range(n)] for _ in range(n)]
-        from .exterior import det
-
+        A = CycloMatrix.of(field, [[rand_element(field, rng, -2, 2) for _ in range(n)]
+                                   for _ in range(n)])
         if det(A):
             break
-    H = mat_mul(A, conj_transpose(A))  # positive definite Hermitian
-    minus_i = -i
-    psi1 = tuple(tuple(minus_i * entry for entry in row) for row in H)
-    psi0 = ((minus_i * field.from_rational(rng.choice([1, 2, 5])),),)
+    minus_i = -field.zeta
+    psi1 = A @ A.conj_transpose() * minus_i  # -i times a positive definite Hermitian
+    psi0 = CycloMatrix.of(field, [[minus_i * field.from_rational(rng.choice([1, 2, 5]))]])
     return psi0, psi1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -114,14 +115,25 @@ def params_hash(params: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# the "a/b" strings a coefficient may be: no sign on b, no spaces, and none
+# of the decimal or exponent forms Fraction also reads, whose size it does
+# not bound ("1e1000000" is a million-digit integer)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _is_integer(value) -> bool:
+    """Whether a JSON value is an integer: true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_rational(value, where: str) -> int | Fraction:
-    if isinstance(value, int):
-        return int(value)
-    try:
-        if isinstance(value, str):
+    if _is_integer(value):
+        return value
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
             return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PelInputError(f"{where}: bad rational {value!r}: {exc}") from None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PelInputError(f"{where}: bad rational {value!r}: {exc}") from None
     raise PelInputError(f"{where}: expected integer or 'a/b' string, got {value!r}")
 
 
@@ -183,7 +195,7 @@ def load_pel_input(path: str) -> PelInput:
         if key not in doc:
             raise PelInputError(f"{path}: missing key {key!r}")
     for key in ("m", "n", "p", "l"):
-        if not isinstance(doc[key], int):
+        if not _is_integer(doc[key]):
             raise PelInputError(f"{path}: key {key!r} must be an integer")
     excess = degree_excess(doc["m"])
     if excess:
@@ -203,7 +215,7 @@ def load_pel_input(path: str) -> PelInput:
 
     def parse_type(key: str) -> CMType:
         members = doc[key]
-        if not isinstance(members, list) or not all(isinstance(k, int) for k in members):
+        if not isinstance(members, list) or not all(map(_is_integer, members)):
             raise PelInputError(f"{path}: {key} must be a list of residues")
         try:
             return CMType(field_obj, frozenset(members))

@@ -274,6 +274,11 @@ def verify_vzehn(b: int, k: int, phi: DeformationParams, c1) -> bool:
     """The block built from contracted parameters equals the k-th wedge
     block built from the original parameters.
 
+    Both sides are built by `_removal_rows` from the same values, so this
+    checks how `contract` is wired into `assemble_block`, not the
+    exterior-power identity itself: that the k-th compound of a block is
+    its wedge block is checked only by `verify_vdrei`.
+
     Entries may come from any commutative ring that compares exactly:
     ints, `Polynomial`s from `generators`, or Z/p^N."""
     if phi.a != 1 or phi.b != b:

@@ -13,7 +13,7 @@ import time
 from pelwedge.cli import main
 from pelwedge.cyclofield import all_cm_types, check_spadesuit, cyclo_field
 from pelwedge.domains import anticommutation_witness
-from pelwedge.exterior import g_k, mat_mul, multiplier, wedge_gram
+from pelwedge.exterior import g_k, multiplier, wedge_gram
 from pelwedge.hodge import HermitianModule, binom, signature_at, verify_type11
 from pelwedge.instances import (
     rand_definite_instance,
@@ -129,9 +129,7 @@ def test_acceptance_similitude_transport():
         g0a, g1a, _, _, _ = rand_similitude_pair(n, rng)
         g0b, g1b, _, _, _ = rand_similitude_pair(n, rng)
         for k in range(n + 1):
-            ok = ok and g_k(g0a * g0b, mat_mul(g1a, g1b), k) == mat_mul(
-                g_k(g0a, g1a, k), g_k(g0b, g1b, k)
-            )
+            ok = ok and g_k(g0a * g0b, g1a @ g1b, k) == g_k(g0a, g1a, k) @ g_k(g0b, g1b, k)
     _report(
         "similitude multiplier transport + multiplicativity, 200+200 pairs",
         ok,

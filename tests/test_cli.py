@@ -379,8 +379,16 @@ def test_table_embedding_matrix(capsys):
         "--x", "0.3,0.4",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # header + 2 rows
+    assert out == "row,c0\n0,-0.4\n1,0.3\n"
+    code, out, _ = run(
+        capsys, "table", "embedding-matrix", "--n", "3", "--k", "2",
+        "--x", "0.3,0.4j", "--format", "records",
+    )
+    assert code == 0
+    assert out.splitlines()[1:3] == [
+        '{"record":{"c0":"(-0-0.4j)","row":0}}',
+        '{"record":{"c0":"0.3","row":1}}',
+    ]
 
 
 def test_csv_rows_are_printed_as_they_are_made(capsys):

@@ -11,6 +11,8 @@ import pathlib
 import runpy
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -66,6 +68,7 @@ def write_pel(tmp_path, **changes):
         "table embedding-matrix --n 3 --k 2 --x abc",
         "table embedding-matrix --n 3 --k 2 --x 0.3",
         "table embedding-matrix --n 1 --k 1 --x 0.3",
+        "table embedding-matrix --n 3 --k 1 --x nan,inf",
         "table traces --n -3",
         "table traces --n 3 --k 1",
         f"table signatures --input {ALLPASS} --precision 8",
@@ -153,6 +156,52 @@ def test_undecodable_pel_is_an_input_error(capsys, tmp_path):
     code, out, err = run(["spadesuit", "--input", str(path)], capsys)
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith(f"input error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "prinz"], ["verify", "prinz", "--k", "1"], ["table", "signatures"], ["spadesuit"]],
+)
+def test_an_exponent_coefficient_is_refused_at_once(capsys, command):
+    # "1e100000" read as a Fraction is a 100001-digit integer
+    start = time.perf_counter()
+    code, out, err = run([*command, "--input", str(FIXTURES / "exponent.pel")], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "gram0[0][0][1]: expected integer or 'a/b' string, got '1e100000'" in err
+
+
+@pytest.mark.parametrize(
+    "coefficient", ["1.5", "1e3", " 1/2", "1/2 ", "1/-2", "0x10", "١", "", True, False, 1.0, None]
+)
+def test_coefficients_are_integers_or_a_b_strings(capsys, tmp_path, coefficient):
+    path = write_pel(tmp_path, gram0=[[[0, coefficient]]])
+    code, out, err = run(["verify", "prinz", "--input", path], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert f"gram0[0][0][1]: expected integer or 'a/b' string, got {coefficient!r}" in err
+
+
+@pytest.mark.parametrize("coefficient, value", [(3, 3), ("3", 3), ("+3", 3), ("-4/6", "-2/3")])
+def test_integer_and_a_b_coefficients_are_read(tmp_path, coefficient, value):
+    pel = reporting.load_pel_input(write_pel(tmp_path, gram0=[[[0, coefficient]]]))
+    field = cyclo_field(4)
+    assert pel.gram0.gram == ((field.zeta * Fraction(value),),)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("m", True, "key 'm' must be an integer"),
+        ("n", True, "key 'n' must be an integer"),
+        ("p", True, "key 'p' must be an integer"),
+        ("l", False, "key 'l' must be an integer"),
+        ("phin", [True], "phin must be a list of residues"),
+    ],
+)
+def test_json_booleans_are_not_integers(capsys, tmp_path, key, value, message):
+    code, out, err = run(["verify", "prinz", "--input", write_pel(tmp_path, **{key: value})], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert message in err
 
 
 def test_equal_cm_types_are_an_input_error_for_spadesuit(capsys, tmp_path):

@@ -6,9 +6,12 @@ import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from rowmatrix import conj_transpose, mat_mul
 
 from pelwedge.cyclofield import (
     CMType,
+    CycloElement,
+    CycloMatrix,
     RamifiedPrimeError,
     all_cm_types,
     check_spadesuit,
@@ -20,7 +23,7 @@ from pelwedge.cyclofield import (
     trace_LQ,
 )
 from pelwedge.hodge import HermitianModule
-from pelwedge.instances import rand_element
+from pelwedge.instances import rand_element, rand_skew_hermitian
 
 
 def test_field_construction():
@@ -99,6 +102,57 @@ def test_rand_element_is_the_element_of_the_same_draws(m):
         y = F.element([replayed.randint(-7, 7) for _ in range(F.degree)])
         assert (x.num, x.den) == (y.num, y.den)
         assert drawn.getstate() == replayed.getstate()
+
+
+def element_skew_hermitian(field, n, rng):
+    """The gram `rand_skew_hermitian` draws, built entry by entry from
+    CycloElements: x - conj(x) on the diagonal, y and -conj(y) off it."""
+    gram = [[field.zero] * n for _ in range(n)]
+    for a in range(n):
+        x = rand_element(field, rng)
+        gram[a][a] = x - x.conj()
+        for b in range(a + 1, n):
+            y = rand_element(field, rng)
+            gram[a][b] = y
+            gram[b][a] = -y.conj()
+    return gram
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 16])
+def test_rand_skew_hermitian_is_the_element_built_gram_of_the_same_draws(m):
+    F = cyclo_field(m)
+    for n in range(5):
+        for seed in range(20):
+            drawn, replayed = random.Random(seed), random.Random(seed)
+            gram = rand_skew_hermitian(F, n, drawn)
+            assert isinstance(gram, CycloMatrix) and gram.den == 1
+            assert gram == element_skew_hermitian(F, n, replayed)
+            assert drawn.getstate() == replayed.getstate()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16])
+def test_cyclo_matrix_operations_match_the_row_oracle(m):
+    F = cyclo_field(m)
+    rng = random.Random(5000 + m)
+    big = lambda: F.element([rng.randint(-2**62, 2**62) for _ in range(F.degree)])
+    for rows, inner, cols in ((1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 1), (1, 4, 3)):
+        for draw in (lambda: rand_rational_element(F, rng), big):
+            a = [[draw() for _ in range(inner)] for _ in range(rows)]
+            b = [[draw() for _ in range(cols)] for _ in range(inner)]
+            x = draw()
+            A, B = CycloMatrix.of(F, a), CycloMatrix.of(F, b)
+            assert A @ B == mat_mul(a, b)
+            assert A.conj_transpose() == conj_transpose(a)
+            assert A * x == tuple(tuple(e * x for e in row) for row in a)
+            assert A * F.zero == ((F.zero,) * inner,) * rows
+    A = CycloMatrix.of(F, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        A @ CycloMatrix.of(F, [[1, 2, 3]])
+    other = cyclo_field(7 if m != 7 else 9)
+    with pytest.raises(ValueError, match="different fields"):
+        A @ CycloMatrix.of(other, [[1], [2]])
+    with pytest.raises(ValueError, match="different fields"):
+        A * other.zeta
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 60])
@@ -397,7 +451,22 @@ def assert_canonical(x):
         assert x.den == 1
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16])
+def polynomial_reduced_mul(x, y):
+    """x * y as the integer convolution reduced modulo the monic cyclotomic
+    polynomial term by term, top degree first."""
+    F = x.field
+    d, poly = F.degree, cyclotomic_poly(F.m)
+    prod = [0] * (2 * d - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            prod[i + j] += a * b
+    for t in range(2 * d - 2, d - 1, -1):
+        for j in range(d):
+            prod[t - d + j] -= prod[t] * poly[j]
+    return CycloElement(F, tuple(prod[:d]), x.den * y.den)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 21])
 def test_integer_kernel_matches_the_fraction_reference(m):
     F = cyclo_field(m)
     rng = random.Random(3000 + m)
@@ -410,6 +479,8 @@ def test_integer_kernel_matches_the_fraction_reference(m):
         assert (x - y).coords == tuple(s - t for s, t in zip(a, b))
         assert (-x).coords == tuple(-s for s in a)
         assert (x * y).coords == reference_mul(F, a, b)
+        product = polynomial_reduced_mul(x, y)
+        assert ((x * y).num, (x * y).den) == (product.num, product.den)
         assert (x * 3).coords == (3 * x).coords == tuple(3 * s for s in a)
         assert (x + Fraction(1, 6)).coords == (a[0] + Fraction(1, 6),) + a[1:]
         assert x.conj().coords == reference_conj(F, a)

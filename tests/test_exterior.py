@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import sympy
 from modint import ModInt
+from rowmatrix import conj_transpose, mat_mul
 
 from pelwedge import serretate
 from pelwedge.cli import main
-from pelwedge.cyclofield import cyclo_field
+from pelwedge.cyclofield import CycloMatrix, cyclo_field
 from pelwedge.domains import BallPoint, satake_matrix
 from pelwedge.hodge import HermitianModule, binom
 from pelwedge.exterior import (
@@ -18,10 +19,8 @@ from pelwedge.exterior import (
     SubsetIndex,
     colex_subsets,
     compound,
-    conj_transpose,
     det,
     g_k,
-    mat_mul,
     multiplier,
     removal_matrix,
     wedge_gram,
@@ -176,7 +175,8 @@ def test_g_k_homomorphism():
         g0a, g1a, _, _, _ = rand_similitude_pair(n, rng)
         g0b, g1b, _, _, _ = rand_similitude_pair(n, rng)
         prod0 = g0a * g0b
-        prod1 = mat_mul(g1a, g1b)
+        prod1 = g1a @ g1b
+        assert prod1 == mat_mul(g1a, g1b)
         for k in range(n + 1):
             assert g_k(prod0, prod1, k) == mat_mul(
                 g_k(g0a, g1a, k), g_k(g0b, g1b, k)
@@ -186,20 +186,23 @@ def test_g_k_homomorphism():
 def test_multiplier_identity_and_scalar(F4):
     i = F4.zeta
     n = 3
-    psi = [[i if a == b else F4.zero for b in range(n)] for a in range(n)]
-    ident = [[F4.one if a == b else F4.zero for b in range(n)] for a in range(n)]
+    psi = CycloMatrix.of(F4, [[i if a == b else 0 for b in range(n)] for a in range(n)])
+    ident = CycloMatrix.of(F4, [[int(a == b) for b in range(n)] for a in range(n)])
     assert multiplier(ident, psi) == F4.one
-    c = F4.from_rational(3)
-    scaled = [[c if a == b else F4.zero for b in range(n)] for a in range(n)]
+    scaled = CycloMatrix.of(F4, [[3 * (a == b) for b in range(n)] for a in range(n)])
     assert multiplier(scaled, psi) == F4.from_rational(9)
 
 
 def test_multiplier_negative_control(F4):
     i = F4.zeta
-    psi = [[i, F4.zero], [F4.zero, i]]
-    gamma = [[F4.one, F4.one], [F4.zero, F4.from_rational(2)]]
-    with pytest.raises(NotASimilitude):
+    psi = CycloMatrix.of(F4, [[i, 0], [0, i]])
+    gamma = CycloMatrix.of(F4, [[1, 1], [0, 2]])
+    with pytest.raises(NotASimilitude, match=r"mismatch at \(0, 1\)"):
         multiplier(gamma, psi)
+    with pytest.raises(ValueError, match="zero form"):
+        multiplier(gamma, CycloMatrix.of(F4, [[0, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        multiplier(CycloMatrix.of(F4, [[1]]), psi)
 
 
 def test_multiplier_transport():
@@ -207,7 +210,7 @@ def test_multiplier_transport():
     for _ in range(20):
         n = rng.randint(1, 4)
         gamma0, gamma1, psi0, psi1, mu = rand_similitude_pair(n, rng)
-        assert multiplier([[gamma0]], psi0) == mu
+        assert multiplier(CycloMatrix.of(gamma0.field, [[gamma0]]), psi0) == mu
         assert multiplier(gamma1, psi1) == mu
         for k in range(n + 1):
             assert multiplier(
@@ -217,8 +220,7 @@ def test_multiplier_transport():
 
 def test_conj_transpose(F4):
     i = F4.zeta
-    mat = [[i, F4.one], [F4.zero, -i]]
-    ct = conj_transpose(mat)
+    ct = CycloMatrix.of(F4, [[i, F4.one], [F4.zero, -i]]).conj_transpose()
     assert ct[0][0] == -i
     assert ct[1][0] == F4.one
     assert ct[0][1] == F4.zero
@@ -342,9 +344,14 @@ def test_compound_and_det_match_the_cofactor_oracle():
     checked = set()
     for name, matrix in _ring_matrices():
         n = len(matrix)
-        for k in range(n + 1):
-            assert compound(matrix, k) == reference_compound(matrix, k), (name, n, k)
-        assert det(matrix) == reference_det(matrix), (name, n)
+        # CycloElement rows take the generic path, and their CycloMatrix the array path
+        forms = [matrix]
+        if name.startswith("cyclo"):
+            forms.append(CycloMatrix.of(matrix[0][0].field, matrix))
+        for form in forms:
+            for k in range(n + 1):
+                assert compound(form, k) == reference_compound(matrix, k), (name, n, k)
+            assert det(form) == reference_det(matrix), (name, n)
         checked.add(name)
     assert checked == {"int", "fraction", "mod9", "cyclo5", "cyclo8"}
 
@@ -414,8 +421,8 @@ def test_sylvester_franke():
         for k in range(1, n + 1):
             assert det(compound(A, k)) == det(A) ** math.comb(n - 1, k - 1)
     for n in range(1, 4):
-        A = [[F5.element([rng.randint(-2, 2) for _ in range(4)]) for _ in range(n)]
-             for _ in range(n)]
+        A = CycloMatrix.of(F5, [[F5.element([rng.randint(-2, 2) for _ in range(4)])
+                                 for _ in range(n)] for _ in range(n)])
         for k in range(1, n + 1):
             assert det(compound(A, k)) == det(A) ** math.comb(n - 1, k - 1)
 

@@ -19,7 +19,7 @@ from pelwedge.cyclofield import (
     cyclo_field,
     trace_LQ,
 )
-from pelwedge.exterior import compound, conj_transpose, det, mat_mul, wedge_gram
+from pelwedge.exterior import compound, det, wedge_gram
 from pelwedge.hodge import HermitianModule, binom
 from pelwedge.instances import (
     rand_element,
@@ -116,7 +116,7 @@ def test_trace_gram_base_change_det():
             except RuntimeError:
                 continue
             B, _ = rand_unimodular(F, n, rng)
-            changed = mat_mul(mat_mul(conj_transpose(B), module1.gram), B)
+            changed = B.conj_transpose() @ module1.gram @ B
             module = HermitianModule(F, changed)
             assert perfectness_valuation(trace_gram(module), p) == 0
 
@@ -835,7 +835,7 @@ def test_a_minor_just_past_2_to_the_63_is_exact(monkeypatch):
     M = 1518500250
     x = field.element([M, M])
     chosen = recorded_dtypes(monkeypatch)
-    minor = compound([[x, x], [-x, x]], 2)
+    minor = compound(CycloMatrix.of(field, [[x, x], [-x, x]]), 2)
     assert chosen == [np.int64, object]
     assert minor.nums.tolist() == [[[0, 4 * M * M]]] and 4 * M * M > 2**63
 

@@ -10,10 +10,11 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 from modint import ModInt
+from rowmatrix import mat_mul
 
 from pelwedge import serretate
 from pelwedge.cli import main
-from pelwedge.exterior import compound, mat_mul
+from pelwedge.exterior import compound
 from pelwedge.serretate import (
     DeformationParams,
     assemble_block,
