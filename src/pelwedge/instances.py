@@ -87,7 +87,8 @@ def rand_unimodular(field: CycloField, n: int, rng: random.Random, steps: int = 
 
 def rand_similitude_pair(n: int, rng: random.Random):
     """Random (gamma0, gamma1, psi0, psi1, mu) over Q(i) with
-    multiplier(gamma0, psi0) = multiplier(gamma1, psi1) = mu.
+    multiplier([[gamma0]], psi0) = multiplier(gamma1, psi1) = mu; gamma1,
+    psi0 and psi1 are CycloMatrices.
 
     gamma1 is a similitude of psi1 = B^dagger (i I) B obtained by
     conjugating a product of unit-monomial and rational-scalar
