@@ -49,11 +49,9 @@ from .pairings import (
     verify_prinz,
 )
 from .serretate import (
-    DeformationBlock,
     DeformationParams,
     assemble_block,
     contract,
     verify_vdrei,
     verify_vzehn,
-    wedge_block,
 )

@@ -86,10 +86,10 @@ ENTRIES = {
         {"input": None, "k": None, **_HEADER}, ("input",), k_span=(0, 0), rank_max=560
     ),
     # C(n, n/2) is the most rows a block has; blocks and compounds keep only
-    # their C(n-1, k-1) + (k+1) * C(n-1, k) nonzero entries, but the compound
-    # still walks one row prefix per k-subset of rows: 2000 keeps n <= 13
+    # their C(n-1, k-1) + (k+1) * C(n-1, k) nonzero entries, but the one
+    # level walk of a block visits up to 2^n row prefixes: 2000 keeps n <= 13
     "verify vdrei": Entry({"n": 7, "k": None, **_HEADER}, rank_max=2000),
-    # heights b = 1 .. n-1, so the largest wedge block is again of an n x n block
+    # heights b = 1 .. n-1: the same walk, of blocks up to n x n
     "verify vzehn": Entry({"n": 7, "k": None, **_HEADER}, n_min=2, rank_max=2000),
     # a point's matrix has C(n-1, k-1) * C(n-1, k) <= C(n, n/2)^2 entries:
     # 1716 keeps n <= 13
@@ -294,13 +294,17 @@ def _suite_data(m_list, n_max: int) -> Iterator[dict]:
                 yield rec
 
 
+def _block_ks(k_only: int | None, top: int) -> list[int]:
+    """The k of one block's suite records: --k when it is in 1..top, else
+    every k in 1..top."""
+    if k_only is None:
+        return list(range(1, top + 1))
+    return [k_only] if 1 <= k_only <= top else []
+
+
 def _suite_vdrei(n_max: int, k_only: int | None) -> Iterator[dict]:
     for n in range(1, n_max + 1):
-        ks = [k_only] if k_only is not None else range(1, n + 1)
-        for k in ks:
-            if not 1 <= k <= n:
-                continue
-            report = verify_vdrei(n, k)
+        for k, report in verify_vdrei(n, _block_ks(k_only, n)).items():
             rec = {
                 "check": f"vdrei n={n} k={k}",
                 "n": n,
@@ -322,11 +326,7 @@ def _suite_vzehn(n_max: int, k_only: int | None) -> Iterator[dict]:
     for b in range(1, n_max):
         c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
         phi = DeformationParams(1, b, (tuple(row),))
-        ks = [k_only] if k_only is not None else range(1, b + 2)
-        for k in ks:
-            if not 1 <= k <= b + 1:
-                continue
-            ok = verify_vzehn(b, k, phi, c1)
+        for k, ok in verify_vzehn(phi, c1, _block_ks(k_only, b + 1)).items():
             status = "pass" if ok else "fail"
             yield {"check": f"vzehn b={b} k={k}", "b": b, "k": k, "status": status}
 

@@ -48,7 +48,7 @@ def satake_matrix(x: BallPoint, n: int, k: int) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if len(x.x) != n - 1:
         raise ValueError(f"need a point of C^{n - 1}")
-    return np.array(removal_matrix(x.x, range(1, n), k), dtype=complex)
+    return np.array(removal_matrix(x.x, k), dtype=complex)
 
 
 def op_norm(matrix: np.ndarray) -> float:
@@ -63,7 +63,7 @@ def _entries(n: int, k: int, axis: int):
     grouped by row (axis 0) or column (axis 1), each as (its index on the
     other axis, tag i, sign): E_k^(i) has that sign there."""
     groups = defaultdict(list)
-    for r, c, t, sign in removal_entries(range(1, n), k):
+    for r, c, t, sign in removal_entries(n - 1, k):
         groups[(r, c)[axis]].append(((c, r)[axis], t + 1, sign))
     return groups.values()
 

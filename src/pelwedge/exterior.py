@@ -15,17 +15,21 @@ n x n case.  It takes one of two paths, chosen from the entries:
   bound, and on Python ints otherwise.
 - Over any other commutative ring (ints, Fractions, `serretate.Polynomial`s,
   sympy expressions or CycloElements given as rows, with +, -, * and
-  truthiness-as-nonzero), `_laplace` keeps only the nonzero minors in a
-  dict per row prefix, and the compound is a `SparseRows` of them.  The
-  Serre-Tate blocks are sparse: at n = 10 their compounds over every k
-  hold 3,328 nonzero minors of 184,756.
+  truthiness-as-nonzero), `compounds` walks the same levels once for
+  every requested k: `_laplace` keeps only the nonzero minors in a dict
+  per row prefix, a prefix is kept only while it can still grow to the
+  next requested k (so `det` walks one chain of prefixes), and each
+  compound is a `SparseRows` of them.  The Serre-Tate blocks are
+  sparse: at n = 10 their compounds over every k hold 3,328 nonzero
+  minors of 184,756.
 
 `wedge_gram` is the L path followed by one scaling, by psi0^(1-k), and
 returns a `CycloMatrix`; `multiplier` is two `CycloMatrix` products and
 one scaling.
 `colex_subsets` is the one subset order and `removal_entries` the one
 builder of the +-x_{i_nu} matrices of the deformation blocks and the ball
-embedding; `removal_matrix` makes them dense for the ball embedding.
+embedding, which depend only on the number of values and on k;
+`removal_matrix` makes them dense for the ball embedding.
 """
 
 from __future__ import annotations
@@ -129,14 +133,13 @@ class SparseRows(Sequence):
     __hash__ = None
 
 
-def removal_entries(ground, k: int) -> Iterator[tuple[int, int, int, int]]:
-    """The nonzero entries of the removal matrix on the ascending sequence
-    ground, column by column, as (row, col, t, sign): row and col index the
-    colex (k-1)- and k-subsets of ground, and column J holds
-    sign = (-1)**nu times the t-th value in the row J - {J[nu]}, where
-    J[nu] = ground[t].  They depend only on len(ground) and k, and are
-    listed once per (len(ground), k); the iterator reads that list."""
-    return iter(_removal_positions(len(ground), k))
+def removal_entries(size: int, k: int) -> Iterator[tuple[int, int, int, int]]:
+    """The nonzero entries of the removal matrix on size values, column by
+    column, as (row, col, t, sign): row and col index the colex (k-1)- and
+    k-subsets of range(size), and column J holds sign = (-1)**nu times the
+    value J[nu] = t in the row J - {t}.  They are listed once per
+    (size, k); the iterator reads that list."""
+    return iter(_removal_positions(size, k))
 
 
 @lru_cache(maxsize=64)
@@ -149,13 +152,13 @@ def _removal_positions(size: int, k: int) -> tuple[tuple[int, int, int, int], ..
     )
 
 
-def removal_matrix(values, ground, k: int) -> tuple[tuple[object, ...], ...]:
-    """Rows (k-1)-subsets, columns k-subsets of ground, both colex; entry
-    (I, J) is (-1)**nu * values[t] when I = J - {J[nu]} and J[nu] = ground[t],
-    else 0."""
-    size = len(ground)
+def removal_matrix(values, k: int) -> tuple[tuple[object, ...], ...]:
+    """Rows (k-1)-subsets, columns k-subsets of the positions of values,
+    both colex; entry (I, J) is (-1)**nu * values[J[nu]] when
+    I = J - {J[nu]}, else 0."""
+    size = len(values)
     out = [[0] * math.comb(size, k) for _ in range(math.comb(size, k - 1))]
-    for r, c, t, sign in removal_entries(ground, k):
+    for r, c, t, sign in removal_entries(size, k):
         out[r][c] = sign * values[t]
     return tuple(map(tuple, out))
 
@@ -185,54 +188,62 @@ def compound(matrix, k: int):
 
     Over L (a `CycloMatrix`) the minors are built by levels on one array
     and returned as a CycloMatrix.  Over any other commutative ring, rows
-    of CycloElements among them, each minor is computed once: the minors
-    on rows P + (r,) come from the minors on rows P by Laplace expansion
-    along row r, walking the row prefixes depth first.
-    Only multiplication, addition and negation are used, and the result
-    is a `SparseRows` of the nonzero minors."""
+    of CycloElements among them, it is the one-k case of `compounds`, a
+    `SparseRows` of the nonzero minors."""
+    if not isinstance(matrix, CycloMatrix):
+        return next(compounds(matrix, (k,)))[1]
     n = len(matrix)
-    over_l = isinstance(matrix, CycloMatrix)
-    if not (matrix.shape == (n, n) if over_l else all(len(row) == n for row in matrix)):
+    if matrix.shape != (n, n):
         raise ValueError("compound requires a square matrix")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _field_compound(matrix, k) if over_l else _ring_compound(matrix, k)
+    return _field_compound(matrix, k)
 
 
-def _ring_compound(matrix, k: int) -> SparseRows:
-    """The k-th compound of a square matrix over any commutative ring, by
-    `_laplace` on the nonzero minors of each row prefix."""
+def compounds(matrix, ks) -> Iterator[tuple[int, SparseRows]]:
+    """(k, the k-th compound) for each k of ks in ascending order, of a
+    square matrix over any commutative ring, from one walk by levels.
+
+    Level j maps each row prefix of j rows that can still grow to the next
+    requested k to its nonzero minors; level j+1 is `_laplace` of each
+    prefix along each later row, and each minor is computed once.  A k's
+    compound is made when its level completes, and at most two levels are
+    held at a time.  Only multiplication, addition and negation are used,
+    and each compound is a `SparseRows` of the nonzero minors."""
     n = len(matrix)
-    if k == 0:
-        return SparseRows((1, 1), {(0, 0): 1})
+    if not all(len(row) == n for row in matrix):
+        raise ValueError("compound requires a square matrix")
+    ks = sorted(set(ks))
+    for k in ks:
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     # each entry with its negation, made once per row, not once per minor
     rows = [[(c, (entry, -entry)) for c, entry in enumerate(row) if entry] for row in matrix]
-    by_rows = {}
-    # one (row prefix, its minors) per unfinished prefix that can still reach k rows
-    stack = [((), {0: 1})]
-    while stack:
-        prefix, minors = stack.pop()
-        if len(prefix) == k:
-            by_rows[prefix] = minors
-            continue
-        first = prefix[-1] + 1 if prefix else 0
-        for r in range(first, n - k + len(prefix) + 1):
-            stack.append((prefix + (r,), _laplace(minors, rows[r])))
-    prefixes, column = _subset_masks(n, k)
-    return SparseRows((len(prefixes), len(prefixes)), {
-        (i, column[cols]): minor
-        for i, prefix in enumerate(prefixes)
-        for cols, minor in by_rows[prefix].items()
-    })
+    level, j = {0: {0: 1}}, 0  # the bitmask of each row prefix -> its minors
+    for k in ks:
+        while j < k:
+            level = {
+                used | 1 << r: _laplace(minors, rows[r])
+                for used, minors in level.items()
+                for r in range(used.bit_length(), n - k + j + 1)
+            }
+            j += 1
+        # at level k every k-subset of the rows is a prefix
+        index = _subset_masks(n, k)
+        yield k, SparseRows((len(index), len(index)), {
+            (index[used], index[cols]): minor
+            for used, minors in level.items()
+            for cols, minor in minors.items()
+        })
 
 
 @lru_cache(maxsize=64)
-def _subset_masks(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """The k-subsets of {1..n} in SubsetIndex order, as row prefixes of
-    {0..n-1}, and the map from a column bitmask to its index in that order."""
-    prefixes = tuple(tuple(i - 1 for i in s) for s in SubsetIndex.build(n, k).order)
-    column = {sum(1 << i for i in s): c for c, s in enumerate(prefixes)}
-    return prefixes, column
+def _subset_masks(n: int, k: int) -> dict[int, int]:
+    """The map from the bitmask of each k-subset of {0..n-1} to its index
+    in SubsetIndex order."""
+    return {
+        sum(1 << (i - 1) for i in s): c for c, s in enumerate(SubsetIndex.build(n, k).order)
+    }
 
 
 def _frozen(values) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 A deformation is represented only by its parameter matrix phi (connected
 height a, etale height b); the Galois action on the Tate module is the
-block matrix [[c1*E_a, C], [0, E_b]].  Verification compares compounds
-of these blocks against the directly constructed wedge blocks, as exact
-identities in Z[c1, ...].  Its elements (`Polynomial`, made from
+block matrix [[c1*E_a, C], [0, E_b]], made by `assemble_block`.  The
+Serre-Tate identity is checked in one place, `_block_identity`: the
+k-th compound of the (1, b) block of a parameter row is the block of the
+row's contraction `contract(row, k)`, as an exact identity in
+Z[c1, ...], with one walk of `compounds` for every k of a block.
+`verify_vdrei` and `verify_vzehn` differ only in their generators and in
+what they report.  The ring's elements (`Polynomial`, made from
 `generators`) are sparse dicts from monomial to nonzero int, so equal
 polynomials compare equal with no symbolic simplification.
 
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exterior import SparseRows, compound, removal_entries
+from .exterior import SparseRows, compounds, removal_entries
 
 # A variable is its name, as a sympy Symbol is: the first `generators` call
 # that names it gives it the next _BITS-bit field of a monomial, and every
@@ -176,53 +180,27 @@ def _has_shape(matrix, a: int, b: int) -> bool:
     return len(matrix) == a and all(len(row) == b for row in matrix)
 
 
-@dataclass(frozen=True)
-class DeformationBlock:
-    """The Galois block [[c1*E_a, C], [0, E_b]]."""
-
-    c1: object
-    C: SparseRows
-    a: int
-    b: int
-    assembled: SparseRows
-
-
-def assemble_block(c1, C, a: int, b: int) -> DeformationBlock:
-    """The block of C, an a x b SparseRows or rows, with c1 on the first a
-    diagonal entries and 1 on the last b."""
+def assemble_block(c1, C, a: int, b: int) -> SparseRows:
+    """The Galois block [[c1*E_a, C], [0, E_b]] of C, an a x b SparseRows
+    or rows."""
     if not _has_shape(C, a, b):
         raise ValueError(f"C must be {a} x {b}")
-    C = SparseRows.of(C)
     entries = {(i, i): c1 for i in range(a)} if c1 else {}
-    entries.update(((i, a + j), x) for (i, j), x in C.entries.items())
+    entries.update(((i, a + j), x) for (i, j), x in SparseRows.of(C).entries.items())
     entries.update(((i, i), 1) for i in range(a, a + b))
-    return DeformationBlock(c1, C, a, b, SparseRows((a + b, a + b), entries))
+    return SparseRows((a + b, a + b), entries)
 
 
-def _removal_rows(values, ground, k: int) -> SparseRows:
-    """The removal matrix of values on ground (see `removal_entries`),
-    with each value negated once and falsy values dropped."""
+def _removal_rows(values, k: int) -> SparseRows:
+    """The removal matrix of values (see `removal_entries`), with each
+    value negated once and falsy values dropped."""
     signed = [(x, -x) if x else None for x in values]
-    size = len(ground)
+    size = len(values)
     return SparseRows((math.comb(size, k - 1), math.comb(size, k)), {
         (r, c): signed[t][sign < 0]
-        for r, c, t, sign in removal_entries(ground, k)
+        for r, c, t, sign in removal_entries(size, k)
         if signed[t]
     })
-
-
-def wedge_block(n: int, k: int, c1, c) -> DeformationBlock:
-    """Block form of the k-th exterior power of [[c1, c2..cn], [0, E]].
-
-    c lists the cocycle entries c_2 .. c_n.  Rows of the C-block are
-    indexed by (k-1)-subsets of {2..n}, columns by k-subsets, colex."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    c = tuple(c)
-    if len(c) != n - 1:
-        raise ValueError(f"need {n - 1} cocycle entries, got {len(c)}")
-    C = _removal_rows(c, range(2, n + 1), k)
-    return assemble_block(c1, C, *C.shape)
 
 
 @dataclass(frozen=True)
@@ -244,20 +222,10 @@ def _first_mismatch(left, right) -> tuple[int, int, object, object] | None:
     return i, j, got.get((i, j), 0), expected.get((i, j), 0)
 
 
-def verify_vdrei(n: int, k: int) -> VdreiReport:
-    """Polynomial identity in Z[c1..cn]: the k-th compound of the assembled
-    1 x (n-1) block equals the directly constructed wedge block.  A witness
-    holds the two differing entries, as `Polynomial`s or ints."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
-    base = assemble_block(c1, (tuple(c),), 1, n - 1)
-    witness = _first_mismatch(compound(base.assembled, k), wedge_block(n, k, c1, c).assembled)
-    return VdreiReport(witness is None, witness)
-
-
 def contract(phi: DeformationParams, k: int) -> DeformationParams:
-    """Level-k contraction of a height-(1, b) parameter row.
+    """Level-k contraction of a height-(1, b) parameter row: the parameters
+    of the block that the Serre-Tate identity makes the k-th exterior power
+    of the row's block (see `_block_identity`).
 
     Output shape C(b, k-1) x C(b, k); entry (I, J) is
     (-1)^(nu-1) * phi_{i_nu} when I = J - {i_nu}, over subsets of {1..b}."""
@@ -266,27 +234,42 @@ def contract(phi: DeformationParams, k: int) -> DeformationParams:
     b = phi.b
     if not 1 <= k <= b + 1:
         raise ValueError(f"need 1 <= k <= b+1, got k={k}, b={b}")
-    matrix = _removal_rows(phi.phi[0], range(1, b + 1), k)
+    matrix = _removal_rows(phi.phi[0], k)
     return DeformationParams(*matrix.shape, matrix)
 
 
-def verify_vzehn(b: int, k: int, phi: DeformationParams, c1) -> bool:
-    """The block built from contracted parameters equals the k-th wedge
-    block built from the original parameters.
+def _block_identity(c1, phi: DeformationParams, ks) -> dict[int, tuple | None]:
+    """For each k of ks: None when the k-th compound of the block
+    [[c1, phi], [0, E_b]] of a 1 x b parameter row phi is the block of
+    `contract(phi, k)`, else the least (row, col) where they differ, with
+    the compound's entry and the contracted block's.  One walk of
+    `compounds` serves every k."""
+    witnesses = {}
+    for k, wedge in compounds(assemble_block(c1, phi.phi, 1, phi.b), ks):
+        contracted = contract(phi, k)
+        block = assemble_block(c1, contracted.phi, contracted.a, contracted.b)
+        witnesses[k] = _first_mismatch(wedge, block)
+    return witnesses
 
-    Both sides are built by `_removal_rows` from the same values, so this
-    checks how `contract` is wired into `assemble_block`, not the
-    exterior-power identity itself: that the k-th compound of a block is
-    its wedge block is checked only by `verify_vdrei`.
+
+def verify_vdrei(n: int, ks) -> dict[int, VdreiReport]:
+    """The Serre-Tate identity (see `_block_identity`) in Z[c1..cn] on the
+    1 x (n-1) block of c1 and the row c2..cn, for each k of ks.  A witness
+    holds the two differing entries, as `Polynomial`s or ints.  A k outside
+    1..n raises ValueError."""
+    c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
+    witnesses = _block_identity(c1, DeformationParams(1, n - 1, (tuple(c),)), ks)
+    return {k: VdreiReport(w is None, w) for k, w in witnesses.items()}
+
+
+def verify_vzehn(phi: DeformationParams, c1, ks) -> dict[int, bool]:
+    """The Serre-Tate identity (see `_block_identity`) on the block of the
+    1 x b parameter row phi and c1, for each k of ks: whether the k-th
+    compound of the block equals the block of the contracted parameters.
 
     Entries may come from any commutative ring that compares exactly:
-    ints, `Polynomial`s from `generators`, or Z/p^N."""
-    if phi.a != 1 or phi.b != b:
+    ints, `Polynomial`s from `generators`, or Z/p^N.  A k outside 1..b+1
+    raises ValueError."""
+    if phi.a != 1:
         raise ValueError("phi must be a 1 x b parameter row")
-    if not 1 <= k <= b + 1:
-        raise ValueError(f"need 1 <= k <= b+1, got k={k}, b={b}")
-    row = phi.phi[0]
-    contracted = contract(phi, k)
-    left = assemble_block(c1, contracted.phi, contracted.a, contracted.b).assembled
-    right = wedge_block(b + 1, k, c1, row).assembled
-    return left == right
+    return {k: w is None for k, w in _block_identity(c1, phi, ks).items()}

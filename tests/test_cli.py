@@ -268,7 +268,8 @@ def test_table_traces_prints_each_row_before_making_the_next(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv, made", [
-    (["verify", "vdrei", "--n", "3"], "verify_vdrei"),
+    # one verify_vdrei call per block makes every k of it: one k per block
+    (["verify", "vdrei", "--n", "3", "--k", "1"], "verify_vdrei"),
     (["verify", "prinz", "--trials", "3", "--m", "5", "--n", "2"], "rand_perfect_pair"),
     # Q(i) has one pair of CM types up to conjugation: one check per record
     (["verify", "data", "--m", "4", "--n", "2"], "verify_type11"),

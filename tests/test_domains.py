@@ -139,7 +139,7 @@ def test_anticommutation_identity_equals_the_symbolic_product():
         xs, xbars = gens[: n - 1], gens[n - 1 :]
 
         def matrix(values, k):
-            return removal_matrix(values, range(1, n), k) if k >= 1 else ()
+            return removal_matrix(values, k) if k >= 1 else ()
 
         for k in range(1, n):
             a, abar = matrix(xs, k), matrix(xbars, k)
@@ -154,8 +154,8 @@ def test_anticommutation_identity_equals_the_symbolic_product():
 
 
 def _flip_first_sign(original):
-    def flipped(ground, k):
-        entries = original(ground, k)
+    def flipped(size, k):
+        entries = original(size, k)
         for r, c, t, sign in entries:
             yield r, c, t, -sign
             break

@@ -9,7 +9,7 @@ import sympy
 from modint import ModInt
 from rowmatrix import conj_transpose, mat_mul
 
-from pelwedge import serretate
+from pelwedge import exterior, serretate
 from pelwedge.cli import main
 from pelwedge.cyclofield import CycloMatrix, cyclo_field
 from pelwedge.domains import BallPoint, satake_matrix
@@ -19,13 +19,14 @@ from pelwedge.exterior import (
     SubsetIndex,
     colex_subsets,
     compound,
+    compounds,
     det,
     g_k,
     multiplier,
     removal_matrix,
     wedge_gram,
 )
-from pelwedge.serretate import assemble_block
+from pelwedge.serretate import assemble_block, generators
 from pelwedge.instances import (
     rand_element,
     rand_similitude_pair,
@@ -292,11 +293,10 @@ def reference_removal_matrix(values, ground, k):
     )
 
 
-def reference_removal_entries(ground, k):
+def reference_removal_entries(size, k):
     """(row, col, t, sign) of each nonzero entry, read off
-    reference_removal_matrix on the values 1 .. len(ground)."""
-    ground = tuple(ground)
-    rows = reference_removal_matrix(range(1, len(ground) + 1), ground, k)
+    reference_removal_matrix on the values 1 .. size."""
+    rows = reference_removal_matrix(range(1, size + 1), range(size), k)
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
             if x:
@@ -388,6 +388,63 @@ def test_compound_computes_each_minor_once():
     assert len(calls) == 3 * 2
 
 
+def _level_walk_inputs():
+    """(name, matrix) over ints, Fractions, Polynomials and ModInts: dense
+    matrices, and deformation blocks [[c1*E_a, C], [0, E_b]] with a
+    sparse C."""
+    rng = random.Random(41)
+    gens = generators("y1", "y2", "y3")
+    draws = {
+        "int": lambda: rng.randint(-4, 4),
+        "fraction": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        "polynomial": lambda: rng.randint(-2, 2) * rng.choice(gens) + rng.randint(-1, 1),
+        "mod9": lambda: ModInt(rng.randint(0, 8), 9),
+    }
+    for name, draw in draws.items():
+        for n in range(1, 7):
+            yield name, [[draw() for _ in range(n)] for _ in range(n)]
+            a = rng.randint(1, n)
+            C = [[draw() if rng.random() < 0.5 else 0 for _ in range(n - a)] for _ in range(a)]
+            yield name, assemble_block(draw(), C, a, n - a)
+
+
+def test_compounds_by_levels_match_the_cofactor_oracle():
+    checked = set()
+    for name, matrix in _level_walk_inputs():
+        n = len(matrix)
+        # one walk for every k from 0 to n, asked for out of order and twice
+        walk = list(compounds(matrix, [n, *range(n + 1), 0]))
+        assert [k for k, _ in walk] == list(range(n + 1)), (name, n)
+        for k, got in walk:
+            assert got == reference_compound(matrix, k), (name, n, k)
+            assert got == compound(matrix, k)
+        assert walk[0][1] == ((1,),) and walk[-1][1] == ((reference_det(matrix),),)
+        checked.add(name)
+    assert checked == {"int", "fraction", "polynomial", "mod9"}
+    assert list(compounds([[2]], [])) == []
+    with pytest.raises(ValueError):
+        list(compounds([[1, 2], [3, 4]], [1, 3]))
+    with pytest.raises(ValueError):
+        list(compounds([[1, 2]], [1]))
+
+
+def test_det_walks_one_prefix_per_level(monkeypatch):
+    # pruned to k = n, level j holds the one prefix of rows 0..j-1: n
+    # expansions, where a walk kept to every k would make 2^n - 1
+    calls = []
+    laplace = exterior._laplace
+    monkeypatch.setattr(exterior, "_laplace", lambda *args: calls.append(1) or laplace(*args))
+    rng = random.Random(8)
+    for n in range(1, 9):
+        matrix = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        calls.clear()
+        assert det(matrix) == reference_det(matrix)
+        assert len(calls) == n
+        calls.clear()
+        list(compounds(matrix, range(n + 1)))
+        assert len(calls) == 2**n - 1
+
+
 def _same_expression(x, y):
     return sympy.expand(x - y) == 0
 
@@ -400,7 +457,7 @@ def test_compound_matches_the_oracle_on_sparse_sympy_blocks():
             b = n - a
             C = [[c[rng.randrange(n)] if rng.random() < 0.6 else 0 for _ in range(b)]
                  for _ in range(a)]
-            block = assemble_block(c[0], C, a, b).assembled
+            block = assemble_block(c[0], C, a, b)
             for k in range(n + 1):
                 got, want = compound(block, k), reference_compound(block, k)
                 assert all(
@@ -445,7 +502,7 @@ def test_removal_matrix_matches_the_entrywise_oracle():
             mod9 = [ModInt(rng.randint(0, 8), 9) for _ in range(size)]
             for values in (exact, symbolic, mod9):
                 for k in range(1, size + 2):
-                    assert removal_matrix(values, ground, k) == reference_removal_matrix(
+                    assert removal_matrix(values, k) == reference_removal_matrix(
                         values, ground, k
                     ), (size, start, k)
 
@@ -477,13 +534,16 @@ def test_cli_bytes_match_the_reference_oracles(suite, capsys, monkeypatch):
     fast = capsys.readouterr().out
     calls = []
 
-    def removal_entries(ground, k):
+    def removal_entries(size, k):
         calls.append(k)
-        return reference_removal_entries(ground, k)
+        return reference_removal_entries(size, k)
+
+    def reference_compounds(matrix, ks):
+        return ((k, reference_compound(matrix, k)) for k in sorted(ks))
 
     # the swapped names are the ones serretate builds its blocks with: a
     # stale name raises, and the oracle must be called
-    monkeypatch.setattr(serretate, "compound", reference_compound)
+    monkeypatch.setattr(serretate, "compounds", reference_compounds)
     monkeypatch.setattr(serretate, "removal_entries", removal_entries)
     assert main(argv) == code == 0
     assert capsys.readouterr().out == fast

@@ -195,7 +195,8 @@ def elementwise_wedge(psi0, psi1, k):
     """psi0^(1-k) times each minor, with the compound over CycloElements
     (`_laplace`) and one element product per entry."""
     factor = psi0 ** (1 - k)
-    return tuple(tuple(factor * x for x in row) for row in exterior._ring_compound(psi1, k))
+    ((_, minors),) = exterior.compounds(psi1, [k])
+    return tuple(tuple(factor * x for x in row) for row in minors)
 
 
 def elementwise_trace_gram(module):

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 import sympy
@@ -14,7 +13,7 @@ from rowmatrix import mat_mul
 
 from pelwedge import serretate
 from pelwedge.cli import main
-from pelwedge.exterior import compound
+from pelwedge.exterior import SparseRows, compound, removal_entries
 from pelwedge.serretate import (
     DeformationParams,
     assemble_block,
@@ -22,7 +21,6 @@ from pelwedge.serretate import (
     generators,
     verify_vdrei,
     verify_vzehn,
-    wedge_block,
 )
 
 
@@ -51,7 +49,7 @@ def test_deformation_params_validation():
 
 def test_assemble_block_example():
     block = assemble_block(5, ((2, 3),), 1, 2)
-    assert block.assembled == (
+    assert block == (
         (5, 2, 3),
         (0, 1, 0),
         (0, 0, 1),
@@ -60,31 +58,15 @@ def test_assemble_block_example():
         assemble_block(5, ((2, 3),), 2, 2)
 
 
-def test_wedge_block_entries_n3_k2():
-    c1 = sympy.Symbol("c1")
-    c2, c3 = sympy.symbols("c2 c3")
-    block = wedge_block(3, 2, c1, (c2, c3))
-    # rows: 1-subsets of {2,3} colex = (2,), (3,); cols: {2,3}
-    assert block.C == ((-c3,), (c2,))
-    assert block.a == 2 and block.b == 1
-
-
-def test_wedge_block_shape_law():
-    c1 = sympy.Symbol("c1")
-    for n in range(2, 7):
-        c = sympy.symbols(f"c2:{n + 1}")
-        for k in range(1, n + 1):
-            block = wedge_block(n, k, c1, c)
-            assert block.a == math.comb(n - 1, k - 1)
-            assert block.b == math.comb(n - 1, k)
-
-
 def test_verify_vdrei_examples():
-    assert verify_vdrei(3, 2).ok
-    assert verify_vdrei(5, 3).ok
-    assert verify_vdrei(1, 1).ok
-    with pytest.raises(ValueError):
-        verify_vdrei(3, 0)
+    assert verify_vdrei(3, [2])[2].ok
+    reports = verify_vdrei(5, [3, 1, 5])
+    assert list(reports) == [1, 3, 5] and all(r.ok for r in reports.values())
+    assert verify_vdrei(1, [1])[1].ok
+    assert verify_vdrei(4, []) == {}
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            verify_vdrei(3, [k])
 
 
 def test_contract_k1_is_row():
@@ -120,8 +102,11 @@ def test_verify_vzehn_symbolic():
     for b in range(1, 5):
         c1, *row = generators("c1", *(f"x{i}" for i in range(1, b + 1)))
         phi = DeformationParams(1, b, (tuple(row),))
-        for k in range(1, b + 2):
-            assert verify_vzehn(b, k, phi, c1)
+        assert verify_vzehn(phi, c1, range(1, b + 2)) == {k: True for k in range(1, b + 2)}
+    with pytest.raises(ValueError):
+        verify_vzehn(phi, c1, [b + 2])
+    with pytest.raises(ValueError):
+        verify_vzehn(DeformationParams(2, 1, ((c1,), (c1,))), c1, [1])
 
 
 def test_verify_vzehn_modint():
@@ -131,8 +116,7 @@ def test_verify_vzehn_modint():
         row = tuple(ModInt(rng.randrange(modulus), modulus) for _ in range(b))
         phi = DeformationParams(1, b, (row,))
         c1 = ModInt(1 + 3 * rng.randrange(27), modulus)
-        for k in range(1, b + 2):
-            assert verify_vzehn(b, k, phi, c1=c1)
+        assert all(verify_vzehn(phi, c1, range(1, b + 2)).values())
 
 
 def test_cocycle_additivity_unipotent():
@@ -150,9 +134,9 @@ def test_cocycle_additivity_unipotent():
             c_1 = contract(p1, k)
             c_2 = contract(p2, k)
             c_s = contract(psum, k)
-            b1 = assemble_block(1, c_1.phi, c_1.a, c_1.b).assembled
-            b2 = assemble_block(1, c_2.phi, c_2.a, c_2.b).assembled
-            bs = assemble_block(1, c_s.phi, c_s.a, c_s.b).assembled
+            b1 = assemble_block(1, c_1.phi, c_1.a, c_1.b)
+            b2 = assemble_block(1, c_2.phi, c_2.a, c_2.b)
+            bs = assemble_block(1, c_s.phi, c_s.a, c_s.b)
             assert mat_mul(b1, b2) == bs
 
 
@@ -161,9 +145,9 @@ def test_compound_of_block_is_block():
     # symbolically
     base = assemble_block(7, ((2, -3, 5),), 1, 3)
     for k in range(1, 5):
-        left = compound(base.assembled, k)
-        right = wedge_block(4, k, 7, (2, -3, 5)).assembled
-        assert left == right
+        contracted = contract(DeformationParams(1, 3, ((2, -3, 5),)), k)
+        right = assemble_block(7, contracted.phi, contracted.a, contracted.b)
+        assert compound(base, k) == right
 
 
 def run_cli(*argv):
@@ -173,29 +157,35 @@ def run_cli(*argv):
     return code, [json.loads(line) for line in out.getvalue().splitlines()]
 
 
-def perturb_wedge_block(monkeypatch, size, row, col, delta):
-    """Make serretate build each wedge block of a size x size block with
-    delta(c1) added at (row, col); col None is the first column of C."""
-    original = serretate.wedge_block
+def perturb_assembled_block(monkeypatch, shape, row, col, delta):
+    """Make serretate assemble each block of the heights shape = (a, b)
+    with delta(c1) added at (row, col); col None is the first column of C."""
+    original = serretate.assemble_block
 
-    def perturbed(n, k, c1, c):
-        block = original(n, k, c1, c)
-        if n != size:
+    def perturbed(c1, C, a, b):
+        block = original(c1, C, a, b)
+        if (a, b) != shape:
             return block
-        rows = [list(r) for r in block.assembled]
-        j = block.a if col is None else col
+        rows = [list(r) for r in block]
+        j = a if col is None else col
         rows[row][j] = rows[row][j] + delta(c1)
-        return replace(block, assembled=tuple(map(tuple, rows)))
+        return SparseRows.of(rows)
 
-    monkeypatch.setattr(serretate, "wedge_block", perturbed)
+    monkeypatch.setattr(serretate, "assemble_block", perturbed)
+
+
+def _contracted_block(c1, row, k):
+    contracted = contract(DeformationParams(1, len(row), (tuple(row),)), k)
+    return assemble_block(c1, contracted.phi, contracted.a, contracted.b)
 
 
 def test_vdrei_failure_reports_the_first_differing_entry(monkeypatch):
     n, k, row, col = 4, 2, 1, 3
     c1, *c = sympy.symbols("c1:5")
-    left = compound(assemble_block(c1, (tuple(c),), 1, n - 1).assembled, k)
-    right = wedge_block(n, k, c1, c).assembled
-    perturb_wedge_block(monkeypatch, n, row, col, lambda x: x * x)
+    left = compound(assemble_block(c1, (tuple(c),), 1, n - 1), k)
+    right = _contracted_block(c1, c, k)
+    # the contracted block has heights (3, 3), the base block (1, 3)
+    perturb_assembled_block(monkeypatch, (3, 3), row, col, lambda x: x * x)
     code, lines = run_cli("verify", "vdrei", "--n", str(n), "--k", str(k))
     records = [line["record"] for line in lines[1:-1]]
     failed = [r for r in records if r["status"] == "fail"]
@@ -225,14 +215,56 @@ def test_vzehn_fails_on_a_perturbed_block_in_every_ring(monkeypatch):
         (ModInt(4, modulus), tuple(ModInt(v, modulus) for v in (5, 7, 11))),
     ]
     for one, params in inputs:
-        assert verify_vzehn(b, k, DeformationParams(1, b, (params,)), c1=one)
-    perturb_wedge_block(monkeypatch, b + 1, 0, None, lambda x: 1)
+        assert verify_vzehn(DeformationParams(1, b, (params,)), one, [k]) == {k: True}
+    perturb_assembled_block(monkeypatch, (3, 3), 0, None, lambda x: 1)
     for one, params in inputs:
-        assert not verify_vzehn(b, k, DeformationParams(1, b, (params,)), c1=one)
+        assert verify_vzehn(DeformationParams(1, b, (params,)), one, [k]) == {k: False}
+
+
+def _unsigned(size, k):
+    return ((r, c, t, 1) for r, c, t, _ in removal_entries(size, k))
+
+
+def test_vzehn_fails_when_the_removal_signs_are_dropped(monkeypatch):
+    # the contracted block loses its signs while the compound keeps them:
+    # every k from 2 to b must fail; at k = 1 no sign is negative, and at
+    # k = b + 1 the C-block has no column
+    b = 4
+    c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
+    phi = DeformationParams(1, b, (tuple(row),))
+    assert all(verify_vzehn(phi, c1, range(1, b + 2)).values())
+    monkeypatch.setattr(serretate, "removal_entries", _unsigned)
+    got = verify_vzehn(phi, c1, range(1, b + 2))
+    assert got == {1: True, 2: False, 3: False, 4: False, 5: True}
+    code, lines = run_cli("verify", "vzehn", "--n", "7")
+    assert code == 1
+    assert lines[-1]["summary"]["failed"] > 0
+    assert not all(report.ok for report in verify_vdrei(5, range(1, 6)).values())
+
+
+def test_vzehn_fails_on_one_corrupted_compound_minor(monkeypatch):
+    b, k = 3, 2
+    c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
+    phi = DeformationParams(1, b, (tuple(row),))
+    original = serretate.compounds
+
+    def corrupted(matrix, ks):
+        for j, wedge in original(matrix, ks):
+            if (len(matrix), j) == (b + 1, k):
+                entries = dict(wedge.entries)
+                entries[2, 1] = entries.get((2, 1), 0) + c1
+                wedge = SparseRows(wedge.shape, entries)
+            yield j, wedge
+
+    monkeypatch.setattr(serretate, "compounds", corrupted)
+    assert verify_vzehn(phi, c1, range(1, b + 2)) == {1: True, 2: False, 3: True, 4: True}
+    code, lines = run_cli("verify", "vzehn", "--n", "4", "--k", str(k))
+    assert code == 1
+    assert [r["record"]["status"] for r in lines[1:-1]] == ["pass", "pass", "fail"]
 
 
 def _vdrei_base(c1, c):
-    return assemble_block(c1, (tuple(c),), 1, len(c)).assembled
+    return assemble_block(c1, (tuple(c),), 1, len(c))
 
 
 def _monomial(gens, exponents):

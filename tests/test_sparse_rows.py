@@ -7,8 +7,8 @@ import hashlib
 import io
 import json
 import random
+import math
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -25,7 +25,6 @@ from pelwedge.serretate import (
     generators,
     verify_vdrei,
     verify_vzehn,
-    wedge_block,
 )
 
 
@@ -78,19 +77,17 @@ def test_no_falsy_entry_is_stored():
 
     values = (x, zero, y, 0)
     for k in range(1, 5):
-        block = wedge_block(5, k, x, values)
-        assert no_falsy(block.C) and no_falsy(block.assembled)
-        assert block.C == removal_matrix(values, range(2, 6), k)
         params = contract(DeformationParams(1, 4, (values,)), k)
-        assert no_falsy(params.phi)
-        assert params.phi == removal_matrix(values, range(1, 5), k)
+        assert no_falsy(params.phi) and no_falsy(assemble_block(x, params.phi, params.a, params.b))
+        assert params.phi == removal_matrix(values, k)
     modular = tuple(ModInt(v, modulus) for v in (0, 3, 9, 1))
+    phi = DeformationParams(1, 4, (modular,))
     for k in range(1, 5):
-        block = wedge_block(5, k, ModInt(9, modulus), modular)
-        assert no_falsy(block.assembled)
-        assert verify_vzehn(4, k, DeformationParams(1, 4, (modular,)), ModInt(9, modulus))
-    assert no_falsy(assemble_block(zero, ((x, zero),), 1, 2).assembled)
-    assert assemble_block(zero, ((x, zero),), 1, 2).assembled == ((0, x, 0), (0, 1, 0), (0, 0, 1))
+        params = contract(phi, k)
+        assert no_falsy(assemble_block(ModInt(9, modulus), params.phi, params.a, params.b))
+    assert all(verify_vzehn(phi, ModInt(9, modulus), range(1, 5)).values())
+    assert no_falsy(assemble_block(zero, ((x, zero),), 1, 2))
+    assert assemble_block(zero, ((x, zero),), 1, 2) == ((0, x, 0), (0, 1, 0), (0, 0, 1))
 
 
 def dense_witness(left, right):
@@ -104,27 +101,39 @@ def dense_witness(left, right):
     return None
 
 
-def corrupt_wedge_block(monkeypatch, size, corruptions):
-    """Make serretate build the wedge blocks of a size x size block with
-    each (row, col) in corruptions replaced by delta(old entry, c1), kept
-    a SparseRows, so the check compares nonzero entries on both sides."""
-    original = serretate.wedge_block
+def corrupt_contracted_block(monkeypatch, n, k, corruptions):
+    """Make serretate assemble each block of the heights of the k-th
+    contraction of a 1 x (n-1) row with each (row, col) in corruptions
+    replaced by delta(old entry, c1), kept a SparseRows, so the check
+    compares nonzero entries on both sides.  At k = 1 the contracted block
+    and the base block have one shape, and both are corrupted."""
+    original = serretate.assemble_block
+    shape = (math.comb(n - 1, k - 1), math.comb(n - 1, k))
 
-    def corrupted(n, k, c1, c):
-        block = original(n, k, c1, c)
-        if n != size:
+    def corrupted(c1, C, a, b):
+        block = original(c1, C, a, b)
+        if (a, b) != shape:
             return block
-        entries = dict(block.assembled.entries)
+        entries = dict(block.entries)
         for (i, j), delta in corruptions:
             value = delta(entries.get((i, j), 0), c1)
             if value:
                 entries[i, j] = value
             else:
                 entries.pop((i, j), None)
-        return replace(block, assembled=SparseRows(block.assembled.shape, entries))
+        return SparseRows(block.shape, entries)
 
-    monkeypatch.setattr(serretate, "wedge_block", corrupted)
+    monkeypatch.setattr(serretate, "assemble_block", corrupted)
     return original
+
+
+def sides(n, k, c1, c):
+    """The two blocks the vdrei check compares, through serretate's
+    assemble_block: the k-th compound of the base block and the block of
+    its k-th contraction."""
+    contracted = contract(DeformationParams(1, n - 1, (tuple(c),)), k)
+    left = compound(serretate.assemble_block(c1, (tuple(c),), 1, n - 1), k)
+    return left, serretate.assemble_block(c1, contracted.phi, contracted.a, contracted.b)
 
 
 CORRUPTIONS = {
@@ -140,13 +149,13 @@ CORRUPTIONS = {
 def test_a_corrupted_block_has_the_witness_of_the_dense_comparison(name, monkeypatch):
     n, k = 5, 3
     c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
-    left = compound(assemble_block(c1, (tuple(c),), 1, n - 1).assembled, k)
-    original = corrupt_wedge_block(monkeypatch, n, CORRUPTIONS[name])
-    right = serretate.wedge_block(n, k, c1, c).assembled
-    assert right != original(n, k, c1, c).assembled
-    expected = dense_witness(left, right)
+    _, right = sides(n, k, c1, c)
+    corrupt_contracted_block(monkeypatch, n, k, CORRUPTIONS[name])
+    left, corrupted = sides(n, k, c1, c)
+    assert corrupted != right
+    expected = dense_witness(left, corrupted)
     assert expected is not None
-    report = verify_vdrei(n, k)
+    report = verify_vdrei(n, [k])[k]
     assert not report.ok and report.witness == expected
 
     out = io.StringIO()
@@ -169,20 +178,20 @@ def test_random_corruptions_match_the_dense_comparison(monkeypatch):
     n = 6
     c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
     for k in range(1, n + 1):
-        size = len(serretate.wedge_block(n, k, c1, c).assembled)
-        left = compound(assemble_block(c1, (tuple(c),), 1, n - 1).assembled, k)
+        size = math.comb(n, k)
         for _ in range(4):
             spots = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 3))]
             tweak = rng.choice([lambda x, y: 0, lambda x, y: x + y, lambda x, y: x - 1])
             with monkeypatch.context() as patch:
-                corrupt_wedge_block(patch, n, [(spot, tweak) for spot in spots])
-                right = serretate.wedge_block(n, k, c1, c).assembled
-                assert verify_vdrei(n, k).witness == dense_witness(left, right)
+                corrupt_contracted_block(patch, n, k, [(spot, tweak) for spot in spots])
+                witness = dense_witness(*sides(n, k, c1, c))
+                assert verify_vdrei(n, [k])[k].witness == witness
 
 
 # stdout of the dense-block implementation; on a 2-vCPU machine under
-# CPython 3.11 these runs take 0.40 and 0.09 s in-process, against 1.40 and
-# 0.89 s when every block was dense
+# CPython 3.11 these runs take about 0.2 s each in-process, one level walk
+# per block (vzehn builds the compounds too), against 1.40 and 0.89 s when
+# every block was dense
 PINNED = {
     "vdrei": ("9a77fe0be2902a3946b7cce3f36484070ba87648941996bb329661bb215b9e47", 1.2),
     "vzehn": ("a33658956bfc72c4da1c2bbfc9a9bfb0f81ddff97c27ae8e05198569b9910c40", 0.6),
