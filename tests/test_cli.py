@@ -268,7 +268,8 @@ def test_table_traces_prints_each_row_before_making_the_next(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv, made", [
-    # one verify_vdrei call per block makes every k of it: one k per block
+    # one verify_vdrei call makes every k of a block: with --k, one record
+    # per block (without it, see the test below)
     (["verify", "vdrei", "--n", "3", "--k", "1"], "verify_vdrei"),
     (["verify", "prinz", "--trials", "3", "--m", "5", "--n", "2"], "rand_perfect_pair"),
     # Q(i) has one pair of CM types up to conjugation: one check per record
@@ -287,6 +288,28 @@ def test_verify_prints_each_record_before_making_the_next(capsys, monkeypatch, a
     # first record, then one record per check
     assert [chunk.count("\n") for chunk in printed[:3]] == [0, 2, 1]
     assert len(printed) == len(records) and header["suite"] == argv[1]
+
+
+@pytest.mark.parametrize("suite, made, sizes", [
+    # blocks n = 1..4, with k = 1..n
+    ("vdrei", "verify_vdrei", [1, 2, 3, 4]),
+    # blocks b = 1..3, with k = 1..b+1
+    ("vzehn", "verify_vzehn", [2, 3, 4]),
+])
+def test_block_suites_print_each_block_before_making_the_next(capsys, monkeypatch, suite, made, sizes):
+    # what stdout holds each time a block's walk starts
+    printed = []
+    check = getattr(cli, made)
+    monkeypatch.setattr(
+        cli, made, lambda *args: printed.append(capsys.readouterr().out) or check(*args)
+    )
+    assert main(["verify", suite, "--n", "4"]) == 0
+    header, records, _ = parse_jsonl("".join(printed) + capsys.readouterr().out)
+    # nothing before the first block is checked, then the header with the
+    # first block's records, then each block's records before the next
+    # block's walk
+    assert [chunk.count("\n") for chunk in printed] == [0, 1 + sizes[0], *sizes[1:-1]]
+    assert len(records) == sum(sizes) and header["suite"] == suite
 
 
 @pytest.mark.parametrize("k", [None, 1])

@@ -102,17 +102,19 @@ def dense_witness(left, right):
 
 
 def corrupt_contracted_block(monkeypatch, n, k, corruptions):
-    """Make serretate assemble each block of the heights of the k-th
-    contraction of a 1 x (n-1) row with each (row, col) in corruptions
-    replaced by delta(old entry, c1), kept a SparseRows, so the check
-    compares nonzero entries on both sides.  At k = 1 the contracted block
-    and the base block have one shape, and both are corrupted."""
+    """Make serretate assemble the block of the k-th contraction of a
+    1 x (n-1) row with each (row, col) in corruptions replaced by
+    delta(old entry, c1), kept a SparseRows, so the check compares nonzero
+    entries on both sides.  Only the contracted block is corrupted: its C
+    is the SparseRows `contract` makes, while the base block's C is the
+    parameter rows, so at k = 1, where the two blocks have one shape, the
+    compound side stays as it was."""
     original = serretate.assemble_block
     shape = (math.comb(n - 1, k - 1), math.comb(n - 1, k))
 
     def corrupted(c1, C, a, b):
         block = original(c1, C, a, b)
-        if (a, b) != shape:
+        if (a, b) != shape or not isinstance(C, SparseRows):
             return block
         entries = dict(block.entries)
         for (i, j), delta in corruptions:
@@ -177,15 +179,24 @@ def test_random_corruptions_match_the_dense_comparison(monkeypatch):
     rng = random.Random(29)
     n = 6
     c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
+    checked = 0
     for k in range(1, n + 1):
         size = math.comb(n, k)
+        _, right = sides(n, k, c1, c)
         for _ in range(4):
             spots = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 3))]
             tweak = rng.choice([lambda x, y: 0, lambda x, y: x + y, lambda x, y: x - 1])
             with monkeypatch.context() as patch:
                 corrupt_contracted_block(patch, n, k, [(spot, tweak) for spot in spots])
-                witness = dense_witness(*sides(n, k, c1, c))
+                left, corrupted = sides(n, k, c1, c)
+                witness = dense_witness(left, corrupted)
+                # the compound side is left as it is, so a corruption that
+                # changes the contracted block has a witness
+                assert (witness is None) is (corrupted == right)
                 assert verify_vdrei(n, [k])[k].witness == witness
+                checked += witness is not None
+    # the other four zero entries that are already zero
+    assert checked == 20
 
 
 # stdout of the dense-block implementation; on a 2-vCPU machine under
