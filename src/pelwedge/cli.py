@@ -46,7 +46,7 @@ from .reporting import (
     load_pel_input,
     params_hash,
 )
-from .serretate import DeformationParams, generators, verify_vdrei, verify_vzehn
+from .serretate import DeformationParams, block_identities, generators
 
 EXIT_USAGE = 64
 EXIT_INPUT = 65
@@ -59,14 +59,16 @@ TABLE_KINDS = ("signatures", "traces", "weights", "embedding-matrix")
 class Entry:
     """What one verify suite or mode, table kind or command reads: each
     option with its default (None: none), the options it requires, the
-    least --n, the range k_span[0] <= --k <= n + k_span[1], and the largest
-    rank C(n, n/2) * phi(m) of an exterior power it may build, of --n and
-    --m or of the `.pel` it reads (phi(m) = 1 when it reads no m).  Every
-    --m and every `.pel` also keep phi(m) <= `DEGREE_MAX`."""
+    least and the largest --n, the range k_span[0] <= --k <= n + k_span[1],
+    and the largest rank C(n, n/2) * phi(m) of an exterior power it may
+    build, of --n and --m or of the `.pel` it reads (phi(m) = 1 when it
+    reads no m).  Every --m and every `.pel` also keep phi(m) <=
+    `DEGREE_MAX`."""
 
     defaults: dict
     required: tuple[str, ...] = ()
     n_min: int = 1
+    n_max: int | None = None
     k_span: tuple[int, int] = (1, 0)
     rank_max: int | None = None
 
@@ -75,7 +77,10 @@ _HEADER = {"seed": 0}  # every verify header records it
 _CSV = {"format": "csv"}
 
 ENTRIES = {
-    "verify data": Entry({"n": 4, "m": (4, 5, 8), **_HEADER}),
+    # about n^2 / 2 records per m, each over the phi(m) embeddings: n = 200
+    # takes 2.0 s and prints 5.5 MB with the default m; at phi(m) = 546,
+    # n = 100 takes 11.5 s
+    "verify data": Entry({"n": 4, "m": (4, 5, 8), **_HEADER}, n_max=200),
     # a random trial builds and certifies a trace form of up to that rank,
     # with rank^2 entries: 560 is m=16, n=8
     "verify prinz": Entry(
@@ -87,9 +92,10 @@ ENTRIES = {
     ),
     # C(n, n/2) is the most rows a block has; blocks and compounds keep only
     # their C(n-1, k-1) + (k+1) * C(n-1, k) nonzero entries, but the one
-    # level walk of a block visits up to 2^n row prefixes: 2000 keeps n <= 13
+    # level walk of the suite's largest block, which every block is read
+    # off, visits up to 2^n row prefixes: 2000 keeps n <= 13
     "verify vdrei": Entry({"n": 7, "k": None, **_HEADER}, rank_max=2000),
-    # heights b = 1 .. n-1: the same walk, of blocks up to n x n
+    # heights b = 1 .. n-1: the same walk, of the n x n block
     "verify vzehn": Entry({"n": 7, "k": None, **_HEADER}, n_min=2, rank_max=2000),
     # a point's matrix has C(n-1, k-1) * C(n-1, k) <= C(n, n/2)^2 entries:
     # 1716 keeps n <= 13
@@ -97,9 +103,14 @@ ENTRIES = {
         {"n": 6, "k": None, **_HEADER}, n_min=2, k_span=(1, -1), rank_max=1716
     ),
     "verify all": Entry({"n": None, "trials": None, **_HEADER}),
-    "table traces": Entry({"n": None, **_CSV}, ("n",)),
+    # n + 1 rows of binomials with up to 0.3 * n digits: n = 2000 prints
+    # 1.7 MB in 0.2 s, and n = 4000 7 MB in 1.6 s
+    "table traces": Entry({"n": None, **_CSV}, ("n",), n_max=2000),
+    # C(n, k) is printed as a decimal, which CPython refuses past 4300
+    # digits (n of about 14,300); n = 10000 takes 2 ms
     "table weights": Entry(
-        {"n": None, "k": None, "case": None, **_CSV}, ("n", "k", "case"), k_span=(0, 0)
+        {"n": None, "k": None, "case": None, **_CSV}, ("n", "k", "case"), k_span=(0, 0),
+        n_max=10000,
     ),
     "table signatures": Entry({"input": None, **_CSV}, ("input",)),
     "table embedding-matrix": Entry(
@@ -191,6 +202,8 @@ def resolve(args) -> argparse.Namespace:
         value = opts.get(option)
         if value is not None and value < low:
             _usage_error(f"--{option} must be at least {low}, got {value}")
+    if entry.n_max is not None and opts["n"] > entry.n_max:
+        _usage_error(f"--n must be at most {entry.n_max}, got {opts['n']}")
     for p in opts["p"] if "p" in given else ():  # the default primes need no check
         if p < 2:
             _usage_error(f"--p must be at least 2, got {p}")
@@ -294,25 +307,26 @@ def _suite_data(m_list, n_max: int) -> Iterator[dict]:
                 yield rec
 
 
-def _block_ks(k_only: int | None, top: int) -> list[int]:
-    """The k of one block's suite records: --k when it is in 1..top, else
-    every k in 1..top."""
-    if k_only is None:
-        return list(range(1, top + 1))
-    return [k_only] if 1 <= k_only <= top else []
+def _suite_blocks(c1, row, k_only: int | None, sizes) -> Iterator[tuple[int, dict]]:
+    """(size, {k: witness}) of each block size of a suite, from one walk of
+    its largest block, the block of c1 and row: --k when given, else every
+    k up to the size (see `block_identities`)."""
+    ks = range(1, len(row) + 2) if k_only is None else [k_only]
+    return block_identities(c1, DeformationParams(1, len(row), (tuple(row),)), ks, sizes)
 
 
 def _suite_vdrei(n_max: int, k_only: int | None) -> Iterator[dict]:
-    for n in range(1, n_max + 1):
-        for k, report in verify_vdrei(n, _block_ks(k_only, n)).items():
+    c1, *c = generators(*(f"c{i}" for i in range(1, n_max + 1)))
+    for n, witnesses in _suite_blocks(c1, c, k_only, range(1, n_max + 1)):
+        for k, witness in witnesses.items():
             rec = {
                 "check": f"vdrei n={n} k={k}",
                 "n": n,
                 "k": k,
-                "status": "pass" if report.ok else "fail",
+                "status": "pass" if witness is None else "fail",
             }
-            if report.witness is not None:
-                i, j, got, expected = report.witness
+            if witness is not None:
+                i, j, got, expected = witness
                 rec["witness"] = {
                     "row": i,
                     "col": j,
@@ -323,12 +337,12 @@ def _suite_vdrei(n_max: int, k_only: int | None) -> Iterator[dict]:
 
 
 def _suite_vzehn(n_max: int, k_only: int | None) -> Iterator[dict]:
-    for b in range(1, n_max):
-        c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
-        phi = DeformationParams(1, b, (tuple(row),))
-        for k, ok in verify_vzehn(phi, c1, _block_ks(k_only, b + 1)).items():
-            status = "pass" if ok else "fail"
-            yield {"check": f"vzehn b={b} k={k}", "b": b, "k": k, "status": status}
+    # heights b = 1 .. n-1: blocks of sizes 2 .. n
+    c1, *row = generators("c1", *(f"p{i}" for i in range(1, n_max)))
+    for size, witnesses in _suite_blocks(c1, row, k_only, range(2, n_max + 1)):
+        for k, witness in witnesses.items():
+            status = "pass" if witness is None else "fail"
+            yield {"check": f"vzehn b={size - 1} k={k}", "b": size - 1, "k": k, "status": status}
 
 
 def _suite_prinz_random(trials: int, seed: int, m_list, p_list, n_max: int) -> Iterator[dict]:

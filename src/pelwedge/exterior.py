@@ -15,13 +15,16 @@ n x n case.  It takes one of two paths, chosen from the entries:
   bound, and on Python ints otherwise.
 - Over any other commutative ring (ints, Fractions, `serretate.Polynomial`s,
   sympy expressions or CycloElements given as rows, with +, -, * and
-  truthiness-as-nonzero), `compounds` walks the same levels once for
-  every requested k: `_laplace` keeps only the nonzero minors in a dict
-  per row prefix, a prefix is kept only while it can still grow to the
-  next requested k (so `det` walks one chain of prefixes), and each
-  compound is a `SparseRows` of them.  The Serre-Tate blocks are
-  sparse: at n = 10 their compounds over every k hold 3,328 nonzero
-  minors of 184,756.
+  truthiness-as-nonzero), `leading_compounds` walks the same levels once
+  for every requested k: `_laplace` keeps only the nonzero minors in a
+  dict per row prefix, and a prefix is kept only while it can still grow
+  to the next requested k (so `det` walks one chain of prefixes).  The
+  k-th compound of the matrix and of each of its leading blocks is a
+  `SparseRows` read off level k, so a suite of nested blocks is one walk
+  of the largest.  The Serre-Tate blocks are sparse: at n = 10 the
+  compounds over every k hold 3,328 nonzero minors of 184,756, and those
+  of the leading blocks n = 1..10 together 6,143, all read off the
+  3,328 that one walk computes.
 
 `wedge_gram` is the L path followed by one scaling, by psi0^(1-k), and
 returns a `CycloMatrix`; `multiplier` is two `CycloMatrix` products and
@@ -35,9 +38,9 @@ embedding, which depend only on the number of values and on k;
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -188,10 +191,10 @@ def compound(matrix, k: int):
 
     Over L (a `CycloMatrix`) the minors are built by levels on one array
     and returned as a CycloMatrix.  Over any other commutative ring, rows
-    of CycloElements among them, it is the one-k case of `compounds`, a
-    `SparseRows` of the nonzero minors."""
+    of CycloElements among them, it is the one-k, whole-matrix case of
+    `leading_compounds`, a `SparseRows` of the nonzero minors."""
     if not isinstance(matrix, CycloMatrix):
-        return next(compounds(matrix, (k,)))[1]
+        return next(leading_compounds(matrix, (k,)))[1](len(matrix))
     n = len(matrix)
     if matrix.shape != (n, n):
         raise ValueError("compound requires a square matrix")
@@ -200,16 +203,21 @@ def compound(matrix, k: int):
     return _field_compound(matrix, k)
 
 
-def compounds(matrix, ks) -> Iterator[tuple[int, SparseRows]]:
-    """(k, the k-th compound) for each k of ks in ascending order, of a
-    square matrix over any commutative ring, from one walk by levels.
+def leading_compounds(matrix, ks) -> Iterator[tuple[int, Callable[[int], SparseRows]]]:
+    """(k, leading) for each k of ks in ascending order, from one walk by
+    levels of a square matrix over any commutative ring: leading(size) is
+    the k-th compound of the leading size x size block, for k <= size <= n,
+    so leading(n) is the matrix's own.
 
     Level j maps each row prefix of j rows that can still grow to the next
     requested k to its nonzero minors; level j+1 is `_laplace` of each
-    prefix along each later row, and each minor is computed once.  A k's
-    compound is made when its level completes, and at most two levels are
-    held at a time.  Only multiplication, addition and negation are used,
-    and each compound is a `SparseRows` of the nonzero minors."""
+    prefix along each later row, and each minor is computed once.  The
+    minors of a leading block are the same determinants, so leading(size)
+    keeps the minors of level k whose row and column bitmasks lie below
+    2^size.  The walk holds at most two levels at a time, and a leading
+    holds the level it was yielded with for as long as it is kept.  Only
+    multiplication, addition and negation are used, and each compound is
+    a `SparseRows` of the nonzero minors."""
     n = len(matrix)
     if not all(len(row) == n for row in matrix):
         raise ValueError("compound requires a square matrix")
@@ -228,13 +236,20 @@ def compounds(matrix, ks) -> Iterator[tuple[int, SparseRows]]:
                 for r in range(used.bit_length(), n - k + j + 1)
             }
             j += 1
-        # at level k every k-subset of the rows is a prefix
-        index = _subset_masks(n, k)
-        yield k, SparseRows((len(index), len(index)), {
-            (index[used], index[cols]): minor
-            for used, minors in level.items()
-            for cols, minor in minors.items()
-        })
+        yield k, partial(_leading_compound, level, k)
+
+
+def _leading_compound(level: dict, k: int, size: int) -> SparseRows:
+    """The k-th compound of the leading size x size block, from the level
+    of k-row prefixes of a larger matrix: at level k every k-subset of the
+    rows is a prefix."""
+    limit = 1 << size
+    index = _subset_masks(size, k)
+    return SparseRows((len(index), len(index)), {
+        (index[used], index[cols]): minor
+        for used, minors in level.items() if used < limit
+        for cols, minor in minors.items() if cols < limit
+    })
 
 
 @lru_cache(maxsize=64)

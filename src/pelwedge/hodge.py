@@ -236,6 +236,8 @@ def congruence_diagonal(field: CycloField, gram) -> tuple[CycloElement, ...]:
             row[r], row[pivot] = row[pivot], row[r]
         delta = a[r][r]
         deltas.append(delta)
+        if r == n - 1:
+            break  # no block is left, so nothing reads the last pivot's inverse
         # a[i][j] -= a[i][r] * delta^-1 * a[r][j] on the upper triangle of
         # the block; the lower one follows by skew-Hermitian symmetry
         inverse = delta.inverse()

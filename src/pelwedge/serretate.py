@@ -3,14 +3,16 @@
 A deformation is represented only by its parameter matrix phi (connected
 height a, etale height b); the Galois action on the Tate module is the
 block matrix [[c1*E_a, C], [0, E_b]], made by `assemble_block`.  The
-Serre-Tate identity is checked in one place, `_block_identity`: the
+Serre-Tate identity is checked in one place, `block_identities`: the
 k-th compound of the (1, b) block of a parameter row is the block of the
 row's contraction `contract(row, k)`, as an exact identity in
-Z[c1, ...], with one walk of `compounds` for every k of a block.
-`verify_vdrei` and `verify_vzehn` differ only in their generators and in
-what they report.  The ring's elements (`Polynomial`, made from
-`generators`) are sparse dicts from monomial to nonzero int, so equal
-polynomials compare equal with no symbolic simplification.
+Z[c1, ...].  The block of a row's first parameters is a leading block
+of the row's block, so one `leading_compounds` walk of the largest block
+serves every block size and every k of a suite.  `verify_vdrei` and
+`verify_vzehn` are its one-block case and differ only in their
+generators and in what they report.  The ring's elements (`Polynomial`,
+made from `generators`) are sparse dicts from monomial to nonzero int,
+so equal polynomials compare equal with no symbolic simplification.
 
 Every block is a `SparseRows`: the compound keeps only its nonzero
 minors, the C-blocks are built from `removal_entries`, and two blocks
@@ -20,9 +22,10 @@ are compared by their nonzero entries alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .exterior import SparseRows, compounds, removal_entries
+from .exterior import SparseRows, leading_compounds, removal_entries
 
 # A variable is its name, as a sympy Symbol is: the first `generators` call
 # that names it gives it the next _BITS-bit field of a monomial, and every
@@ -225,7 +228,7 @@ def _first_mismatch(left, right) -> tuple[int, int, object, object] | None:
 def contract(phi: DeformationParams, k: int) -> DeformationParams:
     """Level-k contraction of a height-(1, b) parameter row: the parameters
     of the block that the Serre-Tate identity makes the k-th exterior power
-    of the row's block (see `_block_identity`).
+    of the row's block (see `block_identities`).
 
     Output shape C(b, k-1) x C(b, k); entry (I, J) is
     (-1)^(nu-1) * phi_{i_nu} when I = J - {i_nu}, over subsets of {1..b}."""
@@ -238,38 +241,62 @@ def contract(phi: DeformationParams, k: int) -> DeformationParams:
     return DeformationParams(*matrix.shape, matrix)
 
 
-def _block_identity(c1, phi: DeformationParams, ks) -> dict[int, tuple | None]:
-    """For each k of ks: None when the k-th compound of the block
-    [[c1, phi], [0, E_b]] of a 1 x b parameter row phi is the block of
-    `contract(phi, k)`, else the least (row, col) where they differ, with
-    the compound's entry and the contracted block's.  One walk of
-    `compounds` serves every k."""
-    witnesses = {}
-    for k, wedge in compounds(assemble_block(c1, phi.phi, 1, phi.b), ks):
-        contracted = contract(phi, k)
-        block = assemble_block(c1, contracted.phi, contracted.a, contracted.b)
-        witnesses[k] = _first_mismatch(wedge, block)
-    return witnesses
+def block_identities(
+    c1, phi: DeformationParams, ks, sizes=None
+) -> Iterator[tuple[int, dict[int, tuple | None]]]:
+    """The Serre-Tate identity on leading blocks of the block B =
+    [[c1, phi], [0, E_b]] of a 1 x b parameter row phi, from one walk of B.
+
+    The leading size x size block of B is the block of the row's first
+    size - 1 parameters.  For each size of sizes (ascending, each in
+    1..b+1; default b+1 alone) this yields (size, {k: witness}) for each k
+    of ks up to size: None when the k-th compound of that block is the
+    block of `contract(row, k)`, else the least (row, col) where they
+    differ, with the compound's entry and the contracted block's.
+
+    One `leading_compounds` walk of B serves every size and k.  Each
+    (size, k) is checked at level k against its own contracted block, and
+    a size is yielded as soon as its last k is checked.  A k outside
+    1..b+1 raises ValueError."""
+    if phi.a != 1:
+        raise ValueError("phi must be a 1 x b parameter row")
+    b = phi.b
+    sizes = (b + 1,) if sizes is None else sorted(set(sizes))
+    if not all(1 <= size <= b + 1 for size in sizes):
+        raise ValueError(f"need block sizes in 1..{b + 1}, got {sizes}")
+    ks = sorted(set(ks))
+    row = tuple(phi.phi[0])
+    witnesses = {size: {} for size in sizes}
+    for size in sizes:
+        if not ks or size < ks[0]:  # no k to check
+            yield size, witnesses.pop(size)
+    for k, leading in leading_compounds(assemble_block(c1, phi.phi, 1, b), ks):
+        later = next((j for j in ks if j > k), math.inf)
+        for size in [size for size in witnesses if size >= k]:
+            contracted = contract(DeformationParams(1, size - 1, (row[: size - 1],)), k)
+            block = assemble_block(c1, contracted.phi, contracted.a, contracted.b)
+            witnesses[size][k] = _first_mismatch(leading(size), block)
+            if size < later:  # its last k
+                yield size, witnesses.pop(size)
 
 
 def verify_vdrei(n: int, ks) -> dict[int, VdreiReport]:
-    """The Serre-Tate identity (see `_block_identity`) in Z[c1..cn] on the
+    """The Serre-Tate identity (see `block_identities`) in Z[c1..cn] on the
     1 x (n-1) block of c1 and the row c2..cn, for each k of ks.  A witness
     holds the two differing entries, as `Polynomial`s or ints.  A k outside
     1..n raises ValueError."""
     c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
-    witnesses = _block_identity(c1, DeformationParams(1, n - 1, (tuple(c),)), ks)
+    ((_, witnesses),) = block_identities(c1, DeformationParams(1, n - 1, (tuple(c),)), ks)
     return {k: VdreiReport(w is None, w) for k, w in witnesses.items()}
 
 
 def verify_vzehn(phi: DeformationParams, c1, ks) -> dict[int, bool]:
-    """The Serre-Tate identity (see `_block_identity`) on the block of the
+    """The Serre-Tate identity (see `block_identities`) on the block of the
     1 x b parameter row phi and c1, for each k of ks: whether the k-th
     compound of the block equals the block of the contracted parameters.
 
     Entries may come from any commutative ring that compares exactly:
     ints, `Polynomial`s from `generators`, or Z/p^N.  A k outside 1..b+1
     raises ValueError."""
-    if phi.a != 1:
-        raise ValueError("phi must be a 1 x b parameter row")
-    return {k: w is None for k, w in _block_identity(c1, phi, ks).items()}
+    ((_, witnesses),) = block_identities(c1, phi, ks)
+    return {k: w is None for k, w in witnesses.items()}

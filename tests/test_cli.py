@@ -1,16 +1,18 @@
 import contextlib
+import hashlib
 import json
 import math
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
 
-from pelwedge import cli, hodge
+from pelwedge import cli, hodge, serretate
 from pelwedge.cli import EXIT_INPUT, EXIT_USAGE, main
 from pelwedge.cyclofield import all_cm_types, cyclo_field
-from pelwedge.instances import rand_skew_hermitian
+from pelwedge.instances import rand_perfect_pair, rand_skew_hermitian
 from pelwedge.reporting import PelInputError, ReportDocument, load_pel_input, params_hash
 
 
@@ -207,6 +209,45 @@ def _signature_pel(tmp_path, fixtures_dir, gram1, m=4):
     return str(path)
 
 
+def write_perfect_pair(path, m):
+    """Write the n = 2 pair that `rand_perfect_pair` draws over Q(zeta_m) at
+    p = 3 from Random(3), p-perfect, with phi0 = phin the CM type of the
+    residues below m/2, built directly: `all_cm_types` would list all
+    2^(phi(m)/2) of them."""
+    field = cyclo_field(m)
+    module0, module1 = rand_perfect_pair(field, 2, 3, random.Random(3))
+    phi = sorted(u for u in field.units if 2 * u < m)
+    doc = {"m": m, "n": 2, "phi0": phi, "phin": phi, "p": 3, "l": 3} | {
+        key: [[[str(c) for c in x.coords] for x in row] for row in module.gram]
+        for key, module in (("gram0", module0), ("gram1", module1))
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# table signatures of that pair at m = 101: CSV rows of the 100 embeddings.
+# On a 2-vCPU machine under CPython 3.11 it takes about 0.1 s in-process,
+# against 1.4 s when the elimination also inverted the last pivot
+SIGNATURES_101 = "6fa5762ddeb2058610e286e36141db0171db29b9203a9379cde9078966800395"
+
+
+def test_table_signatures_at_m101_keeps_its_rows_within_a_time_budget(
+    capsys, tmp_path, fixtures_dir
+):
+    path = write_perfect_pair(tmp_path / "perfect101.pel", 101)
+    # the console-script check of the CI workflow reads the committed copy
+    assert json.loads((fixtures_dir / "perfect101.pel").read_text()) == json.loads(
+        (tmp_path / "perfect101.pel").read_text()
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "signatures", "--input", path)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 101
+    assert hashlib.sha256(out.encode()).hexdigest() == SIGNATURES_101
+    assert elapsed < 0.6, f"table signatures at m=101 took {elapsed:.2f} s, budget 0.6 s"
+
+
 def test_table_signatures_of_a_degenerate_form(capsys, tmp_path, fixtures_dir):
     F = cyclo_field(4)
     i = F.zeta
@@ -267,20 +308,20 @@ def test_table_traces_prints_each_row_before_making_the_next(capsys, monkeypatch
     assert [chunk.count("\n") for chunk in printed] == [0, 0, 2, 0, 1, 0, 1, 0]
 
 
-@pytest.mark.parametrize("argv, made", [
-    # one verify_vdrei call makes every k of a block: with --k, one record
-    # per block (without it, see the test below)
-    (["verify", "vdrei", "--n", "3", "--k", "1"], "verify_vdrei"),
-    (["verify", "prinz", "--trials", "3", "--m", "5", "--n", "2"], "rand_perfect_pair"),
+@pytest.mark.parametrize("argv, owner, made", [
+    # the one walk of vdrei checks each block at level k = 1 and prints it
+    # before checking the next block (without --k, see the test below)
+    (["verify", "vdrei", "--n", "3", "--k", "1"], serretate, "contract"),
+    (["verify", "prinz", "--trials", "3", "--m", "5", "--n", "2"], cli, "rand_perfect_pair"),
     # Q(i) has one pair of CM types up to conjugation: one check per record
-    (["verify", "data", "--m", "4", "--n", "2"], "verify_type11"),
+    (["verify", "data", "--m", "4", "--n", "2"], cli, "verify_type11"),
 ])
-def test_verify_prints_each_record_before_making_the_next(capsys, monkeypatch, argv, made):
+def test_verify_prints_each_record_before_making_the_next(capsys, monkeypatch, argv, owner, made):
     # what stdout holds each time a record's check starts
     printed = []
-    check = getattr(cli, made)
+    check = getattr(owner, made)
     monkeypatch.setattr(
-        cli, made, lambda *args: printed.append(capsys.readouterr().out) or check(*args)
+        owner, made, lambda *args: printed.append(capsys.readouterr().out) or check(*args)
     )
     assert main(argv) == 0
     header, records, _ = parse_jsonl("".join(printed) + capsys.readouterr().out)
@@ -290,25 +331,34 @@ def test_verify_prints_each_record_before_making_the_next(capsys, monkeypatch, a
     assert len(printed) == len(records) and header["suite"] == argv[1]
 
 
-@pytest.mark.parametrize("suite, made, sizes", [
+@pytest.mark.parametrize("suite, sizes", [
     # blocks n = 1..4, with k = 1..n
-    ("vdrei", "verify_vdrei", [1, 2, 3, 4]),
-    # blocks b = 1..3, with k = 1..b+1
-    ("vzehn", "verify_vzehn", [2, 3, 4]),
+    ("vdrei", [1, 2, 3, 4]),
+    # blocks b = 1..3, of sizes b + 1, with k = 1..b+1
+    ("vzehn", [2, 3, 4]),
 ])
-def test_block_suites_print_each_block_before_making_the_next(capsys, monkeypatch, suite, made, sizes):
-    # what stdout holds each time a block's walk starts
-    printed = []
-    check = getattr(cli, made)
-    monkeypatch.setattr(
-        cli, made, lambda *args: printed.append(capsys.readouterr().out) or check(*args)
-    )
+def test_block_suites_print_each_block_as_its_last_check_is_made(capsys, monkeypatch, suite, sizes):
+    # each check (size, k) of the suite's one walk, and the lines on stdout
+    # when it starts
+    checks, printed, out = [], [], []
+    contract = serretate.contract
+
+    def spy(phi, k):
+        out.append(capsys.readouterr().out)
+        checks.append((phi.b + 1, k))
+        printed.append("".join(out).count("\n"))
+        return contract(phi, k)
+
+    monkeypatch.setattr(serretate, "contract", spy)
     assert main(["verify", suite, "--n", "4"]) == 0
-    header, records, _ = parse_jsonl("".join(printed) + capsys.readouterr().out)
-    # nothing before the first block is checked, then the header with the
-    # first block's records, then each block's records before the next
-    # block's walk
-    assert [chunk.count("\n") for chunk in printed] == [0, 1 + sizes[0], *sizes[1:-1]]
+    header, records, _ = parse_jsonl("".join(out) + capsys.readouterr().out)
+    # level by level, the blocks of each level in ascending size
+    assert checks == [(size, k) for k in range(1, 5) for size in sizes if size >= k]
+    # a block's last check is at k = size: its records, and with the first
+    # block the header, are out before the next check
+    for i, lines in enumerate(printed):
+        done = [size for size in sizes if (size, size) in checks[:i]]
+        assert lines == (1 + sum(done) if done else 0), checks[i]
     assert len(records) == sum(sizes) and header["suite"] == suite
 
 

@@ -275,6 +275,45 @@ def test_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, argv):
     assert run(argv.split(), capsys)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, n_max",
+    [
+        # CPython refuses to print an int past 4300 digits: these two once
+        # printed part of their rows and exited 1 with a traceback
+        ("table traces --n 14300", 2000),
+        ("table traces --n 2001", 2000),
+        ("table weights --n 20000 --k 10000 --case both", 10000),
+        ("table weights --n 10001 --k 0 --case only0", 10000),
+        ("verify data --n 201", 200),
+        ("verify data --n 400 --m 4", 200),
+    ],
+)
+def test_n_past_its_bound_is_refused_before_any_work(capsys, monkeypatch, argv, n_max):
+    monkeypatch.setattr(cli, "cmd_verify", _no_work)
+    monkeypatch.setattr(cli, "cmd_table", _no_work)
+    n = argv.split()[3]
+    assert run(argv.split(), capsys) == (
+        EXIT_USAGE, "", f"error: --n must be at most {n_max}, got {n}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # a header and rows k = 0..n
+        ("table traces --n 2000", 2002),
+        # C(10000, 5000), 3009 digits, at the (0, -k) weight only
+        ("table weights --n 10000 --k 5000 --case neither", 2),
+        # a header, the records of n = 1..200, k = 0..n and a summary
+        ("verify data --n 200 --m 4", 1 + 200 * 203 // 2 + 1),
+    ],
+)
+def test_the_largest_accepted_n_runs(capsys, argv, lines):
+    code, out, err = run(argv.split(), capsys)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+
+
 def diagonal_pel(tmp_path, m, n):
     """A `.pel` over Q(zeta_m) with Psi1 = (zeta - zeta^-1) * I_n."""
     field = cyclo_field(m)

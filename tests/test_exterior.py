@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import sympy
+from levelwalk import block_compounds
 from modint import ModInt
 from rowmatrix import conj_transpose, mat_mul
 
@@ -19,9 +20,9 @@ from pelwedge.exterior import (
     SubsetIndex,
     colex_subsets,
     compound,
-    compounds,
     det,
     g_k,
+    leading_compounds,
     multiplier,
     removal_matrix,
     wedge_gram,
@@ -388,10 +389,10 @@ def test_compound_computes_each_minor_once():
     assert len(calls) == 3 * 2
 
 
-def _level_walk_inputs():
-    """(name, matrix) over ints, Fractions, Polynomials and ModInts: dense
-    matrices, and deformation blocks [[c1*E_a, C], [0, E_b]] with a
-    sparse C."""
+def _level_walk_inputs(sizes=range(1, 7)):
+    """(name, matrix) over ints, Fractions, Polynomials and ModInts, of each
+    size: dense matrices, and deformation blocks [[c1*E_a, C], [0, E_b]]
+    with a sparse C."""
     rng = random.Random(41)
     gens = generators("y1", "y2", "y3")
     draws = {
@@ -401,7 +402,7 @@ def _level_walk_inputs():
         "mod9": lambda: ModInt(rng.randint(0, 8), 9),
     }
     for name, draw in draws.items():
-        for n in range(1, 7):
+        for n in sizes:
             yield name, [[draw() for _ in range(n)] for _ in range(n)]
             a = rng.randint(1, n)
             C = [[draw() if rng.random() < 0.5 else 0 for _ in range(n - a)] for _ in range(a)]
@@ -413,7 +414,7 @@ def test_compounds_by_levels_match_the_cofactor_oracle():
     for name, matrix in _level_walk_inputs():
         n = len(matrix)
         # one walk for every k from 0 to n, asked for out of order and twice
-        walk = list(compounds(matrix, [n, *range(n + 1), 0]))
+        walk = [(k, leading(n)) for k, leading in leading_compounds(matrix, [n, *range(n + 1), 0])]
         assert [k for k, _ in walk] == list(range(n + 1)), (name, n)
         for k, got in walk:
             assert got == reference_compound(matrix, k), (name, n, k)
@@ -421,11 +422,33 @@ def test_compounds_by_levels_match_the_cofactor_oracle():
         assert walk[0][1] == ((1,),) and walk[-1][1] == ((reference_det(matrix),),)
         checked.add(name)
     assert checked == {"int", "fraction", "polynomial", "mod9"}
-    assert list(compounds([[2]], [])) == []
+    assert list(leading_compounds([[2]], [])) == []
     with pytest.raises(ValueError):
-        list(compounds([[1, 2], [3, 4]], [1, 3]))
+        list(leading_compounds([[1, 2], [3, 4]], [1, 3]))
     with pytest.raises(ValueError):
-        list(compounds([[1, 2]], [1]))
+        list(leading_compounds([[1, 2]], [1]))
+
+
+def test_every_leading_block_read_off_one_walk_matches_its_own_walk():
+    # the per-block walk of each leading block is the oracle
+    checked = set()
+    for name, matrix in _level_walk_inputs(range(1, 9)):
+        n = len(matrix)
+        want = {
+            size: dict(block_compounds([row[:size] for row in matrix[:size]], range(size + 1)))
+            for size in range(1, n + 1)
+        }
+        for k, leading in leading_compounds(matrix, range(n + 1)):
+            for size in range(max(k, 1), n + 1):
+                got = leading(size)
+                assert got.shape == want[size][k].shape, (name, n, k, size)
+                assert got == want[size][k], (name, n, k, size)
+        checked.add(name)
+    assert checked == {"int", "fraction", "polynomial", "mod9"}
+    # a size is a leading block only from k up to n
+    ((_, leading),) = leading_compounds([[1, 2], [3, 4]], [2])
+    with pytest.raises(ValueError):
+        leading(1)
 
 
 def test_det_walks_one_prefix_per_level(monkeypatch):
@@ -441,7 +464,7 @@ def test_det_walks_one_prefix_per_level(monkeypatch):
         assert det(matrix) == reference_det(matrix)
         assert len(calls) == n
         calls.clear()
-        list(compounds(matrix, range(n + 1)))
+        list(leading_compounds(matrix, range(n + 1)))
         assert len(calls) == 2**n - 1
 
 
@@ -538,12 +561,15 @@ def test_cli_bytes_match_the_reference_oracles(suite, capsys, monkeypatch):
         calls.append(k)
         return reference_removal_entries(size, k)
 
-    def reference_compounds(matrix, ks):
-        return ((k, reference_compound(matrix, k)) for k in sorted(ks))
+    def reference_leading_compounds(matrix, ks):
+        for k in sorted(ks):
+            yield k, lambda size, k=k: reference_compound(
+                [row[:size] for row in matrix[:size]], k
+            )
 
     # the swapped names are the ones serretate builds its blocks with: a
     # stale name raises, and the oracle must be called
-    monkeypatch.setattr(serretate, "compounds", reference_compounds)
+    monkeypatch.setattr(serretate, "leading_compounds", reference_leading_compounds)
     monkeypatch.setattr(serretate, "removal_entries", removal_entries)
     assert main(argv) == code == 0
     assert capsys.readouterr().out == fast

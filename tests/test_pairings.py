@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from levelwalk import block_compounds
 
-from pelwedge import cyclofield, exterior, instances, pairings
+from pelwedge import cyclofield, instances, pairings
 from pelwedge.cli import main
 from pelwedge.cyclofield import (
     CycloMatrix,
@@ -195,7 +196,7 @@ def elementwise_wedge(psi0, psi1, k):
     """psi0^(1-k) times each minor, with the compound over CycloElements
     (`_laplace`) and one element product per entry."""
     factor = psi0 ** (1 - k)
-    ((_, minors),) = exterior.compounds(psi1, [k])
+    ((_, minors),) = block_compounds(psi1, [k])
     return tuple(tuple(factor * x for x in row) for row in minors)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from modint import ModInt
 from rowmatrix import mat_mul
 
-from pelwedge import serretate
+from pelwedge import exterior, serretate
 from pelwedge.cli import main
 from pelwedge.exterior import SparseRows, compound, removal_entries
 from pelwedge.serretate import (
@@ -246,21 +246,58 @@ def test_vzehn_fails_on_one_corrupted_compound_minor(monkeypatch):
     b, k = 3, 2
     c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
     phi = DeformationParams(1, b, (tuple(row),))
-    original = serretate.compounds
+    original = serretate.leading_compounds
 
     def corrupted(matrix, ks):
-        for j, wedge in original(matrix, ks):
-            if (len(matrix), j) == (b + 1, k):
-                entries = dict(wedge.entries)
-                entries[2, 1] = entries.get((2, 1), 0) + c1
-                wedge = SparseRows(wedge.shape, entries)
-            yield j, wedge
+        # one minor of the k-th compound of the (b+1) x (b+1) leading block,
+        # whichever walk it is read off
+        for j, leading in original(matrix, ks):
+            def read(size, j=j, leading=leading):
+                wedge = leading(size)
+                if (size, j) == (b + 1, k):
+                    entries = dict(wedge.entries)
+                    entries[2, 1] = entries.get((2, 1), 0) + c1
+                    wedge = SparseRows(wedge.shape, entries)
+                return wedge
 
-    monkeypatch.setattr(serretate, "compounds", corrupted)
+            yield j, read
+
+    monkeypatch.setattr(serretate, "leading_compounds", corrupted)
     assert verify_vzehn(phi, c1, range(1, b + 2)) == {1: True, 2: False, 3: True, 4: True}
     code, lines = run_cli("verify", "vzehn", "--n", "4", "--k", str(k))
     assert code == 1
     assert [r["record"]["status"] for r in lines[1:-1]] == ["pass", "pass", "fail"]
+    # read off the walk of the 6 x 6 block, height b fails alone
+    code, lines = run_cli("verify", "vzehn", "--n", "6", "--k", str(k))
+    assert code == 1
+    assert [r["record"]["status"] for r in lines[1:-1]] == ["pass", "pass", "fail", "pass", "pass"]
+
+
+@pytest.mark.parametrize("suite", ["vdrei", "vzehn"])
+def test_a_suite_walks_its_largest_block_once(monkeypatch, suite):
+    # one _laplace per nonempty row subset of the 10 x 10 block: 1,023, where
+    # a walk per block made 2,036 (vdrei, sizes 1..10) and 2,035 (vzehn,
+    # sizes 2..10)
+    calls = []
+    laplace = exterior._laplace
+    monkeypatch.setattr(exterior, "_laplace", lambda *args: calls.append(1) or laplace(*args))
+    code, lines = run_cli("verify", suite, "--n", "10")
+    assert code == 0 and len(calls) == 2**10 - 1
+    assert lines[-1]["summary"]["checks"] == {"vdrei": 55, "vzehn": 54}[suite]
+
+
+def test_block_identities_reads_each_size_off_one_walk():
+    c1, *row = generators("c1", *(f"p{i}" for i in range(1, 6)))
+    phi = DeformationParams(1, 5, (tuple(row),))
+    # sizes in ascending order, each with its k up to the size; a size
+    # below every k has none
+    got = list(serretate.block_identities(c1, phi, [4, 2], [6, 1, 3, 5]))
+    assert got == [(1, {}), (3, {2: None}), (5, {2: None, 4: None}), (6, {2: None, 4: None})]
+    for size in ([0], [7]):
+        with pytest.raises(ValueError):
+            list(serretate.block_identities(c1, phi, [1], size))
+    with pytest.raises(ValueError):
+        list(serretate.block_identities(c1, phi, [7]))
 
 
 def _vdrei_base(c1, c):

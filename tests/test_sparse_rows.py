@@ -21,6 +21,7 @@ from pelwedge.exterior import SparseRows, compound, removal_matrix
 from pelwedge.serretate import (
     DeformationParams,
     assemble_block,
+    block_identities,
     contract,
     generators,
     verify_vdrei,
@@ -160,9 +161,11 @@ def test_a_corrupted_block_has_the_witness_of_the_dense_comparison(name, monkeyp
     report = verify_vdrei(n, [k])[k]
     assert not report.ok and report.witness == expected
 
+    # the suite reads block n off the walk of the 7 x 7 block; the blocks
+    # n = 3, 4, 6, 7 have other contracted shapes at k = 3 and pass
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["verify", "vdrei", "--n", str(n), "--k", str(k)])
+        code = main(["verify", "vdrei", "--n", "7", "--k", str(k)])
     records = [json.loads(line)["record"] for line in out.getvalue().splitlines()[1:-1]]
     i, j, got, want = expected
     assert code == 1
@@ -178,7 +181,10 @@ def test_a_corrupted_block_has_the_witness_of_the_dense_comparison(name, monkeyp
 def test_random_corruptions_match_the_dense_comparison(monkeypatch):
     rng = random.Random(29)
     n = 6
-    c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
+    c1, *c = generators(*(f"c{i}" for i in range(1, n + 3)))
+    # the base block of c1..c8, whose leading 6 x 6 block is block n
+    largest = DeformationParams(1, n + 1, (tuple(c),))
+    c = c[: n - 1]
     checked = 0
     for k in range(1, n + 1):
         size = math.comb(n, k)
@@ -194,6 +200,8 @@ def test_random_corruptions_match_the_dense_comparison(monkeypatch):
                 # changes the contracted block has a witness
                 assert (witness is None) is (corrupted == right)
                 assert verify_vdrei(n, [k])[k].witness == witness
+                ((_, read_off),) = block_identities(c1, largest, [k], [n])
+                assert read_off == {k: witness}
                 checked += witness is not None
     # the other four zero entries that are already zero
     assert checked == 20
