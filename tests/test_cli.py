@@ -227,7 +227,7 @@ def write_perfect_pair(path, m):
 
 # table signatures of that pair at m = 101: CSV rows of the 100 embeddings.
 # On a 2-vCPU machine under CPython 3.11 it takes about 0.1 s in-process,
-# against 1.4 s when the elimination also inverted the last pivot
+# against 1.2 s when the elimination also inverted the last pivot
 SIGNATURES_101 = "6fa5762ddeb2058610e286e36141db0171db29b9203a9379cde9078966800395"
 
 
