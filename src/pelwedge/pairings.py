@@ -12,9 +12,11 @@ needs no field multiplication: it is one matmul of the gram's
 (n, n, phi(m)) numerator array with the field's shift table, in int64
 when the table's bound times the largest |numerator| is below 2^63 and
 on Python ints otherwise, then one gather.  The valuation has one
-algorithm for every prime p: the numerators are eliminated over Z/p^e
-with unit pivots, and a block that p divides throughout is divided by p,
-adding its size to the valuation at the cost of one digit of precision.
+algorithm for every prime p.  psi is alternating, so the numerators are
+eliminated over Z/p^e with 2 x 2 pivots [[0, x], [-x, 0]], x a unit: each
+is one rank-2 update that leaves the rest alternating, so an N-row form
+takes N/2 steps, not N.  A block that p divides throughout is divided by
+p, adding its size to the valuation at the cost of one digit of precision.
 e starts at 1, where a p-perfect form finishes without dividing, and
 doubles whenever the precision runs out, up to e_H, the least e with
 p^(2e) above the Hadamard bound H >= det^2; a determinant that p^e_H
@@ -35,6 +37,7 @@ from .cyclofield import (
     PRIME_LIMIT,
     CycloField,
     RamifiedPrimeError,
+    exact_dtype,
     integer_array,
     is_prime,
     lowest_terms,
@@ -127,58 +130,62 @@ def _valuation(value: int, p: int) -> int:
 
 
 def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
-    """v_p(det nums) for a square integer array and a prime p, by
-    elimination over Z/p^e, or None when e is too small to decide it.
+    """v_p(det nums) for a square alternating integer array and a prime p,
+    by elimination over Z/p^e with 2 x 2 pivots, or None when e is too
+    small to decide it.
 
-    A unit pivot leaves the valuation of the remaining block unchanged; it
-    is taken from the pivot column when it has one, else from anywhere in
-    the block after a column swap.  When p divides every entry of the
-    block, det(block) = p^size * det(block / p), and block / p is known mod
+    A pivot [[0, x], [-x, 0]] with x a unit mod p has det x^2, so it leaves
+    the valuation of the remaining block unchanged.  x is the first unit of
+    the block's first row when that row has one, else the first unit
+    anywhere in the block, which lies above the diagonal and is brought to
+    (0, 1) by a symmetric swap of rows and columns.  With u and w the pivot
+    columns below the pivot and y = u / x, the Schur complement of the
+    pivot is block + w y^T - y w^T, alternating again (J. R. Bunch, Math.
+    Comp. 38, 1982).  When p divides every entry of the block,
+    det(block) = p^size * det(block / p), and block / p is known mod
     p^(e-1).  None means such a block was met mod p, so p^e divides det."""
     q = p**e
-    size = len(nums)
-    # residues below 2^31 multiply without overflow in int64; larger moduli
-    # run the same loop on Python ints
-    if q < 2**31:
+    # the pivot columns are reduced mod q, so each update adds the
+    # difference of two products in [0, q^2), below q^2 in absolute value,
+    # and the block is reduced once |entries| may reach 2^62: every value
+    # stays below 2^62 + q^2, in int64 while q < 2^31, and the same loop
+    # runs on Python ints above that, reducing after every step
+    if exact_dtype(2**62 + q * q) is np.int64:
         a = (nums % q).astype(np.int64, copy=False)
     else:
         a = nums.astype(object) % q
     v = 0
-    # pivot rows and columns are reduced mod q, so each update subtracts
-    # products below q^2; the rest is reduced only before |a| could reach
-    # 2^63, which on Python ints (q^2 >= 2^62) is after every step
     bound = q  # every |entry| is below bound
-    c = 0
-    while c < size:
-        units = np.flatnonzero(a[c:, c] % p)
+    while len(a):
+        units = np.flatnonzero(a[0] % p)
         if units.size:
-            r = c + int(units[0])
+            r, s = 0, int(units[0])
         else:
-            block = a[c:, c:]
-            units = np.flatnonzero(block % p)
+            units = np.flatnonzero(a % p)
             if not units.size:
                 if q == p:
                     return None
-                block %= q  # so every |entry| is below q // p after the division
-                block //= p
+                a %= q  # so every |entry| is below q // p after the division
+                a //= p
                 q //= p
                 bound = q
-                v += size - c
+                v += len(a)
                 continue
-            r, j = divmod(int(units[0]), size - c)
-            r += c
-            a[c:, [c, c + j]] = a[c:, [c + j, c]]
-        if r != c:
-            a[[c, r]] = a[[r, c]]
-        # the pivot row scaled to a leading 1
-        tail = a[c, c + 1 :] % q * pow(int(a[c, c]) % q, -1, q) % q
-        block = a[c + 1 :, c + 1 :]
-        block -= np.outer(a[c + 1 :, c] % q, tail)
+            # the first unit in row order: its mirror image is in a later row
+            r, s = divmod(int(units[0]), len(a))
+        for i, j in ((0, r), (1, s)):
+            if i != j:
+                a[[i, j]] = a[[j, i]]
+                a[:, [i, j]] = a[:, [j, i]]
+        y = a[2:, 0] % q * pow(int(a[0, 1]) % q, -1, q) % q
+        t = np.outer(a[2:, 1] % q, y)
+        t -= t.T
+        a = a[2:, 2:]
+        a += t
         bound += q * q
         if bound >= 2**62:
-            block %= q
+            a %= q
             bound = q
-        c += 1
     return v
 
 
@@ -194,13 +201,16 @@ def _hadamard_exponent(nums: np.ndarray, p: int) -> int:
 
 
 def _det_valuation(nums, p: int) -> int:
-    """v_p(det nums) for a square integer matrix and a prime p.
+    """v_p(det nums) for a square alternating integer matrix and a prime p
+    (ValueError for a matrix that is not alternating).
 
     The matrix is eliminated mod p, then mod p^2, p^4, ... until the
     precision decides the valuation, the last step at the Hadamard
     exponent e_H.  p^e_H | det means det = 0, and DegenerateForm is
     raised."""
     nums = integer_array(nums).reshape(len(nums), len(nums))
+    if not np.array_equal(nums.T, -nums):
+        raise ValueError("the valuation needs an alternating matrix")
     e, e_hadamard = 1, None
     while (v := _det_valuation_mod(nums, p, e)) is None:
         if e_hadamard is None:

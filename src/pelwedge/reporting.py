@@ -14,10 +14,11 @@ summary line and `human_summary` read.
 
 from __future__ import annotations
 
-import hashlib
+import importlib
 import itertools
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -36,6 +37,15 @@ from .cyclofield import (
 from .hodge import HermitianModule
 
 SCHEMA_VERSION = "1"
+
+try:
+    # CPython's builtin SHA-256, imported by name because it is _sha2 from
+    # 3.12 and _sha256 before, and each version lists only its own as
+    # stdlib; hashlib would load OpenSSL's libcrypto, about 3.5 MB and 2 ms
+    # per process, to hash a few hundred bytes
+    _sha256 = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:
+    from hashlib import sha256 as _sha256
 
 
 class PelInputError(ValueError):
@@ -112,7 +122,7 @@ class ReportDocument:
 
 def params_hash(params: dict) -> str:
     canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical.encode()).hexdigest()
 
 
 # the "a/b" strings a coefficient may be: no sign on b, no spaces, and none
@@ -239,5 +249,5 @@ def load_pel_input(path: str) -> PelInput:
         gram1=gram1,
         p=doc["p"],
         l=doc["l"],
-        input_hash=hashlib.sha256(raw_bytes).hexdigest(),
+        input_hash=_sha256(raw_bytes).hexdigest(),
     )

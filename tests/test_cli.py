@@ -598,3 +598,15 @@ def test_pel_grams_are_read_over_one_common_denominator(tmp_path, fixtures_dir):
 def test_params_hash_stable():
     assert params_hash({"a": 1, "b": 2}) == params_hash({"b": 2, "a": 1})
     assert params_hash({"a": 1}) != params_hash({"a": 2})
+
+
+def test_hashes_are_the_sha256_hex_digests(capsys, fixtures_dir):
+    params = {"k": None, "m": 5, "p": 3}
+    canonical = json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
+    assert params_hash(params) == hashlib.sha256(canonical).hexdigest()
+    path = str(fixtures_dir / "allpass.pel")
+    digest = hashlib.sha256((fixtures_dir / "allpass.pel").read_bytes()).hexdigest()
+    assert load_pel_input(path).input_hash == digest
+    code, out, _ = run(capsys, "verify", "prinz", "--input", path)
+    assert code == 0
+    assert parse_jsonl(out)[0]["input_hash"] == digest

@@ -556,6 +556,22 @@ def test_no_cli_run_loads_sympy():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_openssl_is_not_loaded_where_the_builtin_sha256_exists():
+    # hashlib loads OpenSSL's libcrypto; the report hashes need CPython's
+    # builtin SHA-256 (_sha256 up to 3.11, _sha2 from 3.12) where it exists
+    script = (
+        "import contextlib, importlib.util, io, sys\n"
+        "import pelwedge.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert pelwedge.cli.main(['verify', 'prinz', '--input', {ALLPASS!r}]) == 0\n"
+        "builtin = any(importlib.util.find_spec(name) for name in ('_sha2', '_sha256'))\n"
+        "assert not builtin or '_hashlib' not in sys.modules\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_mpmath_is_loaded_only_by_signatures():
     script = (
         "import contextlib, io, sys\n"

@@ -520,27 +520,56 @@ def rand_matrix(rng, size, dens=(1,), bound=4):
     ]
 
 
-def determinant_cases(rng):
-    """(label, matrix): empty, 1 x 1, integer, rational, large, singular and
-    zero-leading-pivot matrices."""
+def rand_alternating(rng, size, dens=(1,), bound=4):
+    """B - B^T for a random B."""
+    b = rand_matrix(rng, size, dens, bound)
+    return [[x - y for x, y in zip(row, column)] for row, column in zip(b, zip(*b))]
+
+
+def with_last_column(a, s):
+    """S^T a S for an alternating a, with S the identity but for its last
+    column s: a with a s as its last column and -(a s)^T as its last row."""
+    column = [sum(x * y for x, y in zip(row, s)) for row in a]
+    out = [list(row) for row in a]
+    for i, x in enumerate(column):
+        out[i][-1], out[-1][i] = x, -x
+    out[-1][-1] = 0
+    return out
+
+
+def scaled_rows(a, rows, c):
+    """D a D with D = diag(c at `rows`, 1 elsewhere)."""
+    scale = [c if i in rows else 1 for i in range(len(a))]
+    return [[scale[i] * x * scale[j] for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def determinant_cases(rng, p):
+    """(label, matrix): alternating matrices, empty, 1 x 1 and 2 x 2, and
+    of every size from 2 to 7 (an odd size is singular) integer, rational,
+    large, singular, with no unit in their first row or first two rows mod
+    p, with a zero leading pivot and with a zero column."""
     yield "0 x 0", []
-    yield "1 x 1", [[Fraction(-7, 3)]]
-    yield "1 x 1 zero", [[0]]
-    yield "swap", [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
-    yield "swap twice", [[0, 0, 1], [0, 2, 0], [3, 0, 0]]
+    yield "1 x 1", [[0]]
+    yield "2 x 2", [[0, Fraction(-7, 3)], [Fraction(7, 3), 0]]
     for size in range(2, 8):
-        yield "integer", rand_matrix(rng, size)
-        yield "rational", rand_matrix(rng, size, (1, 2, 3, 9, 10))
-        yield "large", rand_matrix(rng, size, (1, 7), bound=10**12)
-        singular = rand_matrix(rng, size, (1, 3))
-        singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[1])]
-        yield "singular", singular
-        leading_zero = rand_matrix(rng, size, (1, 5))
-        leading_zero[0][0] = 0
+        yield "integer", rand_alternating(rng, size)
+        yield "rational", rand_alternating(rng, size, (1, 2, 3, 9, 10))
+        yield "large", rand_alternating(rng, size, (1, 7), bound=10**12)
+        # the last basis vector becomes 2 e_0: the last row and column are
+        # twice the first
+        singular = rand_alternating(rng, size, (1, 3))
+        yield "singular", with_last_column(singular, [2] + [0] * (size - 1))
+        # row 0 is 0 mod p, so the pivot is the first unit further down,
+        # swapped in by rows and columns
+        yield "row without a unit", scaled_rows(rand_alternating(rng, size, (1, 5)), {0}, p)
+        yield "two rows without a unit", scaled_rows(rand_alternating(rng, size), {0, 1}, p)
+        leading_zero = rand_alternating(rng, size, (1, 5))
+        leading_zero[0][1] = leading_zero[1][0] = 0
         yield "zero leading pivot", leading_zero
-        zero_column = rand_matrix(rng, size)
+        zero_column = rand_alternating(rng, size)
         for row in zero_column:
             row[size // 2] = 0
+        zero_column[size // 2] = [0] * size
         yield "zero column", zero_column
 
 
@@ -548,14 +577,19 @@ def determinant_cases(rng):
 def test_det_valuation_matches_the_gaussian_reference(p):
     rng = random.Random(5200 + p)
     outcomes = set()
-    cases = list(determinant_cases(rng))
+    cases = list(determinant_cases(rng, p))
     for size in (12, 24):
-        # det = 0 mod p but not 0: the last row is a combination of the two
-        # rows above it plus p times a random row, so the residues must stay
-        # exact through every elimination step
-        matrix = rand_matrix(rng, size, bound=10**6)
-        matrix[-1] = [2 * x - y + p * rng.randint(-9, 9) for x, y in zip(matrix[-3], matrix[-2])]
-        cases += [("p | det", matrix), ("large", rand_matrix(rng, size, (1, 11), bound=10**6))]
+        # det = 0 mod p but not 0: the last row and column are combinations
+        # of the two before them plus p times a random combination, so the
+        # residues must stay exact through every elimination step
+        matrix = rand_alternating(rng, size, bound=10**6)
+        s = [p * rng.randint(-9, 9) for _ in range(size - 1)] + [p * rng.choice((-2, -1, 1, 2))]
+        s[-3] += 2
+        s[-2] -= 1
+        cases += [
+            ("p | det", with_last_column(matrix, s)),
+            ("large", rand_alternating(rng, size, (1, 11), bound=10**6)),
+        ]
     for label, matrix in cases:
         nums, den = integer_matrix(matrix)
         value = reference_rational_det(matrix)
@@ -571,6 +605,18 @@ def test_det_valuation_matches_the_gaussian_reference(p):
             assert (got == 0) == reference_unit_det_mod(matrix, p), (label, p)
         outcomes.add("v_p > 0" if got > 0 else "v_p < 0" if got < 0 else "v_p = 0")
     assert {"degenerate", "v_p = 0", "v_p > 0"} <= outcomes
+
+
+@pytest.mark.parametrize("matrix", [
+    [[-7]],
+    [[0, 1, 2], [3, 4, 5], [6, 7, 9]],
+    [[0, 1], [1, 0]],
+    [[1, 1], [-1, 0]],
+    [[0, 1, 0], [-1, 0, 2], [0, 2, 0]],
+])
+def test_a_matrix_that_is_not_alternating_is_refused(matrix):
+    with pytest.raises(ValueError, match="alternating"):
+        _det_valuation(matrix, 3)
 
 
 def recorded_precisions(monkeypatch):
@@ -592,7 +638,7 @@ def test_the_elimination_swaps_divides_restarts_and_gives_up(monkeypatch):
     calls.clear()
     assert _det_valuation(((0, 9), (-9, 0)), 3) == 4
     assert calls == [1, 2, 4]
-    # pfaffian 3: column 0 has no unit, so a unit elsewhere is swapped in
+    # pfaffian 3: row 0 has no unit, so the unit at (1, 2) is swapped in
     calls.clear()
     swap = ((0, 3, 0, 0), (-3, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
     assert _det_valuation(swap, 3) == 2
@@ -705,7 +751,9 @@ def test_perfectness_valuation_is_the_valuation_of_the_determinant(case):
 
 
 def test_primes_from_2_to_the_31_match_the_reference():
-    # p^e >= 2^31 runs the same elimination on Python ints
+    # an update adds less than p^(2e) to an entry, so p^e >= 2^31 runs the
+    # same elimination on Python ints: 2^31 - 1 runs e = 1 in int64 and
+    # e >= 2 on Python ints, 2^31 + 11 and 2^61 - 1 every e on Python ints
     F = cyclo_field(5)
     gram = rand_skew_hermitian(F, 2, random.Random(5300))
     for p in (2**31 - 1, 2**31 + 11, 2**61 - 1):
@@ -798,12 +846,50 @@ def test_array_wedge_and_trace_form_match_the_element_oracles(case):
         assert (got.nums.tolist(), got.den) == (want.nums.tolist(), want.den), (field.m, k)
 
 
-def recorded_dtypes(monkeypatch):
-    """The dtype every array stage chooses, in call order."""
+def recorded_dtypes(monkeypatch, module=cyclofield):
+    """The dtype every array stage of `module` chooses, in call order."""
     chosen = []
     choose = cyclofield.exact_dtype
-    monkeypatch.setattr(cyclofield, "exact_dtype", lambda bound: chosen.append(choose(bound)) or chosen[-1])
+    monkeypatch.setattr(module, "exact_dtype", lambda bound: chosen.append(choose(bound)) or chosen[-1])
     return chosen
+
+
+def worst_case_growth(p, steps):
+    """An alternating matrix of size 2 * steps + 4 whose first `steps`
+    pivots [[0, 1], [-1, 0]] each add (q - 1)^2 to the entry (i, j) =
+    (2 steps, 2 steps + 2), the most one update can add mod q = p: the
+    residue -1 of every pivot column meets there, and every other product
+    is 0.  That entry starts at -steps - p, so it ends at -p, and with
+    a[i + 1, j + 1] = 1 the pfaffian is p, det = p^2."""
+    size = 2 * steps + 4
+    i, j = size - 4, size - 2
+    a = [[0] * size for _ in range(size)]
+    for k in range(steps):
+        a[2 * k][2 * k + 1] = 1
+        a[2 * k][j] = a[2 * k + 1][i] = 1
+    a[i][j] = -steps - p
+    a[i + 1][j + 1] = 1
+    for r in range(size):
+        for c in range(r):
+            a[r][c] = -a[c][r]
+    return a
+
+
+@pytest.mark.parametrize("p, dtypes", [(2**31 - 1, [np.int64, object]), (2**31 + 11, [object, object])])
+def test_moduli_either_side_of_the_int64_bound_match_the_reference(monkeypatch, p, dtypes):
+    # each update adds less than q^2 to an entry and the block is reduced
+    # once its entries may reach 2^62, so entries stay below 2^62 + q^2:
+    # int64 while q < 2^31.  Mod 2^31 - 1 the worst case below reaches
+    # (q - 3) + 2 (q - 1)^2, about 2^63 - 2^34, before its reduction
+    matrix = worst_case_growth(p, 3)
+    chosen = recorded_dtypes(monkeypatch, pairings)
+    assert _det_valuation(matrix, p) == rational_valuation(reference_rational_det(matrix), p) == 2
+    # e = 1 meets a block that p divides throughout, and e = 2 decides it
+    assert chosen == dtypes
+    form = rand_alternating(random.Random(5900), 12, bound=10**6)
+    chosen.clear()
+    assert _det_valuation(form, p) == rational_valuation(reference_rational_det(form), p)
+    assert chosen[0] is dtypes[0]
 
 
 def test_large_entries_run_on_python_ints_and_agree_with_int64(monkeypatch):
