@@ -19,7 +19,7 @@ from .cyclofield import (
     frobenius_orbits,
     trace_LQ,
 )
-from .domains import BallPoint, satake_matrix
+from .domains import satake_matrix
 from .exterior import (
     NotASimilitude,
     SubsetIndex,
@@ -49,7 +49,6 @@ from .pairings import (
     verify_prinz,
 )
 from .serretate import (
-    DeformationParams,
     assemble_block,
     contract,
     verify_vdrei,

@@ -3,7 +3,8 @@ smooth-model hypothesis checker.
 
 Exit codes: 0 pass, 1 failure (with witness in the report), 2 vacuous
 run (hypotheses unmet), 64 usage error (bad argv or environment), 65
-input error (bad or unreadable `.pel` file).
+input error (bad or unreadable `.pel` file), 74 output error (stdout
+closed by its reader, from the `pelwedge` script).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import random
 import sys
 from collections.abc import Iterator
@@ -28,7 +30,7 @@ from .cyclofield import (
     is_conductor,
     is_prime,
 )
-from .domains import BallPoint, anticommutation_witness, satake_matrix
+from .domains import anticommutation_witness, satake_matrix
 from .hodge import (
     DEFAULT_PREC_BITS,
     EmbeddingCase,
@@ -46,10 +48,11 @@ from .reporting import (
     load_pel_input,
     params_hash,
 )
-from .serretate import DeformationParams, block_identities, generators
+from .serretate import block_identities, generators
 
 EXIT_USAGE = 64
 EXIT_INPUT = 65
+EXIT_IOERR = 74
 
 VERIFY_SUITES = ("data", "prinz", "vdrei", "vzehn", "embedding", "all")
 TABLE_KINDS = ("signatures", "traces", "weights", "embedding-matrix")
@@ -150,7 +153,7 @@ def _entry_name(args) -> str:
     return args.command
 
 
-def _ball_point(text: str, n: int) -> BallPoint:
+def _ball_point(text: str, n: int) -> tuple[complex, ...]:
     try:
         coords = [complex(part) for part in text.split(",")]
     except ValueError:
@@ -159,7 +162,7 @@ def _ball_point(text: str, n: int) -> BallPoint:
         _usage_error(f"--x needs n-1 = {n - 1} coordinates, got {len(coords)}")
     if not all(map(cmath.isfinite, coords)):
         _usage_error(f"--x must be finite, got {text!r}")
-    return BallPoint.of(coords, require_in_ball=False)
+    return tuple(coords)
 
 
 def _rank_excess(name: str, rank_max: int, n: int, m: int | None) -> str | None:
@@ -178,8 +181,8 @@ def _rank_excess(name: str, rank_max: int, n: int, m: int | None) -> str | None:
 def resolve(args) -> argparse.Namespace:
     """Check every option of the chosen entry against `ENTRIES` and fill in
     its defaults, exiting 64 on the first bad one before any check runs.
-    --m and --p become tuples of candidates, --x a `BallPoint`, and --input
-    the loaded `.pel` (`pel`, None without --input)."""
+    --m and --p become tuples of candidates, --x a tuple of coordinates,
+    and --input the loaded `.pel` (`pel`, None without --input)."""
     name = _entry_name(args)
     entry = ENTRIES[name]
     given = {
@@ -307,42 +310,41 @@ def _suite_data(m_list, n_max: int) -> Iterator[dict]:
                 yield rec
 
 
-def _suite_blocks(c1, row, k_only: int | None, sizes) -> Iterator[tuple[int, dict]]:
-    """(size, {k: witness}) of each block size of a suite, from one walk of
-    its largest block, the block of c1 and row: --k when given, else every
-    k up to the size (see `block_identities`)."""
-    ks = range(1, len(row) + 2) if k_only is None else [k_only]
-    return block_identities(c1, DeformationParams(1, len(row), (tuple(row),)), ks, sizes)
+def _suite_blocks(n_max: int, k_only: int | None, sizes) -> Iterator[tuple[int, int, tuple | None]]:
+    """(size, k, witness) of each block size of a suite and each k up to it
+    (--k alone when given), from one walk of the n_max x n_max block of c1
+    and the row c2..c(n_max) in Z[c1..c(n_max)] (see `block_identities`)."""
+    c1, *row = generators(*(f"c{i}" for i in range(1, n_max + 1)))
+    ks = range(1, n_max + 1) if k_only is None else [k_only]
+    for size, witnesses in block_identities(c1, row, ks, sizes):
+        for k, witness in witnesses.items():
+            yield size, k, witness
 
 
 def _suite_vdrei(n_max: int, k_only: int | None) -> Iterator[dict]:
-    c1, *c = generators(*(f"c{i}" for i in range(1, n_max + 1)))
-    for n, witnesses in _suite_blocks(c1, c, k_only, range(1, n_max + 1)):
-        for k, witness in witnesses.items():
-            rec = {
-                "check": f"vdrei n={n} k={k}",
-                "n": n,
-                "k": k,
-                "status": "pass" if witness is None else "fail",
+    for n, k, witness in _suite_blocks(n_max, k_only, range(1, n_max + 1)):
+        rec = {
+            "check": f"vdrei n={n} k={k}",
+            "n": n,
+            "k": k,
+            "status": "pass" if witness is None else "fail",
+        }
+        if witness is not None:
+            i, j, got, expected = witness
+            rec["witness"] = {
+                "row": i,
+                "col": j,
+                "got": str(got),
+                "expected": str(expected),
             }
-            if witness is not None:
-                i, j, got, expected = witness
-                rec["witness"] = {
-                    "row": i,
-                    "col": j,
-                    "got": str(got),
-                    "expected": str(expected),
-                }
-            yield rec
+        yield rec
 
 
 def _suite_vzehn(n_max: int, k_only: int | None) -> Iterator[dict]:
     # heights b = 1 .. n-1: blocks of sizes 2 .. n
-    c1, *row = generators("c1", *(f"p{i}" for i in range(1, n_max)))
-    for size, witnesses in _suite_blocks(c1, row, k_only, range(2, n_max + 1)):
-        for k, witness in witnesses.items():
-            status = "pass" if witness is None else "fail"
-            yield {"check": f"vzehn b={size - 1} k={k}", "b": size - 1, "k": k, "status": status}
+    for size, k, witness in _suite_blocks(n_max, k_only, range(2, n_max + 1)):
+        status = "pass" if witness is None else "fail"
+        yield {"check": f"vzehn b={size - 1} k={k}", "b": size - 1, "k": k, "status": status}
 
 
 def _suite_prinz_random(trials: int, seed: int, m_list, p_list, n_max: int) -> Iterator[dict]:
@@ -569,4 +571,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The `pelwedge` script: `main`, with a stdout that its reader closed
+    ending the run with exit 74 and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would raise again on the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_IOERR)
+    sys.exit(code)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -23,32 +22,15 @@ import numpy as np
 from .exterior import removal_entries, removal_matrix
 
 
-@dataclass(frozen=True)
-class BallPoint:
-    """Point of the unit ball in C^(n-1)."""
-
-    x: tuple[complex, ...]
-
-    @classmethod
-    def of(cls, coords, require_in_ball: bool = True) -> "BallPoint":
-        x = tuple(complex(c) for c in coords)
-        if require_in_ball and np.linalg.norm(x) >= 1:
-            raise ValueError("point is not inside the unit ball")
-        return cls(x)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.x))
-
-
-def satake_matrix(x: BallPoint, n: int, k: int) -> np.ndarray:
+def satake_matrix(x, n: int, k: int) -> np.ndarray:
     """The C(n-1,k-1) x C(n-1,k) matrix with entry (-1)^(nu-1) x_{i_nu}
-    at (I, J) when I = J - {i_nu}; subsets of {1..n-1}, colex order."""
+    at (I, J) when I = J - {i_nu}, for the coordinates x of a point of
+    C^(n-1); subsets of {1..n-1}, colex order."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    if len(x.x) != n - 1:
+    if len(x) != n - 1:
         raise ValueError(f"need a point of C^{n - 1}")
-    return np.array(removal_matrix(x.x, k), dtype=complex)
+    return np.array(removal_matrix(x, k), dtype=complex)
 
 
 def op_norm(matrix: np.ndarray) -> float:
@@ -102,7 +84,7 @@ def embedding_trial_stats(n: int, k: int, trials: int, seed: int) -> dict:
     ratios = []
     for _ in range(trials):
         raw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-        point = BallPoint.of(raw * (rng.uniform(0.01, 0.99) / np.linalg.norm(raw)))
-        ratios.append(op_norm(satake_matrix(point, n, k)) / point.norm)
+        point = raw * (rng.uniform(0.01, 0.99) / np.linalg.norm(raw))
+        ratios.append(op_norm(satake_matrix(point, n, k)) / float(np.linalg.norm(point)))
     return {"n": n, "k": k, "trials": trials, "seed": seed,
             "min_norm_ratio": min(ratios), "max_norm_ratio": max(ratios)}

@@ -96,12 +96,16 @@ class SparseRows(Sequence):
 
     @classmethod
     def of(cls, rows) -> "SparseRows":
-        """rows as a SparseRows: a SparseRows is returned as it is."""
+        """rows as a SparseRows: a SparseRows is returned as it is, and
+        rows of unequal lengths raise ValueError."""
         if isinstance(rows, SparseRows):
             return rows
         rows = [tuple(row) for row in rows]
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("rows must have equal lengths")
         return cls(
-            (len(rows), len(rows[0]) if rows else 0),
+            (len(rows), cols),
             {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x},
         )
 
@@ -218,15 +222,19 @@ def leading_compounds(matrix, ks) -> Iterator[tuple[int, Callable[[int], SparseR
     holds the level it was yielded with for as long as it is kept.  Only
     multiplication, addition and negation are used, and each compound is
     a `SparseRows` of the nonzero minors."""
-    n = len(matrix)
-    if not all(len(row) == n for row in matrix):
+    matrix = SparseRows.of(matrix)
+    n, cols = matrix.shape
+    if cols != n:
         raise ValueError("compound requires a square matrix")
     ks = sorted(set(ks))
     for k in ks:
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    # each entry with its negation, made once per row, not once per minor
-    rows = [[(c, (entry, -entry)) for c, entry in enumerate(row) if entry] for row in matrix]
+    # each entry with its negation, made once per entry, not once per minor;
+    # sorted, each row lists its entries by column
+    rows = [[] for _ in range(n)]
+    for (i, c), entry in sorted(matrix.entries.items()):
+        rows[i].append((c, (entry, -entry)))
     level, j = {0: {0: 1}}, 0  # the bitmask of each row prefix -> its minors
     for k in ks:
         while j < k:

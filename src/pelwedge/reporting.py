@@ -198,6 +198,8 @@ def load_pel_input(path: str) -> PelInput:
         ) from None
     except ValueError as exc:  # bytes that are not UTF-8/16/32, or an overlong integer
         raise PelInputError(f"{path}: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the parser's stack
+        raise PelInputError(f"{path}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise PelInputError(f"{path}: top level must be an object")
     required = ["m", "n", "phi0", "phin", "gram0", "gram1", "p", "l"]

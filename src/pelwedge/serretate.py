@@ -1,18 +1,19 @@
 """Block-matrix shadows of ordinary deformations and their Galois action.
 
-A deformation is represented only by its parameter matrix phi (connected
-height a, etale height b); the Galois action on the Tate module is the
-block matrix [[c1*E_a, C], [0, E_b]], made by `assemble_block`.  The
-Serre-Tate identity is checked in one place, `block_identities`: the
-k-th compound of the (1, b) block of a parameter row is the block of the
-row's contraction `contract(row, k)`, as an exact identity in
-Z[c1, ...].  The block of a row's first parameters is a leading block
-of the row's block, so one `leading_compounds` walk of the largest block
-serves every block size and every k of a suite.  `verify_vdrei` and
-`verify_vzehn` are its one-block case and differ only in their
-generators and in what they report.  The ring's elements (`Polynomial`,
-made from `generators`) are sparse dicts from monomial to nonzero int,
-so equal polynomials compare equal with no symbolic simplification.
+A deformation is represented only by its parameters: a 1 x b row for
+connected height 1 and etale height b.  The Galois action on the Tate
+module is the block matrix [[c1*E_a, C], [0, E_b]] of an a x b
+`SparseRows` C, made by `assemble_block`.  The Serre-Tate identity is
+checked in one place, `block_identities`: the k-th compound of the block
+of a parameter row is the block of the row's contraction
+`contract(row, k)`, as an exact identity in Z[c1, ...].  The block of a
+row's first parameters is a leading block of the row's block, so one
+`leading_compounds` walk of the largest block serves every block size
+and every k of a suite.  `verify_vdrei` (generators c1..cn, a witness
+per k) and `verify_vzehn` (any row, a pass or fail per k) are its
+one-block case.  The ring's elements (`Polynomial`, made from
+`generators`) are sparse dicts from monomial to nonzero int, so equal
+polynomials compare equal with no symbolic simplification.
 
 Every block is a `SparseRows`: the compound keeps only its nonzero
 minors, the C-blocks are built from `removal_entries`, and two blocks
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .exterior import SparseRows, leading_compounds, removal_entries
 
@@ -161,62 +161,19 @@ def generators(*names: str) -> tuple[Polynomial, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DeformationParams:
-    """Connected height a, etale height b, and the a x b parameter matrix."""
-
-    a: int
-    b: int
-    phi: tuple[tuple[object, ...], ...] | SparseRows
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("heights must be nonnegative")
-        if not _has_shape(self.phi, self.a, self.b):
-            raise ValueError(f"phi must be {self.a} x {self.b}")
-
-
-def _has_shape(matrix, a: int, b: int) -> bool:
-    """Whether matrix, a SparseRows or rows, is a x b."""
-    if isinstance(matrix, SparseRows):
-        return matrix.shape == (a, b)
-    return len(matrix) == a and all(len(row) == b for row in matrix)
-
-
-def assemble_block(c1, C, a: int, b: int) -> SparseRows:
-    """The Galois block [[c1*E_a, C], [0, E_b]] of C, an a x b SparseRows
-    or rows."""
-    if not _has_shape(C, a, b):
-        raise ValueError(f"C must be {a} x {b}")
+def assemble_block(c1, C: SparseRows) -> SparseRows:
+    """The Galois block [[c1*E_a, C], [0, E_b]] of an a x b SparseRows C."""
+    a, b = C.shape
     entries = {(i, i): c1 for i in range(a)} if c1 else {}
-    entries.update(((i, a + j), x) for (i, j), x in SparseRows.of(C).entries.items())
+    entries.update(((i, a + j), x) for (i, j), x in C.entries.items())
     entries.update(((i, i), 1) for i in range(a, a + b))
     return SparseRows((a + b, a + b), entries)
 
 
-def _removal_rows(values, k: int) -> SparseRows:
-    """The removal matrix of values (see `removal_entries`), with each
-    value negated once and falsy values dropped."""
-    signed = [(x, -x) if x else None for x in values]
-    size = len(values)
-    return SparseRows((math.comb(size, k - 1), math.comb(size, k)), {
-        (r, c): signed[t][sign < 0]
-        for r, c, t, sign in removal_entries(size, k)
-        if signed[t]
-    })
-
-
-@dataclass(frozen=True)
-class VdreiReport:
-    ok: bool
-    witness: tuple[int, int, object, object] | None  # (row, col, got, expected)
-
-
-def _first_mismatch(left, right) -> tuple[int, int, object, object] | None:
+def _first_mismatch(left: SparseRows, right: SparseRows) -> tuple | None:
     """(row, col, left entry, right entry) at the least (row, col) where two
-    equal-shape matrices differ, or None.  Only the nonzero entries are
-    compared, of a SparseRows as it is and of other rows by SparseRows.of."""
-    got, expected = SparseRows.of(left).entries, SparseRows.of(right).entries
+    equal-shape matrices differ, or None, from their nonzero entries alone."""
+    got, expected = left.entries, right.entries
     if got == expected:
         return None
     i, j = min(
@@ -225,78 +182,82 @@ def _first_mismatch(left, right) -> tuple[int, int, object, object] | None:
     return i, j, got.get((i, j), 0), expected.get((i, j), 0)
 
 
-def contract(phi: DeformationParams, k: int) -> DeformationParams:
-    """Level-k contraction of a height-(1, b) parameter row: the parameters
-    of the block that the Serre-Tate identity makes the k-th exterior power
-    of the row's block (see `block_identities`).
+def contract(row, k: int) -> SparseRows:
+    """Level-k contraction of a 1 x b parameter row: the parameters of the
+    block that the Serre-Tate identity makes the k-th exterior power of the
+    row's block (see `block_identities`).
 
-    Output shape C(b, k-1) x C(b, k); entry (I, J) is
-    (-1)^(nu-1) * phi_{i_nu} when I = J - {i_nu}, over subsets of {1..b}."""
-    if phi.a != 1:
-        raise ValueError("contraction requires connected height a=1")
-    b = phi.b
+    The C(b, k-1) x C(b, k) removal matrix of the row (see
+    `removal_entries`): entry (I, J) is (-1)^(nu-1) * row[J[nu]] when
+    I = J - {J[nu]}, over colex subsets of the b positions, with each
+    parameter negated once and its zero entries left out.  A k outside
+    1..b+1 raises ValueError."""
+    b = len(row)
     if not 1 <= k <= b + 1:
         raise ValueError(f"need 1 <= k <= b+1, got k={k}, b={b}")
-    matrix = _removal_rows(phi.phi[0], k)
-    return DeformationParams(*matrix.shape, matrix)
+    signed = [(x, -x) if x else None for x in row]
+    return SparseRows((math.comb(b, k - 1), math.comb(b, k)), {
+        (r, c): signed[t][sign < 0]
+        for r, c, t, sign in removal_entries(b, k)
+        if signed[t]
+    })
 
 
 def block_identities(
-    c1, phi: DeformationParams, ks, sizes=None
+    c1, row, ks, sizes=None
 ) -> Iterator[tuple[int, dict[int, tuple | None]]]:
     """The Serre-Tate identity on leading blocks of the block B =
-    [[c1, phi], [0, E_b]] of a 1 x b parameter row phi, from one walk of B.
+    [[c1, row], [0, E_b]] of a 1 x b parameter row, from one walk of B.
 
     The leading size x size block of B is the block of the row's first
     size - 1 parameters.  For each size of sizes (ascending, each in
     1..b+1; default b+1 alone) this yields (size, {k: witness}) for each k
     of ks up to size: None when the k-th compound of that block is the
-    block of `contract(row, k)`, else the least (row, col) where they
-    differ, with the compound's entry and the contracted block's.
+    block of `contract(row[:size - 1], k)`, else the least (row, col)
+    where they differ, with the compound's entry and the contracted
+    block's.
 
     One `leading_compounds` walk of B serves every size and k.  Each
     (size, k) is checked at level k against its own contracted block, and
     a size is yielded as soon as its last k is checked.  A k outside
     1..b+1 raises ValueError."""
-    if phi.a != 1:
-        raise ValueError("phi must be a 1 x b parameter row")
-    b = phi.b
+    row = tuple(row)
+    b = len(row)
     sizes = (b + 1,) if sizes is None else sorted(set(sizes))
     if not all(1 <= size <= b + 1 for size in sizes):
         raise ValueError(f"need block sizes in 1..{b + 1}, got {sizes}")
     ks = sorted(set(ks))
-    row = tuple(phi.phi[0])
     witnesses = {size: {} for size in sizes}
     for size in sizes:
         if not ks or size < ks[0]:  # no k to check
             yield size, witnesses.pop(size)
-    for k, leading in leading_compounds(assemble_block(c1, phi.phi, 1, b), ks):
+    for k, leading in leading_compounds(assemble_block(c1, SparseRows.of((row,))), ks):
         later = next((j for j in ks if j > k), math.inf)
         for size in [size for size in witnesses if size >= k]:
-            contracted = contract(DeformationParams(1, size - 1, (row[: size - 1],)), k)
-            block = assemble_block(c1, contracted.phi, contracted.a, contracted.b)
+            block = assemble_block(c1, contract(row[: size - 1], k))
             witnesses[size][k] = _first_mismatch(leading(size), block)
             if size < later:  # its last k
                 yield size, witnesses.pop(size)
 
 
-def verify_vdrei(n: int, ks) -> dict[int, VdreiReport]:
+def verify_vdrei(n: int, ks) -> dict[int, tuple | None]:
     """The Serre-Tate identity (see `block_identities`) in Z[c1..cn] on the
-    1 x (n-1) block of c1 and the row c2..cn, for each k of ks.  A witness
-    holds the two differing entries, as `Polynomial`s or ints.  A k outside
-    1..n raises ValueError."""
-    c1, *c = generators(*(f"c{i}" for i in range(1, n + 1)))
-    ((_, witnesses),) = block_identities(c1, DeformationParams(1, n - 1, (tuple(c),)), ks)
-    return {k: VdreiReport(w is None, w) for k, w in witnesses.items()}
+    1 x (n-1) block of c1 and the row c2..cn, for each k of ks: its
+    witness, None when the identity holds.  A witness holds the two
+    differing entries, as `Polynomial`s or ints.  A k outside 1..n raises
+    ValueError."""
+    c1, *row = generators(*(f"c{i}" for i in range(1, n + 1)))
+    ((_, witnesses),) = block_identities(c1, row, ks)
+    return witnesses
 
 
-def verify_vzehn(phi: DeformationParams, c1, ks) -> dict[int, bool]:
-    """The Serre-Tate identity (see `block_identities`) on the block of the
-    1 x b parameter row phi and c1, for each k of ks: whether the k-th
+def verify_vzehn(row, c1, ks) -> dict[int, bool]:
+    """The Serre-Tate identity (see `block_identities`) on the block of c1
+    and the 1 x b parameter row, for each k of ks: whether the k-th
     compound of the block equals the block of the contracted parameters.
 
     Entries may come from any commutative ring that compares exactly:
     ints, `Polynomial`s from `generators`, or Z/p^N.  A k outside 1..b+1
     raises ValueError."""
-    ((_, witnesses),) = block_identities(c1, phi, ks)
+    ((_, witnesses),) = block_identities(c1, row, ks)
     return {k: w is None for k, w in witnesses.items()}

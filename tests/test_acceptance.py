@@ -67,7 +67,8 @@ def test_acceptance_exterior_hodge_types():
 def test_acceptance_symbolic_block_compounds():
     start = time.perf_counter()
     ok = all(
-        report.ok for n in range(1, 8) for report in verify_vdrei(n, range(1, n + 1)).values()
+        witness is None
+        for n in range(1, 8) for witness in verify_vdrei(n, range(1, n + 1)).values()
     )
     _report(
         "symbolic block-compound identity, 1<=k<=n<=7",
@@ -78,14 +79,13 @@ def test_acceptance_symbolic_block_compounds():
 
 
 def test_acceptance_symbolic_contraction():
-    from pelwedge.serretate import DeformationParams, generators
+    from pelwedge.serretate import generators
 
     start = time.perf_counter()
     ok = True
     for b in range(1, 7):
         c1, *row = generators("c1", *(f"x{i}" for i in range(1, b + 1)))
-        phi = DeformationParams(1, b, (tuple(row),))
-        ok = ok and all(verify_vzehn(phi, c1, range(1, b + 2)).values())
+        ok = ok and all(verify_vzehn(row, c1, range(1, b + 2)).values())
     _report(
         "symbolic contraction identity, 1<=k<=b+1<=7",
         ok,

@@ -331,6 +331,22 @@ def test_verify_prints_each_record_before_making_the_next(capsys, monkeypatch, a
     assert len(printed) == len(records) and header["suite"] == argv[1]
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_vzehn_records_are_the_vdrei_records_of_blocks_from_size_2(capsys, n):
+    # both read their blocks off one walk of the n x n block of c1..cn
+    for opts in [[], *(["--k", str(k)] for k in range(1, n + 1))]:
+        _, out, _ = run(capsys, "verify", "vdrei", "--n", str(n), *opts)
+        _, vdrei, _ = parse_jsonl(out)
+        _, out, _ = run(capsys, "verify", "vzehn", "--n", str(n), *opts)
+        _, vzehn, _ = parse_jsonl(out)
+        relabelled = [
+            {"check": f"vzehn b={r['n'] - 1} k={r['k']}", "b": r["n"] - 1, "k": r["k"],
+             "status": r["status"]}
+            for r in vdrei if r["n"] >= 2
+        ]
+        assert vzehn == relabelled, opts
+
+
 @pytest.mark.parametrize("suite, sizes", [
     # blocks n = 1..4, with k = 1..n
     ("vdrei", [1, 2, 3, 4]),
@@ -343,11 +359,11 @@ def test_block_suites_print_each_block_as_its_last_check_is_made(capsys, monkeyp
     checks, printed, out = [], [], []
     contract = serretate.contract
 
-    def spy(phi, k):
+    def spy(row, k):
         out.append(capsys.readouterr().out)
-        checks.append((phi.b + 1, k))
+        checks.append((len(row) + 1, k))
         printed.append("".join(out).count("\n"))
-        return contract(phi, k)
+        return contract(row, k)
 
     monkeypatch.setattr(serretate, "contract", spy)
     assert main(["verify", suite, "--n", "4"]) == 0

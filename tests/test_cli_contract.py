@@ -19,7 +19,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pelwedge import cli, cyclofield, reporting
-from pelwedge.cli import ENTRIES, EXIT_INPUT, EXIT_USAGE, TABLE_KINDS, VERIFY_SUITES, main
+from pelwedge.cli import (
+    ENTRIES,
+    EXIT_INPUT,
+    EXIT_IOERR,
+    EXIT_USAGE,
+    TABLE_KINDS,
+    VERIFY_SUITES,
+    main,
+)
 from pelwedge.cyclofield import all_cm_types, cyclo_field
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -148,6 +156,36 @@ def test_verify_embedding_reads_no_trials(capsys):
 def test_spadesuit_requires_input(capsys):
     code, out, err = run(["spadesuit"], capsys)
     assert (code, out, err) == (EXIT_USAGE, "", "error: spadesuit requires --input\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "prinz"], ["table", "signatures"], ["spadesuit"]],
+)
+def test_a_deeply_nested_pel_is_an_input_error(capsys, tmp_path, command):
+    # json.loads recurses once per level and gives up past the stack limit
+    path = tmp_path / "deep.pel"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run([*command, "--input", str(path)], capsys)
+    assert (code, out, err) == (EXIT_INPUT, "", f"input error: {path}: nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "data", "--m", "4", "--n", "100"], ["table", "traces", "--n", "2000"]],
+)
+def test_a_stdout_closed_by_its_reader_exits_74_without_a_traceback(argv):
+    # both write far more than a pipe holds, so a write meets the closed end
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pelwedge", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_IOERR
+    assert b"Traceback" not in err and err == b""
 
 
 def test_undecodable_pel_is_an_input_error(capsys, tmp_path):

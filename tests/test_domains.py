@@ -8,27 +8,18 @@ import sympy
 from pelwedge import domains
 from pelwedge.cli import main
 from pelwedge.domains import (
-    BallPoint,
     anticommutation_witness,
     embedding_trial_stats,
     op_norm,
     satake_matrix,
 )
 from pelwedge.exterior import removal_entries, removal_matrix
-from pelwedge.serretate import DeformationParams, contract
-
-
-def test_ball_point_validation():
-    BallPoint.of([0.5, 0.5])
-    with pytest.raises(ValueError):
-        BallPoint.of([1.0, 0.0])
-    outside = BallPoint.of([2.0], require_in_ball=False)
-    assert outside.norm == 2.0
+from pelwedge.serretate import contract
 
 
 def test_satake_matrix_row_case():
     # k=1 rows are indexed by the empty set: the matrix is the row vector x
-    x = BallPoint.of([0.3, 0.4j])
+    x = (0.3, 0.4j)
     mat = satake_matrix(x, 3, 1)
     assert mat.shape == (1, 2)
     assert mat[0, 0] == 0.3
@@ -37,7 +28,7 @@ def test_satake_matrix_row_case():
 
 def test_satake_matrix_column_case():
     # n=3, k=2: rows {1},{2}; col {1,2}; entries (-x2, x1)
-    x = BallPoint.of([0.3, 0.4])
+    x = (0.3, 0.4)
     mat = satake_matrix(x, 3, 2)
     assert mat.shape == (2, 1)
     assert mat[0, 0] == -0.4
@@ -45,7 +36,7 @@ def test_satake_matrix_column_case():
 
 
 def test_satake_matrix_shapes_and_validation():
-    x = BallPoint.of([0.1, 0.2, 0.1])
+    x = (0.1, 0.2, 0.1)
     for k in range(1, 4):
         mat = satake_matrix(x, 4, k)
         assert mat.shape == (math.comb(3, k - 1), math.comb(3, k))
@@ -59,23 +50,22 @@ def test_satake_matches_contraction_pattern():
     # same entry rule as the symbolic parameter contraction
     coords = [0.1, -0.2, 0.15]
     syms = sympy.symbols("x1 x2 x3")
-    phi = DeformationParams(1, 3, (syms,))
     subs = dict(zip(syms, coords))
-    x = BallPoint.of(coords)
     for k in range(1, 4):
-        mat = satake_matrix(x, 4, k)
-        sym = contract(phi, k)
-        for i in range(sym.a):
-            for j in range(sym.b):
-                expected = complex(sympy.Float(sympy.simplify(sym.phi[i][j].subs(subs)), 15)) \
-                    if isinstance(sym.phi[i][j], sympy.Basic) else complex(sym.phi[i][j])
+        mat = satake_matrix(coords, 4, k)
+        sym = contract(syms, k)
+        rows, cols = sym.shape
+        for i in range(rows):
+            for j in range(cols):
+                expected = complex(sympy.Float(sympy.simplify(sym[i][j].subs(subs)), 15)) \
+                    if isinstance(sym[i][j], sympy.Basic) else complex(sym[i][j])
                 assert mat[i, j] == pytest.approx(expected)
 
 
 def test_satake_linearity():
-    a = BallPoint.of([0.1, 0.2])
-    b = BallPoint.of([0.05, -0.1])
-    s = BallPoint.of([0.15, 0.1])
+    a = (0.1, 0.2)
+    b = (0.05, -0.1)
+    s = (0.15, 0.1)
     for k in (1, 2):
         assert np.allclose(
             satake_matrix(s, 3, k),
@@ -94,10 +84,9 @@ def test_norm_never_exceeds_point_norm():
     for _ in range(50):
         n = int(rng.integers(2, 6))
         raw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-        raw = raw / np.linalg.norm(raw) * rng.uniform(0, 0.999)
-        point = BallPoint.of(raw)
+        point = raw / np.linalg.norm(raw) * rng.uniform(0, 0.999)
         for k in range(1, n):
-            assert op_norm(satake_matrix(point, n, k)) <= point.norm + 1e-12
+            assert op_norm(satake_matrix(point, n, k)) <= np.linalg.norm(point) + 1e-12
 
 
 CONFIGS = [(n, k) for n in range(2, 8) for k in range(1, n)]
@@ -109,9 +98,9 @@ def test_sampled_operator_norms_equal_the_point_norm():
     for n, k in CONFIGS:
         for _ in range(20):
             raw = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-            point = BallPoint.of(raw * (rng.uniform(0.01, 0.99) / np.linalg.norm(raw)))
+            point = raw * (rng.uniform(0.01, 0.99) / np.linalg.norm(raw))
             norm = np.linalg.norm(satake_matrix(point, n, k), 2)
-            assert norm == pytest.approx(point.norm, rel=1e-12, abs=0)
+            assert norm == pytest.approx(np.linalg.norm(point), rel=1e-12, abs=0)
 
 
 def test_embedding_trial_stats():

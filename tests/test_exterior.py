@@ -13,10 +13,11 @@ from rowmatrix import conj_transpose, mat_mul
 from pelwedge import exterior, serretate
 from pelwedge.cli import main
 from pelwedge.cyclofield import CycloMatrix, cyclo_field
-from pelwedge.domains import BallPoint, satake_matrix
+from pelwedge.domains import satake_matrix
 from pelwedge.hodge import HermitianModule, binom
 from pelwedge.exterior import (
     NotASimilitude,
+    SparseRows,
     SubsetIndex,
     colex_subsets,
     compound,
@@ -406,7 +407,7 @@ def _level_walk_inputs(sizes=range(1, 7)):
             yield name, [[draw() for _ in range(n)] for _ in range(n)]
             a = rng.randint(1, n)
             C = [[draw() if rng.random() < 0.5 else 0 for _ in range(n - a)] for _ in range(a)]
-            yield name, assemble_block(draw(), C, a, n - a)
+            yield name, assemble_block(draw(), SparseRows.of(C))
 
 
 def test_compounds_by_levels_match_the_cofactor_oracle():
@@ -427,6 +428,8 @@ def test_compounds_by_levels_match_the_cofactor_oracle():
         list(leading_compounds([[1, 2], [3, 4]], [1, 3]))
     with pytest.raises(ValueError):
         list(leading_compounds([[1, 2]], [1]))
+    with pytest.raises(ValueError):
+        list(leading_compounds([[1, 2], [3]], [1]))
 
 
 def test_every_leading_block_read_off_one_walk_matches_its_own_walk():
@@ -478,9 +481,11 @@ def test_compound_matches_the_oracle_on_sparse_sympy_blocks():
         c = sympy.symbols(f"c1:{n + 1}")
         for a in range(n):
             b = n - a
-            C = [[c[rng.randrange(n)] if rng.random() < 0.6 else 0 for _ in range(b)]
-                 for _ in range(a)]
-            block = assemble_block(c[0], C, a, b)
+            C = SparseRows((a, b), {
+                (i, j): c[rng.randrange(n)]
+                for i in range(a) for j in range(b) if rng.random() < 0.6
+            })
+            block = assemble_block(c[0], C)
             for k in range(n + 1):
                 got, want = compound(block, k), reference_compound(block, k)
                 assert all(
@@ -544,7 +549,7 @@ def test_satake_matrix_keeps_the_signed_zeros():
     for x in points:
         n = len(x) + 1
         for k in range(1, n):
-            got = satake_matrix(BallPoint.of(x, require_in_ball=False), n, k)
+            got = satake_matrix(x, n, k)
             want = reference_satake(x, n, k)
             assert got.shape == want.shape
             assert [_bits(z) for z in got.flat] == [_bits(z) for z in want.flat]
@@ -563,9 +568,9 @@ def test_cli_bytes_match_the_reference_oracles(suite, capsys, monkeypatch):
 
     def reference_leading_compounds(matrix, ks):
         for k in sorted(ks):
-            yield k, lambda size, k=k: reference_compound(
+            yield k, lambda size, k=k: SparseRows.of(reference_compound(
                 [row[:size] for row in matrix[:size]], k
-            )
+            ))
 
     # the swapped names are the ones serretate builds its blocks with: a
     # stale name raises, and the oracle must be called

@@ -15,7 +15,6 @@ from pelwedge import exterior, serretate
 from pelwedge.cli import main
 from pelwedge.exterior import SparseRows, compound, removal_entries
 from pelwedge.serretate import (
-    DeformationParams,
     assemble_block,
     contract,
     generators,
@@ -39,30 +38,31 @@ def test_modint_arithmetic():
         x + ModInt(1, 4)
 
 
-def test_deformation_params_validation():
-    DeformationParams(1, 2, ((1, 2),))
-    with pytest.raises(ValueError):
-        DeformationParams(1, 2, ((1,),))
-    with pytest.raises(ValueError):
-        DeformationParams(-1, 2, ())
+def _row_block(c1, row):
+    """The block [[c1, row], [0, E_b]] of a parameter row."""
+    return assemble_block(c1, SparseRows.of((tuple(row),)))
 
 
 def test_assemble_block_example():
-    block = assemble_block(5, ((2, 3),), 1, 2)
+    block = _row_block(5, (2, 3))
     assert block == (
         (5, 2, 3),
         (0, 1, 0),
         (0, 0, 1),
     )
-    with pytest.raises(ValueError):
-        assemble_block(5, ((2, 3),), 2, 2)
+    # the heights are read off the shape of C
+    assert assemble_block(5, SparseRows.of(((2,), (3,)))) == (
+        (5, 0, 2),
+        (0, 5, 3),
+        (0, 0, 1),
+    )
 
 
 def test_verify_vdrei_examples():
-    assert verify_vdrei(3, [2])[2].ok
-    reports = verify_vdrei(5, [3, 1, 5])
-    assert list(reports) == [1, 3, 5] and all(r.ok for r in reports.values())
-    assert verify_vdrei(1, [1])[1].ok
+    assert verify_vdrei(3, [2])[2] is None
+    witnesses = verify_vdrei(5, [3, 1, 5])
+    assert witnesses == {1: None, 3: None, 5: None} and list(witnesses) == [1, 3, 5]
+    assert verify_vdrei(1, [1])[1] is None
     assert verify_vdrei(4, []) == {}
     for k in (0, 4):
         with pytest.raises(ValueError):
@@ -70,43 +70,34 @@ def test_verify_vdrei_examples():
 
 
 def test_contract_k1_is_row():
-    phi = DeformationParams(1, 3, ((2, 3, 5),))
-    out = contract(phi, 1)
-    assert out.a == 1 and out.b == 3
-    assert out.phi == ((2, 3, 5),)
+    out = contract((2, 3, 5), 1)
+    assert out.shape == (1, 3)
+    assert out == ((2, 3, 5),)
 
 
 def test_contract_shape_and_entries():
-    phi = DeformationParams(1, 2, ((sympy.Symbol("x"), sympy.Symbol("y")),))
-    out = contract(phi, 2)
+    x, y = sympy.symbols("x y")
+    out = contract((x, y), 2)
     # rows {1},{2}; col {1,2}; entries (-1)^(nu-1) phi_{i_nu}
-    x, y = phi.phi[0]
-    assert out.phi == ((-y,), (x,))
-    with pytest.raises(ValueError):
-        contract(phi, 4)
-    with pytest.raises(ValueError):
-        contract(DeformationParams(2, 2, ((1, 1), (1, 1))), 1)
+    assert out == ((-y,), (x,))
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            contract((x, y), k)
 
 
 def test_contract_shape_law():
     for b in range(1, 7):
         row = sympy.symbols(f"x1:{b + 1}")
-        phi = DeformationParams(1, b, (tuple(row),))
         for k in range(1, b + 2):
-            out = contract(phi, k)
-            assert out.a == math.comb(b, k - 1)
-            assert out.b == math.comb(b, k)
+            assert contract(row, k).shape == (math.comb(b, k - 1), math.comb(b, k))
 
 
 def test_verify_vzehn_symbolic():
     for b in range(1, 5):
         c1, *row = generators("c1", *(f"x{i}" for i in range(1, b + 1)))
-        phi = DeformationParams(1, b, (tuple(row),))
-        assert verify_vzehn(phi, c1, range(1, b + 2)) == {k: True for k in range(1, b + 2)}
+        assert verify_vzehn(row, c1, range(1, b + 2)) == {k: True for k in range(1, b + 2)}
     with pytest.raises(ValueError):
-        verify_vzehn(phi, c1, [b + 2])
-    with pytest.raises(ValueError):
-        verify_vzehn(DeformationParams(2, 1, ((c1,), (c1,))), c1, [1])
+        verify_vzehn(row, c1, [b + 2])
 
 
 def test_verify_vzehn_modint():
@@ -114,9 +105,8 @@ def test_verify_vzehn_modint():
     modulus = 3 ** 4
     for b in (2, 3):
         row = tuple(ModInt(rng.randrange(modulus), modulus) for _ in range(b))
-        phi = DeformationParams(1, b, (row,))
         c1 = ModInt(1 + 3 * rng.randrange(27), modulus)
-        assert all(verify_vzehn(phi, c1, range(1, b + 2)).values())
+        assert all(verify_vzehn(row, c1, range(1, b + 2)).values())
 
 
 def test_cocycle_additivity_unipotent():
@@ -127,27 +117,20 @@ def test_cocycle_additivity_unipotent():
     for _ in range(10):
         r1 = tuple(rng.randint(-5, 5) for _ in range(b))
         r2 = tuple(rng.randint(-5, 5) for _ in range(b))
-        p1 = DeformationParams(1, b, (r1,))
-        p2 = DeformationParams(1, b, (r2,))
-        psum = DeformationParams(1, b, (tuple(u + v for u, v in zip(r1, r2)),))
+        rsum = tuple(u + v for u, v in zip(r1, r2))
         for k in range(1, b + 2):
-            c_1 = contract(p1, k)
-            c_2 = contract(p2, k)
-            c_s = contract(psum, k)
-            b1 = assemble_block(1, c_1.phi, c_1.a, c_1.b)
-            b2 = assemble_block(1, c_2.phi, c_2.a, c_2.b)
-            bs = assemble_block(1, c_s.phi, c_s.a, c_s.b)
+            b1 = assemble_block(1, contract(r1, k))
+            b2 = assemble_block(1, contract(r2, k))
+            bs = assemble_block(1, contract(rsum, k))
             assert mat_mul(b1, b2) == bs
 
 
 def test_compound_of_block_is_block():
     # numeric spot check of the same identity verify_vdrei proves
     # symbolically
-    base = assemble_block(7, ((2, -3, 5),), 1, 3)
+    base = _row_block(7, (2, -3, 5))
     for k in range(1, 5):
-        contracted = contract(DeformationParams(1, 3, ((2, -3, 5),)), k)
-        right = assemble_block(7, contracted.phi, contracted.a, contracted.b)
-        assert compound(base, k) == right
+        assert compound(base, k) == assemble_block(7, contract((2, -3, 5), k))
 
 
 def run_cli(*argv):
@@ -162,10 +145,11 @@ def perturb_assembled_block(monkeypatch, shape, row, col, delta):
     with delta(c1) added at (row, col); col None is the first column of C."""
     original = serretate.assemble_block
 
-    def perturbed(c1, C, a, b):
-        block = original(c1, C, a, b)
-        if (a, b) != shape:
+    def perturbed(c1, C):
+        block = original(c1, C)
+        if C.shape != shape:
             return block
+        a = shape[0]
         rows = [list(r) for r in block]
         j = a if col is None else col
         rows[row][j] = rows[row][j] + delta(c1)
@@ -174,16 +158,11 @@ def perturb_assembled_block(monkeypatch, shape, row, col, delta):
     monkeypatch.setattr(serretate, "assemble_block", perturbed)
 
 
-def _contracted_block(c1, row, k):
-    contracted = contract(DeformationParams(1, len(row), (tuple(row),)), k)
-    return assemble_block(c1, contracted.phi, contracted.a, contracted.b)
-
-
 def test_vdrei_failure_reports_the_first_differing_entry(monkeypatch):
     n, k, row, col = 4, 2, 1, 3
     c1, *c = sympy.symbols("c1:5")
-    left = compound(assemble_block(c1, (tuple(c),), 1, n - 1), k)
-    right = _contracted_block(c1, c, k)
+    left = compound(_row_block(c1, c), k)
+    right = assemble_block(c1, contract(c, k))
     # the contracted block has heights (3, 3), the base block (1, 3)
     perturb_assembled_block(monkeypatch, (3, 3), row, col, lambda x: x * x)
     code, lines = run_cli("verify", "vdrei", "--n", str(n), "--k", str(k))
@@ -215,10 +194,10 @@ def test_vzehn_fails_on_a_perturbed_block_in_every_ring(monkeypatch):
         (ModInt(4, modulus), tuple(ModInt(v, modulus) for v in (5, 7, 11))),
     ]
     for one, params in inputs:
-        assert verify_vzehn(DeformationParams(1, b, (params,)), one, [k]) == {k: True}
+        assert verify_vzehn(params, one, [k]) == {k: True}
     perturb_assembled_block(monkeypatch, (3, 3), 0, None, lambda x: 1)
     for one, params in inputs:
-        assert verify_vzehn(DeformationParams(1, b, (params,)), one, [k]) == {k: False}
+        assert verify_vzehn(params, one, [k]) == {k: False}
 
 
 def _unsigned(size, k):
@@ -231,21 +210,19 @@ def test_vzehn_fails_when_the_removal_signs_are_dropped(monkeypatch):
     # k = b + 1 the C-block has no column
     b = 4
     c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
-    phi = DeformationParams(1, b, (tuple(row),))
-    assert all(verify_vzehn(phi, c1, range(1, b + 2)).values())
+    assert all(verify_vzehn(row, c1, range(1, b + 2)).values())
     monkeypatch.setattr(serretate, "removal_entries", _unsigned)
-    got = verify_vzehn(phi, c1, range(1, b + 2))
+    got = verify_vzehn(row, c1, range(1, b + 2))
     assert got == {1: True, 2: False, 3: False, 4: False, 5: True}
     code, lines = run_cli("verify", "vzehn", "--n", "7")
     assert code == 1
     assert lines[-1]["summary"]["failed"] > 0
-    assert not all(report.ok for report in verify_vdrei(5, range(1, 6)).values())
+    assert any(w is not None for w in verify_vdrei(5, range(1, 6)).values())
 
 
 def test_vzehn_fails_on_one_corrupted_compound_minor(monkeypatch):
     b, k = 3, 2
     c1, *row = generators("c1", *(f"p{i}" for i in range(1, b + 1)))
-    phi = DeformationParams(1, b, (tuple(row),))
     original = serretate.leading_compounds
 
     def corrupted(matrix, ks):
@@ -263,7 +240,7 @@ def test_vzehn_fails_on_one_corrupted_compound_minor(monkeypatch):
             yield j, read
 
     monkeypatch.setattr(serretate, "leading_compounds", corrupted)
-    assert verify_vzehn(phi, c1, range(1, b + 2)) == {1: True, 2: False, 3: True, 4: True}
+    assert verify_vzehn(row, c1, range(1, b + 2)) == {1: True, 2: False, 3: True, 4: True}
     code, lines = run_cli("verify", "vzehn", "--n", "4", "--k", str(k))
     assert code == 1
     assert [r["record"]["status"] for r in lines[1:-1]] == ["pass", "pass", "fail"]
@@ -288,20 +265,15 @@ def test_a_suite_walks_its_largest_block_once(monkeypatch, suite):
 
 def test_block_identities_reads_each_size_off_one_walk():
     c1, *row = generators("c1", *(f"p{i}" for i in range(1, 6)))
-    phi = DeformationParams(1, 5, (tuple(row),))
     # sizes in ascending order, each with its k up to the size; a size
     # below every k has none
-    got = list(serretate.block_identities(c1, phi, [4, 2], [6, 1, 3, 5]))
+    got = list(serretate.block_identities(c1, row, [4, 2], [6, 1, 3, 5]))
     assert got == [(1, {}), (3, {2: None}), (5, {2: None, 4: None}), (6, {2: None, 4: None})]
     for size in ([0], [7]):
         with pytest.raises(ValueError):
-            list(serretate.block_identities(c1, phi, [1], size))
+            list(serretate.block_identities(c1, row, [1], size))
     with pytest.raises(ValueError):
-        list(serretate.block_identities(c1, phi, [7]))
-
-
-def _vdrei_base(c1, c):
-    return assemble_block(c1, (tuple(c),), 1, len(c))
+        list(serretate.block_identities(c1, row, [7]))
 
 
 def _monomial(gens, exponents):
@@ -328,7 +300,7 @@ def test_ring_compound_equals_the_expanded_symbolic_compound(n):
     names = [f"c{i}" for i in range(1, n + 1)]
     gens = generators(*names)
     symbols = sympy.symbols(names)
-    blocks = [(_vdrei_base(gens[0], gens[1:]), _vdrei_base(symbols[0], symbols[1:]), names)]
+    blocks = [(_row_block(gens[0], gens[1:]), _row_block(symbols[0], symbols[1:]), names)]
     if n <= 5:  # a Hankel matrix, whose minors merge and cancel terms
         hankel = [f"h{s}" for s in range(2 * n - 1)]
         blocks.append(tuple(
