@@ -41,7 +41,7 @@ from .hodge import (
     wedge_weights,
 )
 from .instances import rand_perfect_pair
-from .pairings import DegenerateForm, verify_prinz
+from .pairings import DegenerateForm, input_valuations, verify_prinz
 from .reporting import (
     PelInputError,
     ReportDocument,
@@ -65,8 +65,8 @@ class Entry:
     least and the largest --n, the range k_span[0] <= --k <= n + k_span[1],
     and the largest rank C(n, n/2) * phi(m) of an exterior power it may
     build, of --n and --m or of the `.pel` it reads (phi(m) = 1 when it
-    reads no m).  Every --m and every `.pel` also keep phi(m) <=
-    `DEGREE_MAX`."""
+    reads no m), and the largest n^2 times the sum of phi(m) over the --m
+    values.  Every --m and every `.pel` also keep phi(m) <= `DEGREE_MAX`."""
 
     defaults: dict
     required: tuple[str, ...] = ()
@@ -74,6 +74,7 @@ class Entry:
     n_max: int | None = None
     k_span: tuple[int, int] = (1, 0)
     rank_max: int | None = None
+    embeddings_max: int | None = None
 
 
 _HEADER = {"seed": 0}  # every verify header records it
@@ -82,8 +83,10 @@ _CSV = {"format": "csv"}
 ENTRIES = {
     # about n^2 / 2 records per m, each over the phi(m) embeddings: n = 200
     # takes 2.0 s and prints 5.5 MB with the default m; at phi(m) = 546,
-    # n = 100 takes 11.5 s
-    "verify data": Entry({"n": 4, "m": (4, 5, 8), **_HEADER}, n_max=200),
+    # n = 100 takes 11.5 s, so n = 200 at phi(m) = 16 bounds the embeddings
+    "verify data": Entry(
+        {"n": 4, "m": (4, 5, 8), **_HEADER}, n_max=200, embeddings_max=200**2 * 16
+    ),
     # a random trial builds and certifies a trace form of up to that rank,
     # with rank^2 entries: 560 is m=16, n=8
     "verify prinz": Entry(
@@ -222,6 +225,13 @@ def resolve(args) -> argparse.Namespace:
             _usage_error(f"{name} takes {excess}")
         if "p" in opts and all(math.gcd(p, m) != 1 for p in opts["p"]):
             _usage_error(f"no --p value is coprime to m={m}")
+    if entry.embeddings_max is not None:
+        degrees = sum(map(_totient, opts["m"]))
+        if opts["n"] ** 2 * degrees > entry.embeddings_max:
+            _usage_error(
+                f"{name} takes n^2 * (sum of phi(m)) <= {entry.embeddings_max}, "
+                f"got n={opts['n']} and a sum of phi(m) of {degrees}"
+            )
     if entry.rank_max is not None and "n" in opts:
         m = max(opts.get("m", ()), key=_totient, default=None)
         excess = _rank_excess(name, entry.rank_max, opts["n"], m)
@@ -372,8 +382,11 @@ def _suite_prinz_random(trials: int, seed: int, m_list, p_list, n_max: int) -> I
 
 def _suite_prinz_input(pel, k_only: int | None) -> Iterator[dict]:
     ks = [k_only] if k_only is not None else range(pel.n + 1)
+    # valued once for every k, and before the first record, so an input that
+    # raises leaves stdout empty
+    valuations = input_valuations(pel.gram0, pel.gram1, pel.p)
     for k in ks:
-        report = verify_prinz(pel.gram0, pel.gram1, k, pel.p)
+        report = verify_prinz(pel.gram0, pel.gram1, k, pel.p, valuations)
         if not report.hypotheses_met:
             status = "vacuous"
         elif report.output_valuation == 0:

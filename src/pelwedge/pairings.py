@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .cyclofield import (
     is_prime,
     lowest_terms,
 )
-from .exterior import wedge_gram
+from .exterior import compound
 from .hodge import HermitianModule
 
 
@@ -129,6 +129,32 @@ def _valuation(value: int, p: int) -> int:
     return v
 
 
+# the fewest rows at which delaying the updates pays, and the pivot pairs
+# delayed there (see `_elimination_plan`)
+_BLOCKED_ROWS = 80
+_BLOCKED_PAIRS = 48
+
+
+def _elimination_plan(size: int, q: int):
+    """(b, dtype, panel_dtype) for eliminating a size-row block mod q: the
+    block is updated once per b pivot pairs, it is held in `dtype` and the
+    pending pairs in `panel_dtype`.
+
+    Every pending entry lies in [0, q), so the update of b pairs adds less
+    than b * q^2 to an entry, and so does bringing a row up to date; the
+    block is reduced once its entries may reach 2^62, so it stays in int64
+    while 2^62 + b * q^2 < 2^63.  The products of the pending pairs run in
+    float64 (BLAS) while b * q^2 < 2^53, where every partial sum is an exact
+    integer, and in int64 above that.  b is 1 below `_BLOCKED_ROWS` rows,
+    where a matrix product costs more than it saves, and when q is too large
+    for int64 at b pairs; b = 1 runs on Python ints from q = 2^31 on."""
+    b = _BLOCKED_PAIRS if size >= _BLOCKED_ROWS else 1
+    dtype = exact_dtype(2**62 + b * q * q)
+    if dtype is object and b > 1:
+        b, dtype = 1, exact_dtype(2**62 + q * q)
+    return b, dtype, np.float64 if b * q * q < 2**53 else dtype
+
+
 def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
     """v_p(det nums) for a square alternating integer array and a prime p,
     by elimination over Z/p^e with 2 x 2 pivots, or None when e is too
@@ -138,29 +164,55 @@ def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
     the valuation of the remaining block unchanged.  x is the first unit of
     the block's first row when that row has one, else the first unit
     anywhere in the block, which lies above the diagonal and is brought to
-    (0, 1) by a symmetric swap of rows and columns.  With u and w the pivot
-    columns below the pivot and y = u / x, the Schur complement of the
+    (0, 1) by a symmetric swap of rows and columns.  With u and w the rows 0
+    and 1 right of the pivot and y = u / x, the Schur complement of the
     pivot is block + w y^T - y w^T, alternating again (J. R. Bunch, Math.
-    Comp. 38, 1982).  When p divides every entry of the block,
-    det(block) = p^size * det(block / p), and block / p is known mod
-    p^(e-1).  None means such a block was met mod p, so p^e divides det."""
+    Comp. 38, 1982).  The updates are delayed (J.-G. Dumas, P. Giorgi and
+    C. Pernet, ACM TOMS 35, 2008): the block gets those of b pairs at once,
+    one matrix product, and until then the pairs are pending in two panels
+    whose columns are swapped with the block's rows; a pivot reads only the
+    rows 0 and 1 of the block, brought up to date from the panels, and the
+    pending pairs are applied before the block is read whole.  b = 1 (see
+    `_elimination_plan`) updates the block at every pivot.  When p divides
+    every entry of the block, det(block) = p^size * det(block / p), and
+    block / p is known mod p^(e-1).  None means such a block was met mod p,
+    so p^e divides det."""
     q = p**e
-    # the pivot columns are reduced mod q, so each update adds the
-    # difference of two products in [0, q^2), below q^2 in absolute value,
-    # and the block is reduced once |entries| may reach 2^62: every value
-    # stays below 2^62 + q^2, in int64 while q < 2^31, and the same loop
-    # runs on Python ints above that, reducing after every step
-    if exact_dtype(2**62 + q * q) is np.int64:
-        a = (nums % q).astype(np.int64, copy=False)
-    else:
+    b, dtype, panel_dtype = _elimination_plan(len(nums), q)
+    if dtype is object:
         a = nums.astype(object) % q
-    v = 0
-    bound = q  # every |entry| is below bound
+    else:
+        a = (nums % q).astype(np.int64, copy=False)
+    # pending pair j is (w, y) in the rows 2j and 2j + 1 of `left` and (y, -w)
+    # in those of `right`, so its update w y^T - y w^T is in left^T right
+    left = np.empty((2 * b - 2, len(a)), panel_dtype)
+    right = np.empty_like(left)
+    v = pending = 0
+    bound = q  # every |entry| of the block is below bound
+
+    def pending_update(rows=slice(None)):
+        """What the pending pairs add to the given rows of the block."""
+        t = left[: 2 * pending, rows].T @ right[: 2 * pending]
+        return t.astype(dtype, copy=False)
+
+    def update(t, pairs: int) -> None:
+        """Add the alternating update t of `pairs` pivot pairs to the block."""
+        nonlocal a, bound
+        a += t
+        bound += pairs * q * q
+        if bound >= 2**62:
+            a %= q
+            bound = q
+
     while len(a):
-        units = np.flatnonzero(a[0] % p)
+        first = a[0] + pending_update(0) if pending else a[0]
+        units = np.flatnonzero(first % p)
         if units.size:
             r, s = 0, int(units[0])
         else:
+            if pending:
+                update(pending_update(), pending)
+                pending = 0
             units = np.flatnonzero(a % p)
             if not units.size:
                 if q == p:
@@ -177,15 +229,31 @@ def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
             if i != j:
                 a[[i, j]] = a[[j, i]]
                 a[:, [i, j]] = a[:, [j, i]]
-        y = a[2:, 0] % q * pow(int(a[0, 1]) % q, -1, q) % q
-        t = np.outer(a[2:, 1] % q, y)
-        t -= t.T
+                if pending:
+                    left[: 2 * pending, [i, j]] = left[: 2 * pending, [j, i]]
+                    right[: 2 * pending, [i, j]] = right[: 2 * pending, [j, i]]
+        if pending:  # so r = 0, and `first` was read before the swap
+            first[[1, s]] = first[[s, 1]]
+            second = a[1] + pending_update(1)
+        else:
+            first, second = a[0], a[1]
+        w = second[2:] % q
+        y = first[2:] % q * pow(int(first[1]) % q, -1, q) % q
         a = a[2:, 2:]
-        a += t
-        bound += q * q
-        if bound >= 2**62:
-            a %= q
-            bound = q
+        if pending < b - 1:  # the pair waits
+            left[2 * pending, 2:], left[2 * pending + 1, 2:] = w, y
+            right[2 * pending, 2:], right[2 * pending + 1, 2:] = y, -w
+            pending += 1
+        else:  # the b-th pair: the block gets all b
+            t = np.outer(w, y)
+            t -= t.T
+            if pending:
+                left, right = left[:, 2:], right[:, 2:]
+                t += pending_update()
+                pending = 0
+            update(t, b)
+            continue
+        left, right = left[:, 2:], right[:, 2:]  # the panels follow the block
     return v
 
 
@@ -247,23 +315,42 @@ class PrinzReport:
         return not self.hypotheses_met or self.output_valuation == 0
 
 
+def input_valuations(module0: HermitianModule, module1: HermitianModule, p: int) -> tuple[int, int]:
+    """(v0, v1): the valuations at p of the trace forms of psi0 and Psi1."""
+    return perfectness_valuation(trace_gram(module0), p), perfectness_valuation(trace_gram(module1), p)
+
+
 def verify_prinz(
-    module0: HermitianModule, module1: HermitianModule, k: int, p: int
+    module0: HermitianModule,
+    module1: HermitianModule,
+    k: int,
+    p: int,
+    valuations: tuple[int, int] | None = None,
 ) -> PrinzReport:
-    """Instance check: inputs perfect at p imply the wedge form is too."""
+    """Instance check: inputs perfect at p imply the wedge form is too.
+
+    `valuations` are the inputs' `input_valuations`, computed here when not
+    given.  The wedge W = psi0^(1-k) Lambda^k Psi1 is valued with no inverse
+    of psi0: for k >= 1, W' = psi0^(2k-2) W = psi0^(k-1) Lambda^k Psi1, and
+    the trace form of c W is that of W times multiplication by c on each of
+    the C(n, k) coordinates, whose det is N(c)^C(n, k).  The trace form of
+    psi0 is that of 1, whose det is the discriminant of L, a unit at p
+    coprime to m, times multiplication by psi0, so v_p(N(psi0)) = v0 and
+    v_p(W) = v_p(W') + (2 - 2k) C(n, k) v0.  At k = 0, W = [psi0]."""
     if module0.rank != 1:
         raise ValueError("module0 must have rank 1")
     n = module1.rank
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    v0 = perfectness_valuation(trace_gram(module0), p)
-    v1 = perfectness_valuation(trace_gram(module1), p)
-    psi0 = module0.gram[0][0]
-    wedge = wedge_gram(psi0, module1.gram, k)
-    # the wedge gram is skew-Hermitian for every k, so its trace form is
-    # a TraceGram in the same sense
-    wedge_module = HermitianModule(module0.field, wedge)
-    vk = perfectness_valuation(trace_gram(wedge_module), p)
+    v0, v1 = input_valuations(module0, module1, p) if valuations is None else valuations
+    if k == 0:
+        wedge, shift = module0, 0
+    else:
+        # psi0^(k-1) Lambda^k Psi1 is skew-Hermitian for every k, so its trace
+        # form is a TraceGram in the same sense
+        scaled = compound(module1.gram, k) * module0.gram[0][0] ** (k - 1)
+        wedge, shift = HermitianModule(module0.field, scaled), (2 - 2 * k) * comb(n, k) * v0
+    vk = perfectness_valuation(trace_gram(wedge), p) + shift
     return PrinzReport(
         p=p,
         k=k,

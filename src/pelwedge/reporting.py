@@ -147,27 +147,48 @@ def _parse_rational(value, where: str) -> int | Fraction:
     raise PelInputError(f"{where}: expected integer or 'a/b' string, got {value!r}")
 
 
+def _parse_coefficients(coeffs: list, n: int, degree: int, where: str) -> list:
+    """The coefficients read so far, in order, with each that is not an
+    int parsed by `_parse_rational`, whose error names its location: the
+    list itself when every one is an int."""
+    if set(map(type, coeffs)) <= {int}:
+        return coeffs
+    out = []
+    for index, c in enumerate(coeffs):
+        if type(c) is not int:
+            entry, t = divmod(index, degree)
+            c = _parse_rational(c, f"{where}[{entry // n}][{entry % n}][{t}]")
+        out.append(c)
+    return out
+
+
 def _parse_gram(field_obj: CycloField, raw, where: str) -> HermitianModule:
     """The gram as (n, n, phi(m)) numerators over the least common
-    denominator of its coefficients, checked skew-Hermitian on that array."""
+    denominator of its coefficients, checked skew-Hermitian on that array.
+
+    The coefficients are gathered in one pass over the entries and checked
+    as ints in one more; only those that are not ints are parsed one by
+    one.  A shape error is reported after any refused coefficient before
+    it, so the first error in reading order is the one reported."""
     if not isinstance(raw, list) or not raw:
         raise PelInputError(f"{where}: expected a nonempty matrix")
+    n, degree = len(raw), field_obj.degree
     coeffs = []
     for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != len(raw):
+        if not isinstance(row, list) or len(row) != n:
+            _parse_coefficients(coeffs, n, degree, where)
             raise PelInputError(f"{where}[{i}]: matrix must be square")
         for j, entry in enumerate(row):
-            if not isinstance(entry, list) or len(entry) != field_obj.degree:
-                raise PelInputError(
-                    f"{where}[{i}][{j}]: expected {field_obj.degree} coefficients"
-                )
-            coeffs.extend(
-                _parse_rational(c, f"{where}[{i}][{j}][{t}]") for t, c in enumerate(entry)
-            )
-    den = lcm(*(c.denominator for c in coeffs if type(c) is Fraction))
-    nums = integer_array(
-        [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in coeffs]
-    ).reshape(len(raw), len(raw), field_obj.degree)
+            if not isinstance(entry, list) or len(entry) != degree:
+                _parse_coefficients(coeffs, n, degree, where)
+                raise PelInputError(f"{where}[{i}][{j}]: expected {degree} coefficients")
+            coeffs += entry
+    parsed = _parse_coefficients(coeffs, n, degree, where)
+    den = 1
+    if parsed is not coeffs:  # some are Fractions
+        den = lcm(*(c.denominator for c in parsed if type(c) is Fraction))
+        parsed = [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in parsed]
+    nums = integer_array(parsed).reshape(n, n, degree)
     try:
         return HermitianModule(field_obj, CycloMatrix(field_obj, nums, den))
     except ValueError as exc:

@@ -209,20 +209,39 @@ def _signature_pel(tmp_path, fixtures_dir, gram1, m=4):
     return str(path)
 
 
-def write_perfect_pair(path, m):
-    """Write the n = 2 pair that `rand_perfect_pair` draws over Q(zeta_m) at
-    p = 3 from Random(3), p-perfect, with phi0 = phin the CM type of the
+def write_perfect_pair(path, m, n=2, seed=3):
+    """Write the pair that `rand_perfect_pair` draws over Q(zeta_m) at p = 3
+    from Random(seed), p-perfect, with phi0 = phin the CM type of the
     residues below m/2, built directly: `all_cm_types` would list all
     2^(phi(m)/2) of them."""
     field = cyclo_field(m)
-    module0, module1 = rand_perfect_pair(field, 2, 3, random.Random(3))
+    module0, module1 = rand_perfect_pair(field, n, 3, random.Random(seed))
     phi = sorted(u for u in field.units if 2 * u < m)
-    doc = {"m": m, "n": 2, "phi0": phi, "phin": phi, "p": 3, "l": 3} | {
+    doc = {"m": m, "n": n, "phi0": phi, "phin": phi, "p": 3, "l": 3} | {
         key: [[[str(c) for c in x.coords] for x in row] for row in module.gram]
         for key, module in (("gram0", module0), ("gram1", module1))
     }
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_the_560_row_fixture_passes_at_every_k_within_a_time_budget(capsys, tmp_path, fixtures_dir):
+    # the n = 8 pair at m = 16 from Random(16): at k = 4 its wedge trace form
+    # has C(8, 4) * phi(16) = 560 rows, the bound of random `verify prinz`;
+    # the console-script check of the CI workflow reads the committed copy
+    path = write_perfect_pair(tmp_path / "perfect16x8.pel", 16, 8, 16)
+    assert json.loads((fixtures_dir / "perfect16x8.pel").read_text()) == json.loads(
+        (tmp_path / "perfect16x8.pel").read_text()
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "prinz", "--input", path)
+    elapsed = time.perf_counter() - start
+    _, records, _ = parse_jsonl(out)
+    assert code == 0
+    assert [(r["k"], r["output_valuation"], r["status"]) for r in records] == [
+        (k, 0, "pass") for k in range(9)
+    ]
+    assert elapsed < 5, f"verify prinz on the 560-row fixture took {elapsed:.2f} s, budget 5 s"
 
 
 # table signatures of that pair at m = 101: CSV rows of the 100 embeddings.

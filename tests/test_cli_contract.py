@@ -336,6 +336,46 @@ def test_n_past_its_bound_is_refused_before_any_work(capsys, monkeypatch, argv, 
 
 
 @pytest.mark.parametrize(
+    "argv, n, degrees",
+    [
+        # at phi(547) = 546 n = 100 took 11.5 s, and n = 200 would take about 45 s
+        ("verify data --m 547 --n 200", 200, 546),
+        ("verify data --m 547 --n 35", 35, 546),
+        ("verify data --m 1155 --n 37 --seed 1", 37, 480),
+        ("verify data --m 35 --n 164", 164, 24),
+    ],
+)
+def test_data_embeddings_past_the_bound_are_refused_before_any_work(
+    capsys, monkeypatch, argv, n, degrees
+):
+    monkeypatch.setattr(cli, "cmd_verify", _no_work)
+    monkeypatch.setattr(cli, "cyclo_field", _no_field)
+    assert run(argv.split(), capsys) == (EXIT_USAGE, "", (
+        "error: verify data takes n^2 * (sum of phi(m)) <= 640000, "
+        f"got n={n} and a sum of phi(m) of {degrees}\n"
+    ))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every argv that ran in about 3 s or less before the bound
+        "verify data",
+        "verify data --n 200",
+        "verify data --m 17 --n 200",
+        "verify data --m 32 --n 200",
+        "verify data --m 13 --n 6",
+        "verify data --m 547 --n 34",
+        "verify data --m 1155 --n 36",
+        "verify data --m 35 --n 163",
+    ],
+)
+def test_data_embeddings_within_the_bound_are_accepted(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, opts: 0)
+    assert run(argv.split(), capsys) == (0, "", "")
+
+
+@pytest.mark.parametrize(
     "argv, lines",
     [
         # a header and rows k = 0..n

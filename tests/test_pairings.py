@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from levelwalk import block_compounds
 
-from pelwedge import cyclofield, instances, pairings
+from pelwedge import cli, cyclofield, instances, pairings
 from pelwedge.cli import main
 from pelwedge.cyclofield import (
     CycloMatrix,
@@ -32,6 +32,8 @@ from pelwedge.pairings import (
     DegenerateForm,
     TraceGram,
     _det_valuation,
+    _det_valuation_mod,
+    _elimination_plan,
     perfectness_valuation,
     trace_gram,
     verify_prinz,
@@ -198,6 +200,16 @@ def elementwise_wedge(psi0, psi1, k):
     factor = psi0 ** (1 - k)
     ((_, minors),) = block_compounds(psi1, [k])
     return tuple(tuple(factor * x for x in row) for row in minors)
+
+
+def wedge_route_prinz(module0, module1, k, p, valuations=None):
+    """`verify_prinz` through the wedge gram psi0^(1-k) Lambda^k Psi1 over
+    CycloElements, which inverts psi0, with the inputs valued again."""
+    field = module0.field
+    v0, v1 = (pairings.perfectness_valuation(pairings.trace_gram(m), p) for m in (module0, module1))
+    wedge = HermitianModule(field, elementwise_wedge(module0.gram[0][0], module1.gram, k))
+    vk = pairings.perfectness_valuation(pairings.trace_gram(wedge), p)
+    return pairings.PrinzReport(p, k, (v0, v1), vk, v0 == 0 and v1 == 0)
 
 
 def elementwise_trace_gram(module):
@@ -457,7 +469,7 @@ def test_a_280_row_non_perfect_input_is_valued_in_seconds(tmp_path, capsys, F8):
 def test_cli_bytes_match_the_reference_oracles(argv, capsys, monkeypatch):
     code = main(list(argv))
     fast = capsys.readouterr().out
-    monkeypatch.setattr(pairings, "wedge_gram", elementwise_wedge)
+    monkeypatch.setattr(cli, "verify_prinz", wedge_route_prinz)
     for owner in (pairings, instances):
         monkeypatch.setattr(owner, "trace_gram", reference_trace_gram)
         monkeypatch.setattr(owner, "perfectness_valuation", reference_valuation)
@@ -941,3 +953,245 @@ def test_the_560_row_bound_runs_in_int64(monkeypatch):
     assert len(form.matrix) == 560
     assert wedge == elementwise_wedge(module0.gram[0][0], module1.gram, 4)
     assert perfectness_valuation(form, 3) == 0
+
+
+# -- the inverse-free wedge against the wedge gram ----------------------------
+
+
+def test_output_valuation_matches_the_wedge_gram_route():
+    # W' = psi0^(k-1) Lambda^k Psi1 shifted by (2 - 2k) C(n, k) v0, against
+    # the trace form of the wedge gram psi0^(1-k) Lambda^k Psi1 itself
+    rng = random.Random(2500)
+    seen = set()
+    for m in (5, 8, 12, 16):
+        F = cyclo_field(m)
+        p = UNRAMIFIED[m][0]
+        for n in range(1, 5):
+            perfect0, module1 = rand_perfect_pair(F, n, p, rng)
+            for c0 in (1, Fraction(1, p), p):
+                psi0 = F.from_rational(c0) * perfect0.gram[0][0]
+                module0 = HermitianModule(F, [[psi0]])
+                for k in range(n + 1):
+                    wedge = HermitianModule(F, wedge_gram(psi0, module1.gram, k))
+                    expected = perfectness_valuation(trace_gram(wedge), p)
+                    report = verify_prinz(module0, module1, k, p)
+                    assert report.output_valuation == expected, (m, n, c0, k)
+                    seen.add((k == 0, expected > 0, expected < 0))
+    assert len(seen) >= 4
+
+
+def test_the_m281_trial_inverts_no_field_element(capsys, monkeypatch):
+    # at k = 2 the wedge gram of an n=2 pair at m=281 is psi0^-1 det Psi1,
+    # and inverting psi0 (phi = 280) took about 3 s
+    def refuse(*args):
+        raise AssertionError("psi0 inverted")
+
+    monkeypatch.setattr(cyclofield.CycloElement, "inverse", refuse)
+    start = time.perf_counter()
+    code = main(["verify", "prinz", "--m", "281", "--n", "2", "--trials", "1", "--seed", "3"])
+    elapsed = time.perf_counter() - start
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (record,) = [r["record"] for r in records if "record" in r]
+    assert code == 0
+    assert (record["k"], record["output_valuation"], record["status"]) == (2, 0, "pass")
+    assert elapsed < 2, elapsed
+
+
+def counted_valuations(monkeypatch):
+    """The number of `perfectness_valuation` calls made through pairings."""
+    calls = []
+    value = pairings.perfectness_valuation
+    monkeypatch.setattr(
+        pairings, "perfectness_valuation", lambda gram, p: calls.append(p) or value(gram, p)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("argv, calls", [
+    # v0 and v1 once, then one wedge form per k
+    (("--input", ALLPASS), 2 + 3),
+    (("--input", ALLPASS, "--k", "1"), 2 + 1),
+    (("--input", NONPERFECT), 2 + 3),
+    # a random trial values its own pair with each record
+    (("--trials", "2", "--m", "8", "--n", "3", "--seed", "4"), 2 * 3),
+])
+def test_the_inputs_are_valued_once_per_pel(capsys, monkeypatch, argv, calls):
+    counted = counted_valuations(monkeypatch)
+    main(["verify", "prinz", *argv])
+    assert len(counted) == calls
+
+
+# -- delayed updates against the 2 x 2 loop ----------------------------------
+
+
+def reference_det_valuation_mod(nums, p, e):
+    """The elimination over Z/p^e with every rank-2 update applied at its
+    pivot, in int64 while p^e < 2^31 and on Python ints above that: the
+    loop the delayed updates replaced."""
+    q = p**e
+    if cyclofield.exact_dtype(2**62 + q * q) is np.int64:
+        a = (nums % q).astype(np.int64, copy=False)
+    else:
+        a = nums.astype(object) % q
+    v = 0
+    bound = q
+    while len(a):
+        units = np.flatnonzero(a[0] % p)
+        if units.size:
+            r, s = 0, int(units[0])
+        else:
+            units = np.flatnonzero(a % p)
+            if not units.size:
+                if q == p:
+                    return None
+                a %= q
+                a //= p
+                q //= p
+                bound = q
+                v += len(a)
+                continue
+            r, s = divmod(int(units[0]), len(a))
+        for i, j in ((0, r), (1, s)):
+            if i != j:
+                a[[i, j]] = a[[j, i]]
+                a[:, [i, j]] = a[:, [j, i]]
+        y = a[2:, 0] % q * pow(int(a[0, 1]) % q, -1, q) % q
+        t = np.outer(a[2:, 1] % q, y)
+        t -= t.T
+        a = a[2:, 2:]
+        a += t
+        bound += q * q
+        if bound >= 2**62:
+            a %= q
+            bound = q
+    return v
+
+
+BLOCKED_ROWS = pairings._BLOCKED_ROWS
+# the rows eliminated between two updates of a blocked elimination
+FLUSH_ROWS = 2 * pairings._BLOCKED_PAIRS
+
+
+def random_alternating(rng, size, bound=10**6):
+    """B - B^T for B with entries uniform in [-bound, bound], from a numpy
+    Generator."""
+    b = rng.integers(-bound, bound, (size, size), endpoint=True)
+    return b - b.T
+
+
+def congruent_alternating(rng, pivots):
+    """M D M^T with D block diagonal of the pivots [[0, d], [-d, 0]], d in
+    `pivots`, and M lower unitriangular with entries in [-1, 1] below the
+    diagonal: det = prod d^2.  While the d are units, each pivot is the
+    next pair in row order and leaves the block M' D' M'^T of the rest, so
+    the block's first row is p times an integer row where d is, and the
+    whole block is where every d left is."""
+    size = 2 * len(pivots)
+    m = np.tril(rng.integers(-1, 1, (size, size), endpoint=True), -1) + np.eye(size, dtype=np.int64)
+    md = np.zeros((size, size), dtype=object)
+    for j, x in enumerate(pivots):
+        md[:, 2 * j], md[:, 2 * j + 1] = -x * m[:, 2 * j + 1], x * m[:, 2 * j]
+    if size * max(map(abs, pivots)) < 2**53:
+        # every partial sum of the product is an integer below 2^53
+        return (md.astype(np.float64) @ m.T.astype(np.float64)).astype(np.int64)
+    return md @ m.T.astype(object)
+
+
+def elimination_cases(rng, p, size):
+    """(label, matrix) of one even size: random, with p dividing some rows,
+    and congruent forms whose block p divides throughout, or whose first
+    row has no unit, after pairs that are still pending."""
+    yield "random", random_alternating(rng, size)
+    scale = np.where(rng.random(size) < 0.3, p, 1)
+    yield "rows times p", scale[:, None] * random_alternating(rng, size, 3) * scale
+    pairs = size // 2
+    if pairs < 2:
+        return
+    units = [int(x) for x in rng.choice((1, -1, 2) if p > 2 else (1, -1, 3), pairs)]
+    # 1 .. b - 1 pairs, before the last pair, are pending when p first divides
+    pending = 1 + (pairs - 2) % (FLUSH_ROWS // 2 - 1)
+    tail = [p * u for u in units[pending:]]
+    yield "p divides the block", congruent_alternating(rng, units[:pending] + tail)
+    yield "no unit in the first row", congruent_alternating(
+        rng, units[:pending] + [p * units[pending]] + units[pending + 1 :])
+    tail[: len(tail) // 2] = [p * x for x in tail[: len(tail) // 2]]
+    yield "two divisions", congruent_alternating(rng, units[:pending] + tail)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 2**31 - 1])
+def test_delayed_updates_match_the_2x2_loop(p):
+    rng = np.random.default_rng(6100 + p % 1000)
+    sizes = (2, 10, BLOCKED_ROWS - 2, BLOCKED_ROWS, BLOCKED_ROWS + 2,
+             FLUSH_ROWS, FLUSH_ROWS + 2, 2 * FLUSH_ROWS + 2)
+    outcomes = set()
+    for size in sizes:
+        cases = list(elimination_cases(rng, p, size))
+        cases.append(("odd", random_alternating(rng, size + 1)))
+        for e in (1, 2, 3, 8):
+            if p**e >= 2**31 and size > (BLOCKED_ROWS + 2 if e == 2 else 10):
+                continue  # b = 1 on Python ints: the same loop, and slow
+            for label, matrix in cases:
+                got = _det_valuation_mod(matrix, p, e)
+                assert got == reference_det_valuation_mod(matrix, p, e), (label, size, e)
+                outcomes.add("None" if got is None else "v > 0" if got else "v = 0")
+    assert outcomes == {"None", "v > 0", "v = 0"}
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 3)])
+def test_a_600_row_block_matches_the_2x2_loop(p, e):
+    rng = np.random.default_rng(6200 + p)
+    for label, matrix in elimination_cases(rng, p, 600):
+        if label in ("rows times p", "no unit in the first row"):
+            # rows that stay unit-free come back to the top, so every later
+            # pivot searches the whole block, in both loops: 0.6 s each here
+            continue
+        assert _det_valuation_mod(matrix, p, e) == reference_det_valuation_mod(matrix, p, e), label
+
+
+def test_the_plan_switches_at_the_float64_and_int64_bounds():
+    b, rows = pairings._BLOCKED_PAIRS, BLOCKED_ROWS
+    assert b > 1
+    assert _elimination_plan(rows - 1, 3)[:2] == (1, np.int64)
+    assert _elimination_plan(rows, 3) == (b, np.int64, np.float64)
+    # the products of b pairs run in float64 while b q^2 < 2^53
+    float_q = math.isqrt((2**53 - 1) // b)
+    assert _elimination_plan(rows, float_q) == (b, np.int64, np.float64)
+    assert _elimination_plan(rows, float_q + 1) == (b, np.int64, np.int64)
+    # and the block in int64 while 2^62 + b q^2 < 2^63
+    int_q = math.isqrt((2**62 - 1) // b)
+    assert _elimination_plan(rows, int_q) == (b, np.int64, np.int64)
+    assert _elimination_plan(rows, int_q + 1)[:2] == (1, np.int64)
+    # b = 1 as before: int64 while q < 2^31
+    assert _elimination_plan(rows, 2**31 - 1)[:2] == (1, np.int64)
+    assert _elimination_plan(rows, 2**31)[:2] == (1, object)
+
+
+@pytest.mark.parametrize("e, plan", [
+    (23, ("b", np.int64, np.float64)),
+    (24, ("b", np.int64, np.int64)),
+    (28, ("b", np.int64, np.int64)),
+    (29, (1, np.int64)),
+    (30, (1, np.int64)),
+    (31, (1, object)),
+])
+def test_moduli_either_side_of_the_panel_bounds_match_the_2x2_loop(e, plan):
+    # 2^e either side of b q^2 = 2^53, of 2^62 + b q^2 = 2^63 and of q = 2^31,
+    # on forms whose elimination divides by 2 after pending pairs
+    rng = np.random.default_rng(6300 + e)
+    size = FLUSH_ROWS + 2
+    b = pairings._BLOCKED_PAIRS
+    assert _elimination_plan(size, 2**e)[: len(plan)] == tuple(b if x == "b" else x for x in plan)
+    for label, matrix in elimination_cases(rng, 2, size):
+        for precision in (e, e + 1):
+            got = _det_valuation_mod(matrix, 2, precision)
+            assert got == reference_det_valuation_mod(matrix, 2, precision), (label, precision)
+
+
+def test_a_degenerate_blocked_form_climbs_to_the_hadamard_exponent(monkeypatch):
+    calls = recorded_precisions(monkeypatch)
+    pivots = [1, 2, -1] * (BLOCKED_ROWS // 6) + [0, 1]
+    form = congruent_alternating(np.random.default_rng(6400), pivots)
+    assert len(form) >= BLOCKED_ROWS
+    with pytest.raises(DegenerateForm):
+        _det_valuation(form, 3)
+    assert calls[-1] == hadamard_exponent(form.tolist(), 3) > 8
