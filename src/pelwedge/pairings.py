@@ -15,13 +15,23 @@ on Python ints otherwise, then one gather.  The valuation has one
 algorithm for every prime p.  psi is alternating, so the numerators are
 eliminated over Z/p^e with 2 x 2 pivots [[0, x], [-x, 0]], x a unit: each
 is one rank-2 update that leaves the rest alternating, so an N-row form
-takes N/2 steps, not N.  A block that p divides throughout is divided by
-p, adding its size to the valuation at the cost of one digit of precision.
-e starts at 1, where a p-perfect form finishes without dividing, and
-doubles whenever the precision runs out, up to e_H, the least e with
-p^(2e) above the Hadamard bound H >= det^2; a determinant that p^e_H
+takes N/2 steps, not N.  From 80 rows on the updates are delayed: up to 48
+pairs wait in two panels, a pivot brings only the two rows it reads up to
+date, and the trailing block gets the waiting pairs as one matrix product,
+in float64 (BLAS) while it is exact and in int64 above that; below 80 rows
+each pivot updates the block at once.  A block that p divides throughout
+is divided by p, adding its size to the valuation at the cost of one digit
+of precision.  e starts at 1, where a p-perfect form finishes without
+dividing, and doubles whenever the precision runs out, up to e_H, the least
+e with p^(2e) above the Hadamard bound H >= det^2; a determinant that p^e_H
 divides is 0.  The residues live in numpy int64 while p^e < 2^31 and in
 Python ints above that.  The denominator adds -size * v_p(D).
+
+`verify_prinz` values the wedge psi0^(1-k) Lambda^k Psi1 through
+psi0^(k-1) Lambda^k Psi1, whose valuation differs by (2k - 2) C(n, k) v0,
+so no field element is inverted; given the inputs' `input_valuations`, as
+`verify prinz --input` computes them once for every k, it values only the
+wedge.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ yields the header, so an input error there leaves stdout empty, and then
 yields each record's line as the record is made.  It keeps the check
 count and the records that failed or were vacuous, which is all the
 summary line and `human_summary` read.
+
+`load_pel_input` reads a `.pel` file.  A gram's coefficients are gathered
+in one pass over its entries and its ints taken as they are; only a
+coefficient that is not an int is parsed on its own, and the location of
+an error (`gram1[i][j][t]`) is made only for a coefficient it refuses.
 """
 
 from __future__ import annotations
