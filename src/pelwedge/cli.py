@@ -66,7 +66,8 @@ class Entry:
     and the largest rank C(n, n/2) * phi(m) of an exterior power it may
     build, of --n and --m or of the `.pel` it reads (phi(m) = 1 when it
     reads no m), and the largest n^2 times the sum of phi(m) over the --m
-    values.  Every --m and every `.pel` also keep phi(m) <= `DEGREE_MAX`."""
+    values, or times the phi(m) of the `.pel` it reads.  Every --m and
+    every `.pel` also keep phi(m) <= `DEGREE_MAX`."""
 
     defaults: dict
     required: tuple[str, ...] = ()
@@ -118,7 +119,12 @@ ENTRIES = {
         {"n": None, "k": None, "case": None, **_CSV}, ("n", "k", "case"), k_span=(0, 0),
         n_max=10000,
     ),
-    "table signatures": Entry({"input": None, **_CSV}, ("input",)),
+    # the Berkowitz minors take about n^4 * phi(m)^2 coefficient products:
+    # in a fresh process on a shared 2-vCPU machine, at n^2 * phi(m) = 8192
+    # a random gram took 1.6-2.8 s (m=3, n=64 and m=16, n=32) and 32
+    # hyperbolic planes at m=3 took 2.4-4.7 s; at about twice that (m=3,
+    # n=90 and m=16, n=45) a random gram took 6-8 s
+    "table signatures": Entry({"input": None, **_CSV}, ("input",), embeddings_max=64**2 * 2),
     "table embedding-matrix": Entry(
         {"n": None, "k": None, "x": None, **_CSV}, ("n", "k", "x"), n_min=2, k_span=(1, -1),
         rank_max=1716,
@@ -225,7 +231,7 @@ def resolve(args) -> argparse.Namespace:
             _usage_error(f"{name} takes {excess}")
         if "p" in opts and all(math.gcd(p, m) != 1 for p in opts["p"]):
             _usage_error(f"no --p value is coprime to m={m}")
-    if entry.embeddings_max is not None:
+    if entry.embeddings_max is not None and "m" in opts:
         degrees = sum(map(_totient, opts["m"]))
         if opts["n"] ** 2 * degrees > entry.embeddings_max:
             _usage_error(
@@ -250,6 +256,13 @@ def resolve(args) -> argparse.Namespace:
             excess = _rank_excess(name, entry.rank_max, opts["pel"].n, opts["pel"].field.m)
             if excess:
                 raise PelInputError(f"{opts['input']}: {excess}")
+        if entry.embeddings_max is not None:
+            n, field = opts["pel"].n, opts["pel"].field
+            if n**2 * field.degree > entry.embeddings_max:
+                raise PelInputError(
+                    f"{opts['input']}: {name} takes n^2 * phi(m) <= {entry.embeddings_max}, "
+                    f"got n={n} and phi({field.m}) = {field.degree}"
+                )
     if opts.get("k") is not None:
         n = opts["pel"].n if opts["pel"] is not None else opts["n"]
         low, high = entry.k_span[0], n + entry.k_span[1]

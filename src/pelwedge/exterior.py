@@ -2,8 +2,8 @@
 matrices, wedge Gram construction, and the induced similitude map.
 
 All arithmetic here is exact.  `compound` computes each minor once, by
-Laplace expansion from the minors on one row fewer, and `det` is its
-n x n case.  It takes one of two paths, chosen from the entries:
+Laplace expansion from the minors on one row fewer.  It takes one of two
+paths, chosen from the entries:
 
 - Over L = Q(zeta_m), a `CycloMatrix`, the minors are built by levels
   on one integer array (rows, cols, phi(m)): level j+1 is one gather from
@@ -25,6 +25,12 @@ n x n case.  It takes one of two paths, chosen from the entries:
   compounds over every k hold 3,328 nonzero minors of 184,756, and those
   of the leading blocks n = 1..10 together 6,143, all read off the
   3,328 that one walk computes.
+
+`det` is the n x n case of the generic path.  Over L it is the last of
+the `leading_minors`, which one division-free Berkowitz pass makes for
+every leading block at once in O(n^4) field products (`_berkowitz`; the
+same pass gives the `characteristic_polynomial`), so L keeps one
+determinant; a level walk would hold 2^n minors.
 
 `wedge_gram` is the L path followed by one scaling, by psi0^(1-k), and
 returns a `CycloMatrix`; `multiplier` is two `CycloMatrix` products and
@@ -324,11 +330,71 @@ def _field_compound(matrix: CycloMatrix, k: int) -> CycloMatrix:
     return CycloMatrix(field, minors[order][:, order], matrix.den**k)
 
 
-def det(matrix) -> object:
-    """Exact determinant: the n x n case of compound.
+def _berkowitz(matrix: CycloMatrix) -> list[np.ndarray]:
+    """p_0 .. p_n, the characteristic polynomials det(x I - N_k) of the
+    leading k x k blocks N_k of the numerator array N of a square matrix
+    over L, each as a (k + 1, phi(m)) array of numerators from the
+    leading 1 down, from one division-free Berkowitz pass over every
+    leading block at once (Berkowitz, Inform. Process. Lett. 18, 1984).
 
-    The empty matrix has determinant 1 and a singular one 0, as plain
-    ints, which coerce into any of the supported rings."""
+    With c_k the column above N[k, k] and r_k the row before it, p_(k+1)
+    is T_k p_k for the Toeplitz matrix T_k of (1, -N[k, k], -r_k c_k,
+    -r_k N_k c_k, .., -r_k N_k^(k-1) c_k).  Column k of V_i holds
+    N_k^i c_k above row k and 0 from row k down, so U_i = N V_i is one
+    `CycloField.dot` per power i < n - 1, and U_i[k, k] = r_k N_k^i c_k;
+    the strict upper triangle of U_i is V_(i+1).  Then one dot per k
+    takes p_k to p_(k+1): 2n - 1 array calls and no inverse."""
+    field, a = matrix.field, matrix.nums
+    n = len(matrix)
+    if matrix.shape != (n, n):
+        raise ValueError("the characteristic polynomial needs a square matrix")
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)[..., None]
+    v = np.where(upper, a, 0)
+    powers = []  # powers[i][k, k - i - 1] = r_k N_k^i c_k, for the columns k > i
+    for i in range(n - 1):
+        u = field.dot(a[:, None], np.swapaxes(v[:, i + 1 :], 0, 1)[None])
+        powers.append(u)
+        v = np.zeros((n, n, field.degree), dtype=u.dtype)
+        v[:, i + 1 :] = np.where(upper[:, i + 1 :], u, 0)
+    one = np.zeros(field.degree, dtype=np.int64)
+    one[0] = 1
+    polys = [one[None]]
+    for k in range(n):
+        # row 0 of the padded column is 0, so T_k[r, j] = column[r - j + 1] if r >= j
+        column = np.stack(
+            [0 * one, one, -a[k, k], *(-u[k, k - i - 1] for i, u in enumerate(powers[:k]))]
+        )
+        toeplitz = column[np.maximum(np.arange(k + 2)[:, None] - np.arange(k + 1) + 1, 0)]
+        polys.append(field.dot(toeplitz, polys[-1][None]))
+    return polys
+
+
+def characteristic_polynomial(matrix: CycloMatrix) -> np.ndarray:
+    """det(x I - N) for the numerator array N of a square matrix over L,
+    as an (n + 1, phi(m)) array of numerators from the leading 1 down."""
+    return _berkowitz(matrix)[-1]
+
+
+def leading_minors(matrix: CycloMatrix) -> tuple[CycloElement, ...]:
+    """Delta_1 .. Delta_n, the leading principal minors of a square matrix
+    over L: Delta_k = (-1)^k p_k(0) / den^k for the polynomials p_k of
+    one Berkowitz pass (see `_berkowitz`)."""
+    field, den = matrix.field, matrix.den
+    return tuple(
+        CycloElement(field, tuple((-1) ** k * int(c) for c in p[-1]), den**k)
+        for k, p in enumerate(_berkowitz(matrix)[1:], 1)
+    )
+
+
+def det(matrix) -> object:
+    """Exact determinant.  Over L (a `CycloMatrix`) it is the last of the
+    `leading_minors`, and 1 for the empty matrix; over any other ring it
+    is the n x n case of compound, and the empty matrix has determinant 1
+    and a singular one 0, as plain ints, which coerce into any of the
+    supported rings."""
+    if isinstance(matrix, CycloMatrix):
+        minors = leading_minors(matrix)
+        return minors[-1] if minors else matrix.field.one
     return compound(matrix, len(matrix))[0][0]
 
 

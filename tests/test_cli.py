@@ -11,7 +11,7 @@ import pytest
 
 from pelwedge import cli, hodge, serretate
 from pelwedge.cli import EXIT_INPUT, EXIT_USAGE, main
-from pelwedge.cyclofield import all_cm_types, cyclo_field
+from pelwedge.cyclofield import CycloElement, all_cm_types, cyclo_field
 from pelwedge.instances import rand_perfect_pair, rand_skew_hermitian
 from pelwedge.reporting import PelInputError, ReportDocument, load_pel_input, params_hash
 
@@ -245,8 +245,9 @@ def test_the_560_row_fixture_passes_at_every_k_within_a_time_budget(capsys, tmp_
 
 
 # table signatures of that pair at m = 101: CSV rows of the 100 embeddings.
-# On a 2-vCPU machine under CPython 3.11 it takes about 0.1 s in-process,
-# against 1.2 s when the elimination also inverted the last pivot
+# On a 2-vCPU machine under CPython 3.11 it took about 0.1 s in-process
+# from a congruence diagonal that inverted every pivot but the last, and
+# 1.2 s when that elimination also inverted the last one
 SIGNATURES_101 = "6fa5762ddeb2058610e286e36141db0171db29b9203a9379cde9078966800395"
 
 
@@ -267,6 +268,62 @@ def test_table_signatures_at_m101_keeps_its_rows_within_a_time_budget(
     assert elapsed < 0.6, f"table signatures at m=101 took {elapsed:.2f} s, budget 0.6 s"
 
 
+def write_signature_form(path, m, n, seed=3):
+    """Write a `.pel` whose gram1 is the `rand_skew_hermitian` draw over
+    Q(zeta_m) from Random(seed), with gram0 = zeta - zeta^-1 and phi0 =
+    phin the CM type of the residues below m/2 (see `write_perfect_pair`)."""
+    field = cyclo_field(m)
+    gram1 = rand_skew_hermitian(field, n, random.Random(seed))
+    phi = sorted(u for u in field.units if 2 * u < m)
+    x = field.zeta - field.zeta.conj()
+    doc = {"m": m, "n": n, "phi0": phi, "phin": phi, "p": 3, "l": 3,
+           "gram0": [[[str(c) for c in x.coords]]],
+           "gram1": [[[str(c) for c in e.coords] for e in row] for row in gram1]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# table signatures of a random n = 3 gram at m = 181: CSV rows of the 180
+# embeddings.  On a 2-vCPU machine under CPython 3.11 the congruence
+# diagonal, which inverted its pivots, took 57 s in a fresh process, and
+# Jacobi's rule on the Berkowitz minors takes about 0.06 s in-process
+SIGNATURES_181 = "05d3ed99cafb8b2f789806a16945dab9993497e0e3e4490a4347e035188023b0"
+
+
+def test_table_signatures_at_m181_keeps_its_rows_within_a_time_budget(
+    capsys, tmp_path, fixtures_dir
+):
+    path = write_signature_form(tmp_path / "sig181x3.pel", 181, 3)
+    # the console-script check of the CI workflow reads the committed copy
+    assert json.loads((fixtures_dir / "sig181x3.pel").read_text()) == json.loads(
+        (tmp_path / "sig181x3.pel").read_text()
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "signatures", "--input", path)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 181
+    assert hashlib.sha256(out.encode()).hexdigest() == SIGNATURES_181
+    assert elapsed < 5, f"table signatures at m=181 took {elapsed:.2f} s, budget 5 s"
+
+
+def test_table_signatures_inverts_no_field_element(capsys, monkeypatch, tmp_path, fixtures_dir):
+    calls = []
+    inverse = CycloElement.inverse
+    monkeypatch.setattr(CycloElement, "inverse", lambda x: calls.append(x) or inverse(x))
+    F = cyclo_field(4)
+    one, zero = F.one, F.zero
+    # a hyperbolic plane next to i: Delta_1 = 0 is repaired by a congruence
+    plane = _signature_pel(
+        tmp_path, fixtures_dir, [[zero, one, zero], [-one, zero, zero], [zero, zero, F.zeta]]
+    )
+    for path in (str(fixtures_dir / "perfect101.pel"), str(fixtures_dir / "allpass.pel"), plane):
+        code, out, err = run(capsys, "table", "signatures", "--input", path)
+        assert (code, err) == (0, "")
+    assert run(capsys, "table", "signatures", "--input", plane)[1] == "embedding,p,q\n1,1,2\n3,2,1\n"
+    assert calls == []
+
+
 def test_table_signatures_of_a_degenerate_form(capsys, tmp_path, fixtures_dir):
     F = cyclo_field(4)
     i = F.zeta
@@ -280,7 +337,7 @@ def test_table_signatures_of_a_degenerate_form(capsys, tmp_path, fixtures_dir):
 def test_table_signatures_from_a_low_starting_precision(
     capsys, monkeypatch, tmp_path, fixtures_dir
 ):
-    # 8 bits certify some signs of this form and the rest escalate: the rows stay
+    # 4 bits certify some signs of this form and the rest escalate: the rows stay
     F = cyclo_field(16)
     gram = rand_skew_hermitian(F, 12, random.Random(8))
     path = _signature_pel(tmp_path, fixtures_dir, gram, m=16)
@@ -288,13 +345,13 @@ def test_table_signatures_from_a_low_starting_precision(
     code, default, _ = run(capsys, *argv)
     assert code == 0 and len(parse_jsonl(default)[1]) == 8
     bits = []
-    sine_bounds = hodge._sine_bounds
+    trig_bounds = hodge._trig_bounds
     monkeypatch.setattr(
-        hodge, "_sine_bounds", lambda m, prec: bits.append(prec) or sine_bounds(m, prec)
+        hodge, "_trig_bounds", lambda m, prec: bits.append(prec) or trig_bounds(m, prec)
     )
-    monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 8)
+    monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 4)
     assert run(capsys, *argv) == (0, default, "")
-    assert min(bits) == 8 and max(bits) > 8
+    assert min(bits) == 4 and max(bits) > 4
 
 
 def test_records_are_printed_as_they_are_made(capsys):

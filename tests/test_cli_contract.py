@@ -439,6 +439,53 @@ def test_pel_sizes_within_the_rank_bound_are_accepted(capsys, monkeypatch, tmp_p
     assert run(["verify", "prinz", "--input", diagonal_pel(tmp_path, m, n)], capsys)[0] == 0
 
 
+def diagonal_signature_pel(tmp_path, m, n):
+    """`diagonal_pel` with phi0 = phin the CM type of the residues below
+    m/2: `all_cm_types` would list all 2^(phi(m)/2) types."""
+    field = cyclo_field(m)
+    x = [str(c) for c in (field.zeta - field.zeta.conj()).coords]
+    zero = ["0"] * field.degree
+    phi = [u for u in field.units if 2 * u < m]
+    return write_pel(
+        tmp_path, m=m, n=n, phi0=phi, phin=phi,
+        gram0=[[x]], gram1=[[x if i == j else zero for j in range(n)] for i in range(n)],
+    )
+
+
+@pytest.mark.parametrize("m, n", [(3, 65), (16, 33), (557, 4), (181, 7)])
+def test_signature_sizes_past_the_embedding_bound_are_refused_before_any_work(
+    capsys, monkeypatch, tmp_path, m, n
+):
+    # n^2 * phi(m) > 64^2 * 2: at about twice the bound a random gram took 6-8 s
+    monkeypatch.setattr(cli, "cmd_table", _no_work)
+    path = diagonal_signature_pel(tmp_path, m, n)
+    degree = cyclofield._totient(m)
+    for fmt in ("csv", "records"):
+        code, out, err = run(["table", "signatures", "--input", path, "--format", fmt], capsys)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            f"input error: {path}: table signatures takes n^2 * phi(m) <= 8192, "
+            f"got n={n} and phi({m}) = {degree}\n"
+        )
+
+
+@pytest.mark.parametrize("m, n", [(3, 64), (16, 32), (1024, 4), (181, 6), (4, 1)])
+def test_signature_sizes_within_the_embedding_bound_are_accepted(
+    capsys, monkeypatch, tmp_path, m, n
+):
+    monkeypatch.setattr(cli, "cmd_table", lambda kind, opts: 0)
+    path = diagonal_signature_pel(tmp_path, m, n)
+    assert run(["table", "signatures", "--input", path], capsys) == (0, "", "")
+
+
+def test_the_largest_accepted_signature_table_runs(capsys, tmp_path):
+    # (zeta - zeta^-1) * I_64 at m = 3: at sigma_1, i * Psi is -sqrt(3) * I
+    path = diagonal_signature_pel(tmp_path, 3, 64)
+    code, out, err = run(["table", "signatures", "--input", path], capsys)
+    assert (code, err) == (0, "")
+    assert out == "embedding,p,q\n1,0,64\n2,64,0\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -650,19 +697,19 @@ def test_openssl_is_not_loaded_where_the_builtin_sha256_exists():
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def test_mpmath_is_loaded_only_by_signatures():
+def test_no_cli_run_loads_mpmath():
+    # the signature signs are bounded by integer arithmetic, so not even a
+    # signatures table loads mpmath (about 2.3 MB of resident memory)
     script = (
         "import contextlib, io, sys\n"
         "import pelwedge, pelwedge.cli\n"
         "for argv in (['verify', 'prinz', '--trials', '2', '--m', '8', '--n', '2'],\n"
         "             ['verify', 'embedding', '--n', '3'],\n"
-        f"             ['verify', 'prinz', '--input', {ALLPASS!r}]):\n"
+        f"             ['verify', 'prinz', '--input', {ALLPASS!r}],\n"
+        f"             ['table', 'signatures', '--input', {ALLPASS!r}]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert pelwedge.cli.main(argv) == 0, argv\n"
         "    assert 'mpmath' not in sys.modules, argv\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert pelwedge.cli.main(['table', 'signatures', '--input', {ALLPASS!r}]) == 0\n"
-        "assert 'mpmath' in sys.modules\n"
     )
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     subprocess.run([sys.executable, "-c", script], check=True, timeout=120,

@@ -24,6 +24,7 @@ from pelwedge.exterior import (
     det,
     g_k,
     leading_compounds,
+    leading_minors,
     multiplier,
     removal_matrix,
     wedge_gram,
@@ -34,6 +35,7 @@ from pelwedge.instances import (
     rand_similitude_pair,
     rand_skew_hermitian,
 )
+from test_pairings import reference_rational_det
 
 
 def test_subset_index_split():
@@ -510,6 +512,40 @@ def test_sylvester_franke():
                                  for _ in range(n)] for _ in range(n)])
         for k in range(1, n + 1):
             assert det(compound(A, k)) == det(A) ** math.comb(n - 1, k - 1)
+
+
+def test_det_over_L_is_the_last_leading_minor():
+    # the Berkowitz minors against the level walk of compound(M, n) on every
+    # leading block, and against Fraction elimination on rational entries
+    rng = random.Random(26)
+    for m in (3, 5, 8, 16):
+        F = cyclo_field(m)
+        for n in range(0, 7):
+            den = rng.choice([1, 1, 6])
+            rows = [[rand_element(F, rng) * Fraction(1, den) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                rows[-1] = list(rows[0])  # singular: a repeated row
+            A = CycloMatrix.of(F, rows)
+            minors = leading_minors(A)
+            assert len(minors) == n
+            for k, minor in enumerate(minors, 1):
+                assert minor == compound(CycloMatrix.of(F, [r[:k] for r in rows[:k]]), k)[0][0]
+            assert det(A) == (minors[-1] if n else F.one) == compound(A, n)[0][0]
+            rational = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7])) for _ in range(n)]
+                        for _ in range(n)]
+            assert det(CycloMatrix.of(F, rational)) == reference_rational_det(rational)
+    with pytest.raises(ValueError, match="square"):
+        leading_minors(CycloMatrix(cyclo_field(5), np.zeros((2, 3, 4), dtype=np.int64)))
+
+
+def test_leading_minors_leave_int64_when_entries_grow():
+    # 2^40 entries push the powers A^i past int64: the same minors on Python ints
+    F = cyclo_field(8)
+    rng = random.Random(40)
+    rows = [[rand_element(F, rng) * 2**40 for _ in range(5)] for _ in range(5)]
+    A = CycloMatrix.of(F, rows)
+    for k, minor in enumerate(leading_minors(A), 1):
+        assert minor == compound(CycloMatrix.of(F, [r[:k] for r in rows[:k]]), k)[0][0]
 
 
 def test_colex_subsets():

@@ -6,8 +6,8 @@ import mpmath
 import pytest
 
 from pelwedge import hodge
-from pelwedge.cyclofield import CycloElement, all_cm_types, cm_type, cyclo_field
-from pelwedge.exterior import det
+from pelwedge.cyclofield import CycloElement, CycloMatrix, all_cm_types, cm_type, cyclo_field
+from pelwedge.exterior import det, leading_minors
 from pelwedge.hodge import (
     CMTraceVector,
     EmbeddingCase,
@@ -18,6 +18,8 @@ from pelwedge.hodge import (
     compatible,
     derived_cm_trace,
     imaginary_sign,
+    jacobi_minors,
+    real_sign,
     signature_at,
     twist_weights,
     verify_type11,
@@ -206,15 +208,187 @@ def test_signature_of_the_hyperbolic_plane(m):
     assert all(signature_at(twisted, k) == (1, 1) for k in F.units)
 
 
+def congruence_diagonal(field, gram):
+    """delta_1 .. delta_n with P* Psi P = diag(delta_j) for some P in
+    GL_n(L), by symmetric elimination over L: the signature path that
+    Jacobi's rule replaced, kept as an oracle.  Each delta_j is nonzero
+    and totally imaginary.
+
+    Each step moves a nonzero diagonal entry of the remaining block to the
+    pivot and replaces the block by its Schur complement, which is again
+    *-skew-Hermitian.  When every diagonal entry of the block is 0 but some
+    Psi_ij is not, e_i + c*e_j has the diagonal entry c*Psi_ij -
+    conj(c*Psi_ij); that is 0 for both c = 1 and c = zeta only if zeta were
+    real.  A zero block means Psi is degenerate over L, and raises
+    SingularAtEmbedding."""
+    a = [list(row) for row in gram]
+    n = len(a)
+    deltas = []
+    for r in range(n):
+        pivot = next((i for i in range(r, n) if a[i][i]), None)
+        if pivot is None:
+            pivot, j = next(
+                ((i, j) for i in range(r, n) for j in range(i + 1, n) if a[i][j]), (None, None)
+            )
+            if pivot is None:
+                raise SingularAtEmbedding(
+                    f"the gram matrix is degenerate over Q(zeta_{field.m}): rank {r} < {n}"
+                )
+            c = field.one if (a[pivot][j] - a[pivot][j].conj()) else field.zeta
+            # e_pivot <- e_pivot + c * e_j: column pivot gains c times column j
+            for k in range(r, n):
+                if k != pivot:
+                    a[k][pivot] = a[k][pivot] + a[k][j] * c
+                    a[pivot][k] = -a[k][pivot].conj()
+            d = c * a[pivot][j]
+            a[pivot][pivot] = d - d.conj()
+        a[r], a[pivot] = a[pivot], a[r]
+        for row in a:
+            row[r], row[pivot] = row[pivot], row[r]
+        delta = a[r][r]
+        deltas.append(delta)
+        if r == n - 1:
+            break
+        # a[i][j] -= a[i][r] * delta^-1 * a[r][j] on the upper triangle of
+        # the block; the lower one follows by skew-Hermitian symmetry
+        inverse = delta.inverse()
+        pivot_row = a[r]
+        for i in range(r + 1, n):
+            t = a[i][r] * inverse
+            row = a[i]
+            for j in range(i, n):
+                row[j] = row[j] - t * pivot_row[j]
+                if j > i:
+                    a[j][i] = -row[j].conj()
+    return tuple(deltas)
+
+
+def diagonal_signature(field, deltas, k):
+    """The signature of i * Psi_sigma_k from a congruence diagonal: by
+    Sylvester's law of inertia that of i * sigma_k(delta_j) = -Im
+    sigma_k(delta_j)."""
+    neg = sum(imaginary_sign(delta, k) > 0 for delta in deltas)
+    return len(deltas) - neg, neg
+
+
 def test_congruence_diagonal_is_congruent(F5):
     rng = random.Random(55)
     module = HermitianModule(F5, rand_skew_hermitian(F5, 5, rng))
-    deltas = module.diagonal()
-    assert module.diagonal() is deltas  # computed once
+    deltas = congruence_diagonal(F5, module.gram)
+    assert module.minors() is module.minors()  # computed once
     assert all(d and d.conj() == -d for d in deltas)
     # the product of the delta_j is det(Psi) times the norm |det P|^2 of P
     ratio = det(module.gram) / math.prod(deltas, start=F5.one)
     assert ratio.conj() == ratio
+
+
+def _zero_minor_grams(F):
+    """Grams with a zero leading minor and every signature defined: the
+    hyperbolic plane (with a real and a nonreal off-diagonal entry) and
+    direct sums of planes, a gram with Delta_1 != 0 and Delta_2 = 0, and
+    permuted diagonal forms with a zero (1,1) entry."""
+    z, one, zero = F.zeta, F.one, F.zero
+    x = z - z.conj()
+
+    def block_sum(*blocks):
+        n = sum(len(b) for b in blocks)
+        out = [[zero] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                out[at + i][at : at + len(b)] = row
+            at += len(b)
+        return out
+
+    plane = [[zero, one], [-one, zero]]
+    twisted = [[zero, z], [-z.conj(), zero]]
+    yield plane
+    yield twisted
+    yield block_sum(plane, twisted)
+    yield block_sum(plane, [[x]], plane, [[-x * 3]])
+    yield block_sum(twisted, plane, twisted, plane)
+    yield [[x, x, zero], [x, x, one], [zero, -one, -x]]  # Delta_1 = x, Delta_2 = 0
+    yield [[x, x, zero, zero], [x, x, zero, z], [zero, zero, x, zero], [zero, -z.conj(), zero, x]]
+    diag = [[[x]], [[-x]], [[x * 2]], [[-x * z * z.conj()]]]
+    for t in (1, 2, 4):
+        # a diagonal form bordered by a plane whose first vector comes first
+        base = block_sum(*diag[:t], plane)
+        for order in ([t, *range(t), t + 1], [t + 1, *range(t - 1, -1, -1), t]):
+            yield [[base[a][b] for b in order] for a in order]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 13, 16])
+def test_jacobi_matches_the_diagonal_oracle(m):
+    F = cyclo_field(m)
+    rng = random.Random(2600 + m)
+    grams = [rand_skew_hermitian(F, n, rng) for n in range(1, 9)]
+    grams += list(_zero_minor_grams(F))
+    for gram in grams:
+        module = HermitianModule(F, gram)
+        deltas = congruence_diagonal(F, module.gram)
+        minors = module.minors()
+        assert len(minors) == module.rank and all(minors)
+        for j, delta in enumerate(minors, 1):
+            assert delta.conj() == (-1) ** j * delta  # imaginary for odd j, real for even j
+        for k in F.units:
+            assert signature_at(module, k) == diagonal_signature(F, deltas, k), (m, gram, k)
+
+
+def test_zero_minors_are_repaired_by_a_congruence(F8):
+    z, one, zero = F8.zeta, F8.one, F8.zero
+    x = z - z.conj()
+    for gram in _zero_minor_grams(F8):
+        gram = CycloMatrix.of(F8, gram)
+        assert not all(leading_minors(gram))
+        minors = jacobi_minors(gram)
+        assert all(minors)
+        # Delta_n = det(P* Psi P) = det(Psi) |det P|^2, a totally positive multiple
+        ratio = minors[-1] / det(gram)
+        assert ratio.conj() == ratio
+        assert all(real_sign(ratio, k) == 1 for k in F8.units)
+    # the minors before the first zero one are kept
+    gram = CycloMatrix.of(F8, [[x, x, zero], [x, x, one], [zero, -one, -x]])
+    assert jacobi_minors(gram)[0] == x
+
+
+@pytest.mark.parametrize("m", [3, 8, 13])
+def test_degenerate_forms_raise_with_the_oracles_rank(m):
+    F = cyclo_field(m)
+    z, one, zero = F.zeta, F.one, F.zero
+    x = z - z.conj()
+    grams = [
+        # e_0 is orthogonal to everything: the pair found is (1, 2), so the
+        # repair swaps e_0 with e_1 before it adds c * e_2
+        [[zero, zero, zero], [zero, zero, one], [zero, -one, zero]],
+        [[zero, one, zero], [-one, zero, zero], [zero, zero, zero]],
+        [[x, x, x], [x, x, x], [x, x, x]],
+        [[x, zero, zero, zero], [zero, zero, zero, z], [zero, zero, zero, zero],
+         [zero, -z.conj(), zero, zero]],
+        [[zero] * 2 for _ in range(2)],
+    ]
+    for gram in grams:
+        module = HermitianModule(F, gram)
+        with pytest.raises(SingularAtEmbedding) as oracle:
+            congruence_diagonal(F, module.gram)
+        with pytest.raises(SingularAtEmbedding) as jacobi:
+            signature_at(module, 1)
+        assert str(jacobi.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("flipped", ["odd", "even"])
+def test_the_oracle_sees_a_flipped_sign(monkeypatch, flipped):
+    # the odd-j signs come from imaginary_sign and the even-j ones from
+    # real_sign; negating either breaks the agreement with the oracle
+    F = cyclo_field(8)
+    rng = random.Random(81)
+    modules = [HermitianModule(F, rand_skew_hermitian(F, n, rng)) for n in (2, 3, 4)]
+    expected = [[diagonal_signature(F, congruence_diagonal(F, mod.gram), k) for k in F.units]
+                for mod in modules]
+    name = "imaginary_sign" if flipped == "odd" else "real_sign"
+    sign = getattr(hodge, name)
+    monkeypatch.setattr(hodge, name, lambda x, k: -sign(x, k))
+    got = [[signature_at(mod, k) for k in F.units] for mod in modules]
+    assert got != expected
 
 
 def test_degenerate_forms_raise(F8):
@@ -231,18 +405,31 @@ def test_low_starting_precision_escalates(monkeypatch):
     F = cyclo_field(16)
     module = HermitianModule(F, rand_skew_hermitian(F, 12, random.Random(8)))
     bits = []
-    sine_bounds = hodge._sine_bounds
+    trig_bounds = hodge._trig_bounds
 
     def recording(m, prec_bits):
         bits.append(prec_bits)
-        return sine_bounds(m, prec_bits)
+        return trig_bounds(m, prec_bits)
 
-    monkeypatch.setattr(hodge, "_sine_bounds", recording)
-    monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 8)
+    monkeypatch.setattr(hodge, "_trig_bounds", recording)
+    # 4 bits certify 80 of the 96 signs of this form, and 8 bits the rest
+    monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 4)
     low = [signature_at(module, k) for k in F.units]
-    assert min(bits) == 8 and max(bits) > 8
+    assert min(bits) == 4 and max(bits) > 4
     monkeypatch.undo()
     assert low == [signature_at(module, k) for k in F.units]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 13, 16, 101, 181])
+def test_trig_bounds_enclose_the_mpmath_values(m):
+    for prec_bits in (1, 4, 8, 64, 128, 256):
+        cosines, sines = hodge._trig_bounds(m, prec_bits)
+        with mpmath.workprec(prec_bits + 64):
+            for j in range(m):
+                angle = 2 * mpmath.pi * j / m
+                for (lo, hi), value in zip((cosines[j], sines[j]), mpmath.cos_sin(angle)):
+                    assert lo <= value * 2**prec_bits <= hi, (m, prec_bits, j)
+                    assert hi - lo <= 3, (m, prec_bits, j)
 
 
 def test_imaginary_sign(F5, monkeypatch):
@@ -250,6 +437,23 @@ def test_imaginary_sign(F5, monkeypatch):
     assert [imaginary_sign(x, k) for k in F5.units] == [1, 1, -1, -1]
     monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 8)
     assert imaginary_sign(x * Fraction(1, 10**40), 1) == 1
+
+
+def test_real_sign_escalates_from_8_bits(F5, monkeypatch):
+    # zeta + zeta^-1 = 2 cos(2 pi k / 5), 1/phi at k = 1: 89 * it - 55 is
+    # about 0.0034, far below what 8-bit bounds on 89 * cosine can resolve
+    c = F5.zeta + F5.zeta.conj()
+    x = c * 89 - 55
+    expected = [1 if 2 * mpmath.cos(2 * mpmath.pi * k / 5) * 89 > 55 else -1 for k in F5.units]
+    bits = []
+    trig_bounds = hodge._trig_bounds
+    monkeypatch.setattr(
+        hodge, "_trig_bounds", lambda m, prec: bits.append(prec) or trig_bounds(m, prec)
+    )
+    monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 8)
+    assert [real_sign(x, k) for k in F5.units] == expected == [1, -1, -1, 1]
+    assert min(bits) == 8 and max(bits) > 8
+    assert [real_sign(c, k) for k in F5.units] == [1, -1, -1, 1]
 
 
 def test_signature_conjugation_swap(F4, F5, F8):
