@@ -40,7 +40,7 @@ from .hodge import (
     verify_type11,
     wedge_weights,
 )
-from .instances import rand_perfect_pair
+from .instances import SamplingExhausted, rand_perfect_pair
 from .pairings import DegenerateForm, input_valuations, verify_prinz
 from .reporting import (
     PelInputError,
@@ -52,6 +52,7 @@ from .serretate import block_identities, generators
 
 EXIT_USAGE = 64
 EXIT_INPUT = 65
+EXIT_SOFTWARE = 70
 EXIT_IOERR = 74
 
 VERIFY_SUITES = ("data", "prinz", "vdrei", "vzehn", "embedding", "all")
@@ -594,6 +595,9 @@ def main(argv=None) -> int:
     except (PelInputError, RamifiedPrimeError, DegenerateForm, SingularAtEmbedding) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SamplingExhausted as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def entry() -> None:

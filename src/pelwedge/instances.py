@@ -31,13 +31,18 @@ def rand_skew_hermitian(field: CycloField, n: int, rng: random.Random) -> CycloM
     return CycloMatrix(field, upper.nums - upper.conj_transpose().nums)
 
 
+class SamplingExhausted(RuntimeError):
+    """`rand_perfect_pair` found no p-perfect gram in its draws."""
+
+
 def rand_perfect_pair(
     field: CycloField, n: int, p: int, rng: random.Random, max_attempts: int = 200
 ) -> tuple[HermitianModule, HermitianModule]:
     """Random rank-1 and rank-n skew-Hermitian modules, both p-perfect.
 
     Rejection sampling: random integral grams are p-perfect with
-    probability roughly 1 - 1/p."""
+    probability roughly 1 - 1/p; SamplingExhausted after max_attempts
+    rejected draws of one gram."""
 
     def draw(rank: int) -> HermitianModule:
         for _ in range(max_attempts):
@@ -47,7 +52,10 @@ def rand_perfect_pair(
                     return module
             except DegenerateForm:
                 continue
-        raise RuntimeError(f"no p-perfect gram of rank {rank} found at p={p}")
+        raise SamplingExhausted(
+            f"no p-perfect gram of rank {rank} at m={field.m}, n={n}, p={p} "
+            f"in {max_attempts} draws"
+        )
 
     return draw(1), draw(n)
 

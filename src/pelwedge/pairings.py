@@ -13,15 +13,20 @@ needs no field multiplication: it is one matmul of the gram's
 when the table's bound times the largest |numerator| is below 2^63 and
 on Python ints otherwise, then one gather.  The valuation has one
 algorithm for every prime p.  psi is alternating, so the numerators are
-eliminated over Z/p^e with 2 x 2 pivots [[0, x], [-x, 0]], x a unit: each
-is one rank-2 update that leaves the rest alternating, so an N-row form
-takes N/2 steps, not N.  From 80 rows on the updates are delayed: up to 48
-pairs wait in two panels, a pivot brings only the two rows it reads up to
-date, and the trailing block gets the waiting pairs as one matrix product,
-in float64 (BLAS) while it is exact and in int64 above that; below 80 rows
-each pivot updates the block at once.  A block that p divides throughout
-is divided by p, adding its size to the valuation at the cost of one digit
-of precision.  e starts at 1, where a p-perfect form finishes without
+eliminated over Z/p^e four rows at a time where it can: each step reads
+the first four rows, and when the Pfaffian of their leading 4 x 4 block is
+a unit mod p, that block is the pivot, inverted in closed form (-D / Pf,
+D the block's adjugate pattern); else the step takes a 2 x 2 pivot
+[[0, x], [-x, 0]], x a unit.  Either is one update X^T M X that leaves
+the rest alternating, so an N-row form takes between N/4 and N/2 steps,
+not N; M X is kept as centred residues, so that a 4-row update is no
+larger than two 2 x 2 ones.  From 80 rows on the updates are delayed: up
+to 96 pivot rows wait in two panels, a step brings only the rows it reads
+up to date, and the trailing block gets the waiting rows as one matrix
+product, in float64 (BLAS) while it is exact and in int64 above that;
+below 80 rows each step updates the block at once.  A block that p
+divides throughout is divided by p, adding its size to the valuation at
+the cost of one digit of precision.  e starts at 1, where a p-perfect form finishes without
 dividing, and doubles whenever the precision runs out, up to e_H, the least
 e with p^(2e) above the Hadamard bound H >= det^2; a determinant that p^e_H
 divides is 0.  The residues live in numpy int64 while p^e < 2^31 and in
@@ -147,17 +152,20 @@ _BLOCKED_PAIRS = 48
 
 def _elimination_plan(size: int, q: int):
     """(b, dtype, panel_dtype) for eliminating a size-row block mod q: the
-    block is updated once per b pivot pairs, it is held in `dtype` and the
-    pending pairs in `panel_dtype`.
+    block is updated once per at most 2b pivot rows (b pairs; a 4 x 4 pivot
+    counts as two), it is held in `dtype` and the pending rows in
+    `panel_dtype`.
 
-    Every pending entry lies in [0, q), so the update of b pairs adds less
-    than b * q^2 to an entry, and so does bringing a row up to date; the
-    block is reduced once its entries may reach 2^62, so it stays in int64
-    while 2^62 + b * q^2 < 2^63.  The products of the pending pairs run in
-    float64 (BLAS) while b * q^2 < 2^53, where every partial sum is an exact
-    integer, and in int64 above that.  b is 1 below `_BLOCKED_ROWS` rows,
-    where a matrix product costs more than it saves, and when q is too large
-    for int64 at b pairs; b = 1 runs on Python ints from q = 2^31 on."""
+    Each pending row pairs residues in [0, q) with centred residues of
+    absolute value at most q/2 (see `_det_valuation_mod`), so the update of
+    2b rows adds less than b * q^2 to an entry, and so does bringing a row
+    up to date; the block is reduced once its entries may reach 2^62, so it
+    stays in int64 while 2^62 + b * q^2 < 2^63.  The products of the
+    pending rows run in float64 (BLAS) while b * q^2 < 2^53, where every
+    partial sum is an exact integer, and in int64 above that.  b is 1 below
+    `_BLOCKED_ROWS` rows, where a matrix product costs more than it saves,
+    and when q is too large for int64 at b pairs; b = 1 runs on Python ints
+    from q = 2^31 on."""
     b = _BLOCKED_PAIRS if size >= _BLOCKED_ROWS else 1
     dtype = exact_dtype(2**62 + b * q * q)
     if dtype is object and b > 1:
@@ -165,105 +173,149 @@ def _elimination_plan(size: int, q: int):
     return b, dtype, np.float64 if b * q * q < 2**53 else dtype
 
 
+def _swap(i: int, j: int, *arrays) -> None:
+    """Swap the columns i and j of each 2-d array in place."""
+    for array in arrays:
+        column = array[:, i].copy()
+        array[:, i] = array[:, j]
+        array[:, j] = column
+
+
+def _block_inverse(upper, p: int, q: int):
+    """The inverse mod q of the alternating 4 x 4 block A whose entries above
+    the diagonal are upper = (a01, a02, a03, a12, a13, a23), as a tuple of
+    rows with entries in (-q, q), or None when A is singular mod p.
+
+    det A = Pf^2 for the Pfaffian Pf = a01 a23 - a02 a13 + a03 a12, and
+    A D = -Pf I for D = [[0, a23, -a13, a12], [-a23, 0, a03, -a02],
+    [a13, -a03, 0, a01], [-a12, a02, -a01, 0]], so A^-1 = -D / Pf."""
+    a01, a02, a03, a12, a13, a23 = upper
+    pf = a01 * a23 - a02 * a13 + a03 * a12
+    if not pf % p:
+        return None
+    c = pow(-pf, -1, q)
+    m01, m02, m03, m12, m13, m23 = (c * y % q for y in upper)
+    return ((0, m23, -m13, m12), (-m23, 0, m03, -m02), (m13, -m03, 0, m01), (-m12, m02, -m01, 0))
+
+
 def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
     """v_p(det nums) for a square alternating integer array and a prime p,
-    by elimination over Z/p^e with 2 x 2 pivots, or None when e is too
-    small to decide it.
+    by elimination over Z/p^e with 4 x 4 and 2 x 2 pivot blocks, or None
+    when e is too small to decide it.
 
-    A pivot [[0, x], [-x, 0]] with x a unit mod p has det x^2, so it leaves
-    the valuation of the remaining block unchanged.  x is the first unit of
-    the block's first row when that row has one, else the first unit
-    anywhere in the block, which lies above the diagonal and is brought to
-    (0, 1) by a symmetric swap of rows and columns.  With u and w the rows 0
-    and 1 right of the pivot and y = u / x, the Schur complement of the
-    pivot is block + w y^T - y w^T, alternating again (J. R. Bunch, Math.
-    Comp. 38, 1982).  The updates are delayed (J.-G. Dumas, P. Giorgi and
-    C. Pernet, ACM TOMS 35, 2008): the block gets those of b pairs at once,
-    one matrix product, and until then the pairs are pending in two panels
-    whose columns are swapped with the block's rows; a pivot reads only the
-    rows 0 and 1 of the block, brought up to date from the panels, and the
-    pending pairs are applied before the block is read whole.  b = 1 (see
-    `_elimination_plan`) updates the block at every pivot.  When p divides
-    every entry of the block, det(block) = p^size * det(block / p), and
-    block / p is known mod p^(e-1).  None means such a block was met mod p,
-    so p^e divides det."""
+    Each step reads the rows 0 to 3 of the block.  When the Pfaffian of the
+    leading 4 x 4 block is a unit mod p, so is its det, Pf^2, and the block
+    is the pivot, its inverse M in closed form (`_block_inverse`).  Else
+    the pivot is [[0, x], [-x, 0]] with x a unit mod p, M = [[0, -1/x],
+    [1/x, 0]]: x is the first unit of the block's first row when that row
+    has one, else the first unit anywhere in the block, which lies above
+    the diagonal and is brought to (0, 1) by a symmetric swap of rows and
+    columns (J. R. Bunch, Math. Comp. 38, 1982).  Either pivot leaves the
+    valuation of the remaining block unchanged, and with X its k rows right
+    of the pivot, the Schur complement is block + X^T M X, alternating
+    again; an N-row form takes between N/4 and N/2 steps.  X is held in
+    [0, q) and M X as centred residues, of absolute value at most q/2, so
+    each pivot row adds less than q^2/2 to an entry: a 4-row step counts as
+    two pairs in the bounds of `_elimination_plan`.  The updates are delayed
+    (J.-G. Dumas, P. Giorgi and C. Pernet, ACM TOMS 35, 2008): up to 2b
+    pivot rows wait in two panels, X in `left` and M X in `right`, whose
+    columns are swapped with the block's rows, and the block gets them as
+    one matrix product left^T right when the next step would not fit; a
+    step reads only the rows it needs, brought up to date from the panels,
+    and the pending steps are applied before the block is read whole.
+    b = 1 updates the block at every step, with X centred too, so that a
+    4-row step adds at most q^2, as a pair does.  When p divides every
+    entry of the block, det(block) = p^size * det(block / p), and block / p
+    is known mod p^(e-1).  None means such a block was met mod p, so p^e
+    divides det."""
     q = p**e
     b, dtype, panel_dtype = _elimination_plan(len(nums), q)
     if dtype is object:
         a = nums.astype(object) % q
     else:
         a = (nums % q).astype(np.int64, copy=False)
-    # pending pair j is (w, y) in the rows 2j and 2j + 1 of `left` and (y, -w)
-    # in those of `right`, so its update w y^T - y w^T is in left^T right
-    left = np.empty((2 * b - 2, len(a)), panel_dtype)
+    # the pending steps: a step's rows X right of its pivot block in `left`
+    # and M X in `right`, so their update X^T M X is in left^T right
+    left = np.empty((2 * b, len(a)), panel_dtype)
     right = np.empty_like(left)
-    v = pending = 0
+    v = pending = 0  # pending: the rows in the panels
     bound = q  # every |entry| of the block is below bound
+    half = q // 2
 
-    def pending_update(rows=slice(None)):
-        """What the pending pairs add to the given rows of the block."""
-        t = left[: 2 * pending, rows].T @ right[: 2 * pending]
-        return t.astype(dtype, copy=False)
+    def read(rows: int):
+        """The first rows of the block, brought up to date, mod q."""
+        head = a[:rows]
+        if pending:
+            head = head + (left[:pending, :rows].T @ right[:pending]).astype(dtype, copy=False)
+        return head % q
 
-    def update(t, pairs: int) -> None:
-        """Add the alternating update t of `pairs` pivot pairs to the block."""
+    def update(t, rows: int) -> None:
+        """Add the alternating update t of steps with `rows` pivot rows."""
         nonlocal a, bound
         a += t
-        bound += pairs * q * q
+        bound += rows // 2 * q * q
         if bound >= 2**62:
             a %= q
             bound = q
 
+    def flush() -> None:
+        """Apply the pending steps to the block."""
+        nonlocal pending
+        if pending:
+            update((left[:pending].T @ right[:pending]).astype(dtype, copy=False), pending)
+            pending = 0
+
     while len(a):
-        first = a[0] + pending_update(0) if pending else a[0]
-        units = np.flatnonzero(first % p)
-        if units.size:
-            r, s = 0, int(units[0])
+        head = read(4)
+        m = None
+        if len(a) >= 4:
+            row0, row1, row2 = head[:3, :4].tolist()
+            m = _block_inverse((*row0[1:], *row1[2:], row2[3]), p, q)
+        if m is not None:
+            k = 4
         else:
-            if pending:
-                update(pending_update(), pending)
-                pending = 0
-            units = np.flatnonzero(a % p)
-            if not units.size:
-                if q == p:
-                    return None
-                a %= q  # so every |entry| is below q // p after the division
-                a //= p
-                q //= p
-                bound = q
-                v += len(a)
-                continue
-            # the first unit in row order: its mirror image is in a later row
-            r, s = divmod(int(units[0]), len(a))
-        for i, j in ((0, r), (1, s)):
-            if i != j:
-                a[[i, j]] = a[[j, i]]
-                a[:, [i, j]] = a[:, [j, i]]
-                if pending:
-                    left[: 2 * pending, [i, j]] = left[: 2 * pending, [j, i]]
-                    right[: 2 * pending, [i, j]] = right[: 2 * pending, [j, i]]
-        if pending:  # so r = 0, and `first` was read before the swap
-            first[[1, s]] = first[[s, 1]]
-            second = a[1] + pending_update(1)
-        else:
-            first, second = a[0], a[1]
-        w = second[2:] % q
-        y = first[2:] % q * pow(int(first[1]) % q, -1, q) % q
-        a = a[2:, 2:]
-        if pending < b - 1:  # the pair waits
-            left[2 * pending, 2:], left[2 * pending + 1, 2:] = w, y
-            right[2 * pending, 2:], right[2 * pending + 1, 2:] = y, -w
-            pending += 1
-        else:  # the b-th pair: the block gets all b
-            t = np.outer(w, y)
-            t -= t.T
-            if pending:
-                left, right = left[:, 2:], right[:, 2:]
-                t += pending_update()
-                pending = 0
-            update(t, b)
+            units = np.flatnonzero(head[0] % p)
+            if units.size:
+                r, s = 0, int(units[0])
+            else:
+                flush()
+                units = np.flatnonzero(a % p)
+                if not units.size:
+                    if q == p:
+                        return None
+                    a %= q  # so every |entry| is below q // p after the division
+                    a //= p
+                    q //= p
+                    bound, half = q, q // 2
+                    v += len(a)
+                    continue
+                # the first unit in row order: its mirror image is in a later row
+                r, s = divmod(int(units[0]), len(a))
+            for i, j in ((0, r), (1, s)):
+                if i != j:
+                    _swap(i, j, a, a.T, left[:pending], right[:pending])
+            if r or s >= len(head):
+                head = read(2)
+            elif s > 1:
+                _swap(1, s, head, head.T)
+            c = pow(int(head[0, 1]), -1, q)
+            k, m = 2, ((0, -c), (c, 0))
+        x = head[:k, k:]
+        if b == 1:  # X^T M X goes into the block at once: at most q^2 an entry
+            x = (x + half) % q - half
+        mx = np.array(m, dtype) @ x
+        mx += half
+        mx %= q
+        mx -= half
+        a = a[k:, k:]
+        if b == 1:
+            update((x.T.astype(panel_dtype) @ mx.astype(panel_dtype)).astype(dtype, copy=False), k)
             continue
-        left, right = left[:, 2:], right[:, 2:]  # the panels follow the block
+        left, right = left[:, k:], right[:, k:]  # the panels follow the block
+        if pending + k > len(left):
+            flush()
+        left[pending : pending + k], right[pending : pending + k] = x, mx
+        pending += k
     return v
 
 

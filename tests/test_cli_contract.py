@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pelwedge import cli, cyclofield, reporting
+from pelwedge import cli, cyclofield, instances, reporting
 from pelwedge.cli import (
     ENTRIES,
     EXIT_INPUT,
     EXIT_IOERR,
+    EXIT_SOFTWARE,
     EXIT_USAGE,
     TABLE_KINDS,
     VERIFY_SUITES,
@@ -186,6 +188,24 @@ def test_a_stdout_closed_by_its_reader_exits_74_without_a_traceback(argv):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == EXIT_IOERR
     assert b"Traceback" not in err and err == b""
+
+
+def test_a_sampler_that_rejects_every_draw_exits_70_without_a_traceback(capsys, monkeypatch):
+    # p times a skew-Hermitian gram: p divides its trace form, so every draw
+    # is rejected as not p-perfect
+    draw = instances.rand_skew_hermitian
+    monkeypatch.setattr(
+        instances, "rand_skew_hermitian",
+        lambda field, n, rng: cyclofield.CycloMatrix(field, 3 * draw(field, n, rng).nums),
+    )
+    code = main(["verify", "prinz", "--trials", "2", "--seed", "1", "--m", "5", "--p", "3", "--n", "3"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_SOFTWARE == 70
+    assert out == ""
+    assert re.fullmatch(
+        r"internal error: no p-perfect gram of rank 1 at m=5, n=[123], p=3 in 200 draws\n", err
+    ), err
+    assert "Traceback" not in err
 
 
 def test_undecodable_pel_is_an_input_error(capsys, tmp_path):

@@ -31,6 +31,7 @@ from pelwedge.instances import (
 from pelwedge.pairings import (
     DegenerateForm,
     TraceGram,
+    _block_inverse,
     _det_valuation,
     _det_valuation_mod,
     _elimination_plan,
@@ -1097,13 +1098,39 @@ def congruent_alternating(rng, pivots):
     return md @ m.T.astype(object)
 
 
+def congruent_blocks(rng, block, size):
+    """M B M^T with B block diagonal of copies of the 4 x 4 `block` (and a
+    last pivot [[0, 1], [-1, 0]] when 4 does not divide size), M lower
+    unitriangular with entries in [-1, 1]: every 4-row step that starts on
+    a block boundary meets a leading block congruent to `block`."""
+    b = np.zeros((size, size), dtype=np.int64)
+    for i in range(0, size - 3, 4):
+        b[i : i + 4, i : i + 4] = block
+    if size % 4:
+        b[-2, -1], b[-1, -2] = 1, -1
+    m = np.tril(rng.integers(-1, 1, (size, size), endpoint=True), -1) + np.eye(size, dtype=np.int64)
+    return m @ b @ m.T
+
+
+def alternating_block(a01, a02, a03, a12, a13, a23):
+    return np.array([[0, a01, a02, a03], [-a01, 0, a12, a13],
+                     [-a02, -a12, 0, a23], [-a03, -a13, -a23, 0]], dtype=np.int64)
+
+
 def elimination_cases(rng, p, size):
     """(label, matrix) of one even size: random, with p dividing some rows,
-    and congruent forms whose block p divides throughout, or whose first
-    row has no unit, after pairs that are still pending."""
+    congruent forms whose block p divides throughout, or whose first row
+    has no unit, after pairs that are still pending, and congruent forms
+    whose leading 4 x 4 blocks have a unit a01 but a Pfaffian 0 mod p (a
+    2 x 2 pivot) or a01 = 0 mod p but a unit Pfaffian (a 4 x 4 pivot)."""
     yield "random", random_alternating(rng, size)
     scale = np.where(rng.random(size) < 0.3, p, 1)
     yield "rows times p", scale[:, None] * random_alternating(rng, size, 3) * scale
+    if size >= 4:
+        # Pf = a01 a23 - a02 a13 + a03 a12 = p - p + 0
+        yield "unit a01, Pfaffian 0", congruent_blocks(rng, alternating_block(1, 1, 0, 2, p, p), size)
+        # Pf = p * 1 - 1 * 1 + 0 = p - 1
+        yield "a01 = 0, unit Pfaffian", congruent_blocks(rng, alternating_block(p, 1, 0, 2, 1, 1), size)
     pairs = size // 2
     if pairs < 2:
         return
@@ -1116,6 +1143,28 @@ def elimination_cases(rng, p, size):
         rng, units[:pending] + [p * units[pending]] + units[pending + 1 :])
     tail[: len(tail) // 2] = [p * x for x in tail[: len(tail) // 2]]
     yield "two divisions", congruent_alternating(rng, units[:pending] + tail)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 3), (3, 1), (3, 3)])
+def test_the_block_inverse_inverts_random_4x4_blocks(p, e):
+    rng = random.Random(6000 + 10 * p + e)
+    q = p**e
+    inverted = singular = 0
+    for _ in range(200):
+        upper = [rng.randrange(-2 * q, 2 * q) for _ in range(6)]
+        a = alternating_block(*upper)
+        m = _block_inverse(upper, p, q)
+        a01, a02, a03, a12, a13, a23 = upper
+        if (a01 * a23 - a02 * a13 + a03 * a12) % p == 0:
+            assert m is None
+            singular += 1
+            continue
+        m = np.array(m, dtype=np.int64)
+        assert np.all(abs(m) < q)
+        assert np.array_equal((a @ m) % q, np.eye(4, dtype=np.int64))
+        assert np.array_equal(m.T, -m)
+        inverted += 1
+    assert inverted > 50 and singular > 10
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 2**31 - 1])
