@@ -13,14 +13,19 @@ immutable and exact.
 A matrix over the field is a `CycloMatrix`: one integer array of shape
 (rows, cols, phi(m)) over one positive denominator, with a matrix
 product (`@`), a conjugate transpose and scaling by an element.
-`CycloField` turns the same power table into three integer matrices,
-built on first use, through which whole arrays are multiplied (`dot`),
-conjugated (`conjugate`) and traced against every power of zeta
-(`shifted_traces`).
-Each of these stages runs in numpy int64 only when a bound taken from the
-actual largest |entry| of its inputs proves that no intermediate value
-reaches 2^63, and otherwise runs the same code on Python ints (object
-dtype).
+`CycloField` turns the same power table into three matrices, built on
+first use.  Whole arrays are conjugated (`conjugate`) and traced against
+every power of zeta (`shifted_traces`) through two integer matrices, in
+numpy int64 only when a bound taken from the actual largest |entry| of
+the input proves that no value reaches 2^63, and otherwise by the same
+code on Python ints (object dtype).  Matrices over the field are
+multiplied by one exact product (`matmul`): float64 matrix products
+(BLAS) of the numerators by the band matrices of the entries, then by
+the rows zeta^s, exact while a bound proves every partial sum below
+2^53; above it the numerators are split into signed limbs first, and
+the limb results are combined in int64, or past 2^63 on Python ints,
+entry by entry of the result.  No product is a matrix product on Python
+ints.
 """
 
 from __future__ import annotations
@@ -197,9 +202,9 @@ class _IntegerMap:
     largest column sum of |matrix|, so |x @ matrix| <= bound * max|x| and
     every partial sum of the product stays below that too."""
 
-    def __init__(self, matrix: np.ndarray, bound: int | None = None):
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.bound = magnitude(np.abs(matrix).sum(axis=0)) if bound is None else bound
+        self.bound = magnitude(np.abs(matrix).sum(axis=0))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """x @ matrix, in int64 when bound * max|x| < 2^63."""
@@ -294,16 +299,17 @@ class CycloField:
         return terms
 
     @cached_property
-    def _products(self) -> _IntegerMap:
-        """Row s is zeta^s, s < 2*degree - 1: a convolution of numerators
-        times it is the product.  Its bound is max_t sum_s w_s |zeta^s_t|,
-        with w_s = min(s + 1, 2*degree - 1 - s) the number of terms of
-        convolution coefficient s, so |x*y| <= bound * max|x| * max|y|; the
-        bound is at least degree, which bounds each coefficient too."""
+    def _products(self) -> tuple[np.ndarray, int]:
+        """(table, bound): row s of table is zeta^s, s < 2*degree - 1, in
+        float64, so a convolution of numerators times it is the product.
+        bound is max_t sum_s w_s |zeta^s_t|, with w_s = min(s + 1, 2*degree
+        - 1 - s) the number of terms of convolution coefficient s, so
+        |x*y| <= bound * max|x| * max|y|; the bound is at least degree,
+        which bounds each coefficient too."""
         d = self.degree
         table = integer_array(self._zeta_powers[: 2 * d - 1])
         weights = np.minimum(np.arange(1, 2 * d), np.arange(2 * d - 1, 0, -1))
-        return _IntegerMap(table, magnitude(np.abs(table).T.astype(object) @ weights))
+        return table.astype(np.float64), magnitude(np.abs(table).T.astype(object) @ weights)
 
     @cached_property
     def conjugate(self) -> _IntegerMap:
@@ -326,21 +332,132 @@ class CycloField:
         sums = integer_array([_ramanujan_sum(m, t) for t in range(m)])
         return _IntegerMap(sums[(np.arange(d)[:, None] + np.arange(1 - d, d)) % m])
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Numerators of the sums over axis -2 of the products x * y, for
-        numerator arrays x and y of shape (..., terms, degree), the other
-        axes broadcast.  It runs in int64 when terms * bound * max|x| *
-        max|y| < 2^63, else on Python ints."""
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Numerators of the matrix product over L of numerator arrays x of
+        shape (..., r, t, degree) and y of shape (..., t, c, degree), the
+        other axes broadcast: an array (..., r, c, degree), exact.
+
+        Every partial sum of the product is at most t * bound * max|x| *
+        max|y| (`_products`), and at most the finer `_sum_bound` of the
+        entries of x and y.  Below 2^53 the product is two float64 matrix
+        products (`_float_matmul`), every partial sum an exact integer
+        whatever order BLAS sums in.  Above it, x and y are first split
+        into signed limbs (`_limbs`) so narrow that each pair of limbs stays
+        below 2^53; the limbs of x become more rows and those of y more
+        columns of one float64 product, and the limb results are combined
+        in int64 when the bound is below 2^63, else on Python ints, entry
+        by entry of the result."""
         d = self.degree
-        products = self._products
-        terms = max(x.shape[-2], y.shape[-2])
-        dtype = exact_dtype(terms * products.bound * magnitude(x) * magnitude(y))
-        # outer[..., i, j] = sum over the terms of x_i * y_j
-        outer = np.swapaxes(x.astype(dtype, copy=False), -1, -2) @ y.astype(dtype, copy=False)
-        conv = np.zeros(outer.shape[:-2] + (2 * d - 1,), dtype=dtype)
-        for i in range(d):
-            conv[..., i : i + d] += outer[..., i, :]
-        return conv @ products.matrix.astype(dtype, copy=False)
+        r, t = x.shape[-3:-1]
+        c = y.shape[-2]
+        x_max, y_max = magnitude(x), magnitude(y)
+        scale = t * self._products[1]
+        bound = scale * x_max * y_max
+        if bound >= 2**53 and x.dtype != object and y.dtype != object:
+            bound = self._sum_bound(x, y)
+        dtype = exact_dtype(bound)
+        if not bound:
+            batch = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+            return np.zeros((*batch, r, c, d), dtype=dtype)
+        if bound < 2**53:
+            return self._float_matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
+        # scale * 2^wx * 2^wy <= 2^53 while wx + wy <= room; a side that
+        # fits in half of room stays one limb
+        room = 53 - (scale - 1).bit_length()
+        x_bits, y_bits = x_max.bit_length(), y_max.bit_length()
+        if x_bits <= room // 2:
+            wx, wy = x_bits, room - x_bits
+        elif y_bits <= room // 2:
+            wx, wy = room - y_bits, y_bits
+        else:
+            wx = wy = room // 2
+        nx, ny = -(-x_bits // wx), -(-y_bits // wy)
+        xs = _limbs(x, wx, nx, -4).reshape(*x.shape[:-3], nx * r, t, d)
+        ys = _limbs(y, wy, ny, -3).reshape(*y.shape[:-3], t, ny * c, d)
+        pairs = self._float_matmul(xs, ys).astype(np.int64)
+        pairs = pairs.reshape(*pairs.shape[:-3], nx, r, ny, c, d)
+        b = pairs.ndim - 5  # the batch axes
+        pairs = pairs.transpose(b, b + 2, *range(b), b + 1, b + 3, b + 4)
+        # (nx, ny, ..., r, c, d): the limb pair (i, j) is worth 2^(wx i +
+        # wy j) = 2^(unit (i + j)), as wx = wy where both sides have limbs
+        unit = wx if ny == 1 else wy
+        if nx == 1 or ny == 1:
+            sums = pairs.reshape(nx * ny, *pairs.shape[2:])
+        else:
+            sums = np.zeros((nx + ny - 1, *pairs.shape[2:]), dtype=np.int64)
+            for i in range(nx):  # each sum is below min(nx, ny) * 2^53
+                sums[i : i + ny] += pairs[i]
+        if dtype is np.int64:  # every partial sum below is below the bound
+            shifts = unit * np.arange(len(sums)).reshape(-1, *[1] * (sums.ndim - 1))
+            return np.left_shift(sums, shifts).sum(axis=0)
+        out = sums[-1].astype(object)
+        for part in sums[-2::-1]:
+            out = (out << unit) + part.astype(object)
+        return out
+
+    def _sum_bound(self, x: np.ndarray, y: np.ndarray) -> float:
+        """A bound on every partial sum of the `matmul` of int64 arrays x and
+        y, finer than t * bound * max|x| * max|y| where the sizes of the
+        entries differ: bound * the largest over (r, c) of the sums over
+        the terms of max|x[r, t]| * max|y[t, c]|, from one float64 product,
+        rounded up."""
+        rows = np.abs(x.astype(np.float64)).max(axis=-1)  # |-2^63| too
+        cols = np.abs(y.astype(np.float64)).max(axis=-1)
+        return float((rows @ cols).max()) * self._products[1] * (1 + 2**-32)
+
+    def _float_matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """`matmul` of float64 numerator arrays whose partial sums are all
+        exact.  Row i of the band matrix H(v) of a numerator v, H(v)[i, s] =
+        v_(s-i), is the convolution of zeta^i with v.  For each column of y,
+        conv = x @ H over the t * degree inner axis, H the bands of the
+        column's entries stacked, and conv @ table takes the 2 * degree - 1
+        convolution coefficients to the basis (`_products`).  A band takes
+        degree * (2 * degree - 1) floats, so the terms are taken in chunks
+        of at most `_BAND_FLOATS` floats of bands."""
+        d = self.degree
+        table = self._products[0]
+        r, t = x.shape[-3:-1]
+        c = y.shape[-2]
+        # (..., c, t, 3d - 2): y by columns, each numerator between d - 1
+        # zeros, so that H[i] is its 2d - 1 places from place d - 1 - i on
+        pad = np.zeros((*y.shape[:-3], c, t, 3 * d - 2))
+        pad[..., d - 1 : 2 * d - 1] = np.swapaxes(y, -3, -2)
+        rows = x.reshape(*x.shape[:-3], 1, r, t * d)
+        step = max(1, _BAND_FLOATS // (pad[..., 0, 0].size * d * (2 * d - 1)))
+        conv = 0
+        for start in range(0, t, step):
+            terms = min(step, t - start)
+            # the bands of these terms as a view of pad, then one copy
+            bands = np.ndarray(
+                (*pad.shape[:-2], terms, d, 2 * d - 1), pad.dtype, pad,
+                start * pad.strides[-2] + (d - 1) * pad.itemsize,
+                (*pad.strides[:-1], -pad.itemsize, pad.itemsize),
+            ).reshape(*pad.shape[:-2], terms * d, 2 * d - 1)
+            conv = conv + rows[..., start * d : (start + terms) * d] @ bands
+        out = (conv.reshape(-1, 2 * d - 1) @ table).reshape(*conv.shape[:-1], d)
+        return np.swapaxes(out, -3, -2)
+
+
+# the floats of one chunk of band matrices in `CycloField._float_matmul`
+_BAND_FLOATS = 2**20
+
+
+def _limbs(a: np.ndarray, width: int, count: int, axis: int) -> np.ndarray:
+    """The signed limbs of an integer array as float64, along a new axis of
+    length count at `axis` (< 0) of the result: limb l holds the bits
+    l*width .. (l+1)*width - 1 of |a| with the sign of a, so that
+    a = sum_l limb_l 2^(l*width) and |a| = sum_l |limb_l| 2^(l*width)."""
+    a = a[(..., None) + (slice(None),) * (-axis - 1)]
+    if count == 1:
+        return a.astype(np.float64)
+    shape = (count,) + (1,) * (-axis - 1)
+    if a.dtype == object:
+        shifts = np.array([width * l for l in range(count)], dtype=object).reshape(shape)
+        limbs = ((np.abs(a) >> shifts) & ((1 << width) - 1)).astype(np.float64)
+        return np.negative(limbs, out=limbs, where=a < 0)
+    size = np.abs(a).view(np.uint64)  # |-2^63| too
+    shifts = np.arange(0, width * count, width, dtype=np.uint64).reshape(shape)
+    return np.copysign(((size >> shifts) & np.uint64((1 << width) - 1)).astype(np.float64), a)
 
 
 @lru_cache(maxsize=None)
@@ -426,7 +543,7 @@ class CycloElement:
                 for j, b in enumerate(other.num):
                     if b:
                         prod[i + j] += a * b
-        # convolution coefficient s >= d times zeta^s, as `CycloField.dot` reduces
+        # convolution coefficient s >= d times zeta^s, as `CycloField.matmul` reduces
         out = prod[:d]
         for c, terms in zip(prod[d:], field._high_powers):
             if c:
@@ -595,24 +712,27 @@ class CycloMatrix(Sequence):
     __hash__ = None
 
     def __matmul__(self, other: "CycloMatrix") -> "CycloMatrix":
-        """The matrix product: one `CycloField.dot` over the inner axis."""
+        """The matrix product: one `CycloField.matmul`."""
         if not isinstance(other, CycloMatrix):
             return NotImplemented
         if other.field != self.field:
             raise ValueError("elements of different fields")
         if self.shape[1] != other.shape[0]:
             raise ValueError("dimension mismatch")
-        nums = self.field.dot(self.nums[:, None], np.swapaxes(other.nums, 0, 1)[None])
+        nums = self.field.matmul(self.nums, other.nums)
         return CycloMatrix(self.field, nums, self.den * other.den)
 
     def __mul__(self, x: CycloElement) -> "CycloMatrix":
-        """Every entry times the element x: one `CycloField.dot`."""
+        """Every entry times the element x: one `CycloField.matmul` of the
+        column of entries by x."""
         if not isinstance(x, CycloElement):
             return NotImplemented
         if x.field != self.field:
             raise ValueError("elements of different fields")
-        nums = self.field.dot(self.nums[..., None, :], integer_array([x.num]))
-        return CycloMatrix(self.field, nums, self.den * x.den)
+        d = self.field.degree
+        column = self.nums.reshape(-1, 1, d)
+        nums = self.field.matmul(column, integer_array(x.num).reshape(1, 1, d))
+        return CycloMatrix(self.field, nums.reshape(self.nums.shape), self.den * x.den)
 
     def conj_transpose(self) -> "CycloMatrix":
         """The transpose of the CM conjugates: one `CycloField.conjugate`."""

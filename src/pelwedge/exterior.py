@@ -7,12 +7,12 @@ paths, chosen from the entries:
 
 - Over L = Q(zeta_m), a `CycloMatrix`, the minors are built by levels
   on one integer array (rows, cols, phi(m)): level j+1 is one gather from
-  level j and from the matrix, one batched product through the field's
-  power table and one sum over the j+1 terms of the expansion along the
-  last row.  The gather indices are cached per (n, k).  A level runs in
-  int64 when (j+1) * bound * max|A| * max|M_j| < 2^63, from the actual
-  largest entries of the matrix A and of level j and the field's product
-  bound, and on Python ints otherwise.
+  level j and from the matrix, and one batched `CycloField.matmul` of the
+  j+1 entries of the last row by their j-row minors, which sums the terms
+  of the expansion along that row.  The gather indices are cached per
+  (n, k).  The product's bounds, from the actual largest entries of the
+  matrix and of level j, keep it exact: in float64 below 2^53, on limbs
+  above, with a result in int64 below 2^63 and on Python ints above.
 - Over any other commutative ring (ints, Fractions, `serretate.Polynomial`s,
   sympy expressions or CycloElements given as rows, with +, -, * and
   truthiness-as-nonzero), `leading_compounds` walks the same levels once
@@ -29,8 +29,9 @@ paths, chosen from the entries:
 `det` is the n x n case of the generic path.  Over L it is the last of
 the `leading_minors`, which one division-free Berkowitz pass makes for
 every leading block at once in O(n^4) field products (`_berkowitz`; the
-same pass gives the `characteristic_polynomial`), so L keeps one
-determinant; a level walk would hold 2^n minors.
+same pass gives the characteristic polynomials of the leading blocks,
+`minors_and_polynomials`), so L keeps one determinant; a level walk would
+hold 2^n minors.  Every product over L is a `CycloField.matmul`.
 
 `wedge_gram` is the L path followed by one scaling, by psi0^(1-k), and
 returns a `CycloMatrix`; `multiplier` is two `CycloMatrix` products and
@@ -326,7 +327,8 @@ def _field_compound(matrix: CycloMatrix, k: int) -> CycloMatrix:
     for last, rest, entry, rest_cols, signs in steps:
         terms = a[last[:, None, None], entry] * signs[:, None]
         below = minors[rest[:, None, None], rest_cols]
-        minors = field.dot(terms, below)
+        # one (1, j + 1) by (j + 1, 1) product over L for each minor
+        minors = field.matmul(terms[..., None, :, :], below[..., None, :])[..., 0, 0, :]
     return CycloMatrix(field, minors[order][:, order], matrix.den**k)
 
 
@@ -341,9 +343,10 @@ def _berkowitz(matrix: CycloMatrix) -> list[np.ndarray]:
     is T_k p_k for the Toeplitz matrix T_k of (1, -N[k, k], -r_k c_k,
     -r_k N_k c_k, .., -r_k N_k^(k-1) c_k).  Column k of V_i holds
     N_k^i c_k above row k and 0 from row k down, so U_i = N V_i is one
-    `CycloField.dot` per power i < n - 1, and U_i[k, k] = r_k N_k^i c_k;
-    the strict upper triangle of U_i is V_(i+1).  Then one dot per k
-    takes p_k to p_(k+1): 2n - 1 array calls and no inverse."""
+    `CycloField.matmul` per power i < n - 1, and U_i[k, k] = r_k N_k^i
+    c_k; the strict upper triangle of U_i is V_(i+1).  Then one
+    matrix-vector `matmul` per k takes p_k to p_(k+1): 2n - 1 products
+    and no inverse."""
     field, a = matrix.field, matrix.nums
     n = len(matrix)
     if matrix.shape != (n, n):
@@ -352,7 +355,7 @@ def _berkowitz(matrix: CycloMatrix) -> list[np.ndarray]:
     v = np.where(upper, a, 0)
     powers = []  # powers[i][k, k - i - 1] = r_k N_k^i c_k, for the columns k > i
     for i in range(n - 1):
-        u = field.dot(a[:, None], np.swapaxes(v[:, i + 1 :], 0, 1)[None])
+        u = field.matmul(a, v[:, i + 1 :])
         powers.append(u)
         v = np.zeros((n, n, field.degree), dtype=u.dtype)
         v[:, i + 1 :] = np.where(upper[:, i + 1 :], u, 0)
@@ -365,25 +368,27 @@ def _berkowitz(matrix: CycloMatrix) -> list[np.ndarray]:
             [0 * one, one, -a[k, k], *(-u[k, k - i - 1] for i, u in enumerate(powers[:k]))]
         )
         toeplitz = column[np.maximum(np.arange(k + 2)[:, None] - np.arange(k + 1) + 1, 0)]
-        polys.append(field.dot(toeplitz, polys[-1][None]))
+        polys.append(field.matmul(toeplitz, polys[-1][:, None])[:, 0])
     return polys
-
-
-def characteristic_polynomial(matrix: CycloMatrix) -> np.ndarray:
-    """det(x I - N) for the numerator array N of a square matrix over L,
-    as an (n + 1, phi(m)) array of numerators from the leading 1 down."""
-    return _berkowitz(matrix)[-1]
 
 
 def leading_minors(matrix: CycloMatrix) -> tuple[CycloElement, ...]:
     """Delta_1 .. Delta_n, the leading principal minors of a square matrix
-    over L: Delta_k = (-1)^k p_k(0) / den^k for the polynomials p_k of
-    one Berkowitz pass (see `_berkowitz`)."""
+    over L, from one Berkowitz pass: the first of `minors_and_polynomials`."""
+    return minors_and_polynomials(matrix)[0]
+
+
+def minors_and_polynomials(matrix: CycloMatrix):
+    """(Delta_1 .. Delta_n, p_0 .. p_n) from one Berkowitz pass over a square
+    matrix over L: the polynomials p_k of `_berkowitz`, of the leading
+    blocks of its numerator array, and Delta_k = (-1)^k p_k(0) / den^k."""
     field, den = matrix.field, matrix.den
-    return tuple(
+    polys = _berkowitz(matrix)
+    minors = tuple(
         CycloElement(field, tuple((-1) ** k * int(c) for c in p[-1]), den**k)
-        for k, p in enumerate(_berkowitz(matrix)[1:], 1)
+        for k, p in enumerate(polys[1:], 1)
     )
+    return minors, polys
 
 
 def det(matrix) -> object:

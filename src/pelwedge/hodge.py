@@ -6,9 +6,12 @@ A `HermitianModule` holds its Gram matrix as a `CycloMatrix`, one
 skew-Hermitian symmetry on that array in int64 when the conjugation
 bound times the largest |entry| is below 2^63, else on Python ints.  The
 signatures are read by Jacobi's rule from the signs of the leading
-principal minors, made division-free by `exterior.leading_minors` and
-repaired by an exact congruence where one is 0 (`jacobi_minors`); no
-field element is inverted.
+principal minors, made division-free by one Berkowitz pass
+(`exterior.minors_and_polynomials`) and repaired by an exact congruence
+where one is 0 (`jacobi_minors`), whose bordered minors take the
+characteristic polynomial of the leading block from that same pass.  No
+field element is inverted, and every product over L is a
+`CycloField.matmul`.
 
 The central check is `verify_type11`: combining the per-embedding wedge
 weight table with the twist table must land every weight in
@@ -32,7 +35,7 @@ from .cyclofield import (
     CycloField,
     CycloMatrix,
 )
-from .exterior import characteristic_polynomial, leading_minors
+from .exterior import minors_and_polynomials
 
 DEFAULT_PREC_BITS = 128  # starting precision of the certified embedding signs
 
@@ -203,31 +206,32 @@ def jacobi_minors(gram: CycloMatrix) -> tuple[CycloElement, ...]:
     """Delta_1 .. Delta_n, every one nonzero, the leading principal minors
     of P* Psi P for some P in GL_n(L): those of Psi itself when none is 0.
     Each zero minor is repaired by `_repair`, which leaves the minors
-    before it as they are, so at most n passes of `leading_minors` are
-    made."""
+    before it as they are and reads p_r from the pass that found the zero,
+    so at most n Berkowitz passes are made (`minors_and_polynomials`)."""
     while True:
-        minors = leading_minors(gram)
+        minors, polys = minors_and_polynomials(gram)
         r = next((r for r, delta in enumerate(minors) if not delta), None)
         if r is None:
             return minors
-        gram = _repair(gram, minors, r)
+        gram = _repair(gram, minors, r, polys[r])
 
 
-def _repair(gram: CycloMatrix, minors, r: int) -> CycloMatrix:
+def _repair(gram: CycloMatrix, minors, r: int, poly: np.ndarray) -> CycloMatrix:
     """A gram congruent to Psi with the same Delta_1 .. Delta_r and a
     nonzero Delta_(r+1), where Delta_(r+1) of Psi is 0.
 
-    The rows and columns R = {0 .. r-1} hold the nonzero Delta_r, and the
-    `_bordered_minors` B_ij, for i, j >= r, are Delta_r times the Schur
-    complement S_ij of that block.  Some B_ii != 0 is moved to position r
-    by swapping e_r with e_i.  Otherwise some B_ij != 0 with i < j: after
-    that swap, e_r <- e_r + c*e_j gives the new Delta_(r+1) = Delta_r *
-    (c*S_ij - conj(c*S_ij)), which is 0 for both c = 1 and c = zeta only
-    if zeta were real; c = 1 serves unless S_ij, so B_ij * conj(Delta_r),
-    is real.  If B = 0 then S = 0 and Psi has rank r, which raises
-    SingularAtEmbedding."""
+    poly is p_r, the characteristic polynomial of the leading r x r block
+    of the numerator array.  The rows and columns R = {0 .. r-1} hold the
+    nonzero Delta_r, and the `_bordered_minors` B_ij, for i, j >= r, are
+    Delta_r times the Schur complement S_ij of that block.  Some B_ii != 0
+    is moved to position r by swapping e_r with e_i.  Otherwise some B_ij
+    != 0 with i < j: after that swap, e_r <- e_r + c*e_j gives the new
+    Delta_(r+1) = Delta_r * (c*S_ij - conj(c*S_ij)), which is 0 for both
+    c = 1 and c = zeta only if zeta were real; c = 1 serves unless S_ij,
+    so B_ij * conj(Delta_r), is real.  If B = 0 then S = 0 and Psi has
+    rank r, which raises SingularAtEmbedding."""
     field, n = gram.field, len(gram)
-    bordered = _bordered_minors(gram, r)
+    bordered = _bordered_minors(gram, r, poly)
     nonzero = bordered.any(axis=2)
     diagonal = np.flatnonzero(nonzero.diagonal())
     if diagonal.size:
@@ -244,13 +248,13 @@ def _repair(gram: CycloMatrix, minors, r: int) -> CycloMatrix:
     return _congruent(gram, r, r + i, r + j, field.one if x != x.conj() else field.zeta)
 
 
-def _bordered_minors(gram: CycloMatrix, r: int) -> np.ndarray:
+def _bordered_minors(gram: CycloMatrix, r: int, poly: np.ndarray) -> np.ndarray:
     """The numerators, over den^(r+1), of B_ij = det Psi[R + i, R + j] for
     R = {0 .. r-1} and i, j >= r, as an (n - r, n - r, phi(m)) array.
 
     With A, X, Y and Z the blocks of the numerator array on R x R, R x T,
-    T x R and T x T (T = {r .. n-1}), and x^r + c_1 x^(r-1) + .. + c_r the
-    characteristic polynomial of A, Cayley-Hamilton gives adj(A) =
+    T x R and T x T (T = {r .. n-1}), and poly = x^r + c_1 x^(r-1) + .. +
+    c_r the characteristic polynomial of A, Cayley-Hamilton gives adj(A) =
     (-1)^(r-1) (A^(r-1) + c_1 A^(r-2) + .. + c_(r-1)), so the bordered
     determinants det A * Z - Y adj(A) X are (-1)^r (c_r Z + Y W) for W =
     A^(r-1) X + c_1 A^(r-2) X + .. + c_(r-1) X, made by Horner's rule:
@@ -258,18 +262,16 @@ def _bordered_minors(gram: CycloMatrix, r: int) -> np.ndarray:
     on Python ints, so no int64 sum can overflow."""
     field, nums = gram.field, gram.nums
     a, x, y, z = nums[:r, :r], nums[:r, r:], nums[r:, :r], nums[r:, r:]
-    poly = characteristic_polynomial(CycloMatrix(field, a))
-
-    def product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return field.dot(u[:, None], np.swapaxes(v, 0, 1)[None])
 
     def scaled(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return field.dot(u[..., None, :], c[None])
+        """Every entry of u times the element c."""
+        column = u.reshape(-1, 1, field.degree)
+        return field.matmul(column, c.reshape(1, 1, -1)).reshape(u.shape)
 
     w = x
     for c in poly[1:r]:
-        w = np.add(product(a, w), scaled(x, c), dtype=object)
-    return (-1) ** r * np.add(scaled(z, poly[r]), product(y, w), dtype=object)
+        w = np.add(field.matmul(a, w), scaled(x, c), dtype=object)
+    return (-1) ** r * np.add(scaled(z, poly[r]), field.matmul(y, w), dtype=object)
 
 
 def _congruent(gram: CycloMatrix, r: int, i: int, j: int | None = None, c=None) -> CycloMatrix:

@@ -207,10 +207,12 @@ def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
     leading 4 x 4 block is a unit mod p, so is its det, Pf^2, and the block
     is the pivot, its inverse M in closed form (`_block_inverse`).  Else
     the pivot is [[0, x], [-x, 0]] with x a unit mod p, M = [[0, -1/x],
-    [1/x, 0]]: x is the first unit of the block's first row when that row
-    has one, else the first unit anywhere in the block, which lies above
-    the diagonal and is brought to (0, 1) by a symmetric swap of rows and
-    columns (J. R. Bunch, Math. Comp. 38, 1982).  Either pivot leaves the
+    [1/x, 0]]: x is the first unit of the block's first row, brought to
+    (0, 1) by a symmetric swap of rows and columns (J. R. Bunch, Math.
+    Comp. 38, 1982).  A first row with no unit is swapped, with its column,
+    to the end of the block, before the rows already there: the pivot rows'
+    entries in its column are 0 mod p, so p divides it through every later
+    update, and each such row is moved once.  Either pivot leaves the
     valuation of the remaining block unchanged, and with X its k rows right
     of the pivot, the Schur complement is block + X^T M X, alternating
     again; an N-row form takes between N/4 and N/2 steps.  X is held in
@@ -224,10 +226,10 @@ def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
     step reads only the rows it needs, brought up to date from the panels,
     and the pending steps are applied before the block is read whole.
     b = 1 updates the block at every step, with X centred too, so that a
-    4-row step adds at most q^2, as a pair does.  When p divides every
-    entry of the block, det(block) = p^size * det(block / p), and block / p
-    is known mod p^(e-1).  None means such a block was met mod p, so p^e
-    divides det."""
+    4-row step adds at most q^2, as a pair does.  When only such rows are
+    left, p divides every entry of the block, det(block) = p^size *
+    det(block / p), and block / p is known mod p^(e-1).  None means such a
+    block was met mod p, so p^e divides det."""
     q = p**e
     b, dtype, panel_dtype = _elimination_plan(len(nums), q)
     if dtype is object:
@@ -239,6 +241,7 @@ def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
     left = np.empty((2 * b, len(a)), panel_dtype)
     right = np.empty_like(left)
     v = pending = 0  # pending: the rows in the panels
+    free = 0  # the last rows of the block, which p divides with their columns
     bound = q  # every |entry| of the block is below bound
     half = q // 2
 
@@ -266,38 +269,39 @@ def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
             pending = 0
 
     while len(a):
+        if free == len(a):  # p divides every entry
+            if q == p:
+                return None
+            flush()
+            a %= q  # so every |entry| is below q // p after the division
+            a //= p
+            q //= p
+            bound, half = q, q // 2
+            v += len(a)
+            free = 0
+            continue
         head = read(4)
         m = None
-        if len(a) >= 4:
+        if len(a) - free >= 4:
             row0, row1, row2 = head[:3, :4].tolist()
             m = _block_inverse((*row0[1:], *row1[2:], row2[3]), p, q)
         if m is not None:
             k = 4
         else:
             units = np.flatnonzero(head[0] % p)
-            if units.size:
-                r, s = 0, int(units[0])
-            else:
-                flush()
-                units = np.flatnonzero(a % p)
-                if not units.size:
-                    if q == p:
-                        return None
-                    a %= q  # so every |entry| is below q // p after the division
-                    a //= p
-                    q //= p
-                    bound, half = q, q // 2
-                    v += len(a)
-                    continue
-                # the first unit in row order: its mirror image is in a later row
-                r, s = divmod(int(units[0]), len(a))
-            for i, j in ((0, r), (1, s)):
-                if i != j:
-                    _swap(i, j, a, a.T, left[:pending], right[:pending])
-            if r or s >= len(head):
-                head = read(2)
-            elif s > 1:
-                _swap(1, s, head, head.T)
+            if not units.size:
+                # row and column 0 stay 0 mod p through every update: the
+                # last row before the unit-free ones takes their place
+                free += 1
+                _swap(0, len(a) - free, a, a.T, left[:pending], right[:pending])
+                continue
+            s = int(units[0])
+            if s > 1:
+                _swap(1, s, a, a.T, left[:pending], right[:pending])
+                if s < len(head):
+                    _swap(1, s, head, head.T)
+                else:
+                    head = read(2)
             c = pow(int(head[0, 1]), -1, q)
             k, m = 2, ((0, -c), (c, 0))
         x = head[:k, k:]

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from pelwedge import cli, hodge, serretate
+from pelwedge import cli, cyclofield, hodge, serretate
 from pelwedge.cli import EXIT_INPUT, EXIT_USAGE, main
 from pelwedge.cyclofield import CycloElement, all_cm_types, cyclo_field
 from pelwedge.instances import rand_perfect_pair, rand_skew_hermitian
@@ -305,6 +305,34 @@ def test_table_signatures_at_m181_keeps_its_rows_within_a_time_budget(
     assert len(out.splitlines()) == 181
     assert hashlib.sha256(out.encode()).hexdigest() == SIGNATURES_181
     assert elapsed < 5, f"table signatures at m=181 took {elapsed:.2f} s, budget 5 s"
+
+
+# table signatures of a random n = 32 gram at m = 16, n^2 * phi(m) at the
+# `Entry` bound 64^2 * 2: the Random(3) draw of `write_signature_form`.  Its
+# Berkowitz pass multiplies coefficients past 2^63, on signed limbs
+SIGNATURES_16X32 = "9f45a683352751e4cb050bb00db443085a9e6f05a4fb45550c6010209dfbfe4b"
+
+
+def test_table_signatures_at_the_entry_bound_multiplies_on_limbs(
+    capsys, monkeypatch, tmp_path, fixtures_dir
+):
+    path = write_signature_form(tmp_path / "sig16x32.pel", 16, 32, seed=3)
+    # the console-script check of the CI workflow reads the committed copy
+    assert json.loads((fixtures_dir / "sig16x32.pel").read_text()) == json.loads(
+        (tmp_path / "sig16x32.pel").read_text()
+    )
+    split = []
+    limbs = cyclofield._limbs
+    monkeypatch.setattr(cyclofield, "_limbs",
+                        lambda a, *args: split.append(a.dtype) or limbs(a, *args))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "signatures", "--input", path)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 9
+    assert hashlib.sha256(out.encode()).hexdigest() == SIGNATURES_16X32
+    assert object in split  # entries past 2^63
+    assert elapsed < 5, f"table signatures at m=16, n=32 took {elapsed:.2f} s, budget 5 s"
 
 
 def test_table_signatures_inverts_no_field_element(capsys, monkeypatch, tmp_path, fixtures_dir):

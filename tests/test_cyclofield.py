@@ -1,13 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from rowmatrix import conj_transpose, mat_mul
 
+from pelwedge import cyclofield
 from pelwedge.cyclofield import (
     CMType,
     CycloElement,
@@ -19,6 +22,7 @@ from pelwedge.cyclofield import (
     cyclo_field,
     cyclotomic_poly,
     frobenius_orbits,
+    integer_array,
     is_prime,
     trace_LQ,
 )
@@ -324,6 +328,7 @@ def test_spadesuit_ramified_rejected(F4):
 # -- reference oracle: the Fraction-coordinate element the kernel replaced ---
 
 
+@lru_cache(maxsize=None)
 def reference_zeta_powers(F):
     """zeta^t as Fraction coordinates, t = 0 .. max(m, 2d - 1) - 1."""
     d, poly = F.degree, cyclotomic_poly(F.m)
@@ -495,6 +500,104 @@ def test_integer_kernel_matches_the_fraction_reference(m):
     assert seen_fraction
     q = F.from_rational(Fraction(-10, 4))
     assert q.coords == (Fraction(-5, 2),) + (0,) * (F.degree - 1) and q.den == 2
+
+
+def reference_matmul(F, x, y):
+    """x @ y over L for numerator arrays of shapes (..., r, t, d) and
+    (..., t, c, d), entry by entry: sums over the terms of `reference_mul`."""
+    batch = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+    (r, t), c = x.shape[-3:-1], y.shape[-2]
+    x = np.broadcast_to(x, batch + x.shape[-3:])
+    y = np.broadcast_to(y, batch + y.shape[-3:])
+    out = np.zeros(batch + (r, c, F.degree), dtype=object)
+    for *b, i, j in np.ndindex(*batch, r, c):
+        total = [0] * F.degree
+        for k in range(t):
+            terms = reference_mul(F, x[(*b, i, k)].tolist(), y[(*b, k, j)].tolist())
+            total = [s + u for s, u in zip(total, terms)]
+        assert all(Fraction(s).denominator == 1 for s in total)
+        out[(*b, i, j)] = [int(s) for s in total]
+    return out
+
+
+def rand_numerators(rng, shape, size, degree):
+    """Numerators of shape + (degree,) in [-size, size], each entry with one
+    coefficient +-size, so every bound of the product is met by some entry;
+    int64 where every value fits, else object."""
+    values = []
+    for _ in range(math.prod(shape)):
+        entry = [rng.randint(-size, size) for _ in range(degree)]
+        entry[rng.randrange(degree)] = rng.choice((size, -size))
+        values.append(entry)
+    return integer_array(values).reshape(*shape, degree)
+
+
+# (x, y) shapes without the degree axis: matrix, broadcast batch, scalar
+# (t = 1) and matrix-vector products, and zero-size axes
+PRODUCT_SHAPES = [
+    ((2, 3), (3, 2)),
+    ((2, 1, 1, 2), (3, 2, 1)),
+    ((3, 1), (1, 1)),
+    ((3, 2), (2, 1)),
+    ((0, 2), (2, 3)),
+    ((2, 0), (0, 3)),
+    ((2, 2), (2, 0)),
+    ((0, 1, 2), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 12, 16, 21, 101, 281])
+def test_matmul_matches_the_python_int_oracle(m, monkeypatch):
+    F = cyclo_field(m)
+    rng = random.Random(2800 + m)
+    split = []
+    limbs = cyclofield._limbs
+
+    def counted_limbs(*args):
+        split.append(args)
+        return limbs(*args)
+
+    monkeypatch.setattr(cyclofield, "_limbs", counted_limbs)
+    chunk = cyclofield._BAND_FLOATS
+    # the Fraction oracle costs about degree^2 operations an entry
+    shapes = PRODUCT_SHAPES if F.degree < 100 else [((1, 1), (1, 1))]
+    for x_shape, y_shape in shapes:
+        terms = x_shape[-1]
+        scale = max(terms, 1) * F._products[1]
+        x_size = 2**20
+        # (x size, y size, limbs, result dtype): either side of the float64
+        # bound t * bound * max|x| * max|y| < 2^53, either side of the int64
+        # combine bound 2^63, and entries of several limbs
+        cases = [
+            (3, 5, False, np.int64),
+            (x_size, (2**53 - 1) // (scale * x_size), False, np.int64),
+            (x_size, (2**53 - 1) // (scale * x_size) + 1, True, np.int64),
+            (x_size, 2**62 // (scale * x_size), True, np.int64),
+            (x_size, 2**63 // (scale * x_size) + 1, True, object),
+            (7, 2**200, True, object),
+            (2**200, 2**200, True, object),
+        ]
+        if F.degree >= 100:
+            del cases[3:6]
+        for x_max, y_max, limbed, dtype in cases:
+            x = rand_numerators(rng, x_shape, x_max, F.degree)
+            y = rand_numerators(rng, y_shape, y_max, F.degree)
+            want = reference_matmul(F, x, y)
+            empty = not (x.size and y.size)
+            # object inputs, and bands taken one term at a time
+            for a, b, band_floats in ((x, y, chunk), (x.astype(object), y.astype(object), chunk),
+                                      (x, y, 1)):
+                monkeypatch.setattr(cyclofield, "_BAND_FLOATS", band_floats)
+                split.clear()
+                got = F.matmul(a, b)
+                assert got.shape == want.shape
+                assert got.tolist() == want.tolist(), (x_shape, y_shape, x_max, y_max)
+                assert bool(split) == (limbed and not empty), (x_shape, x_max, y_max)
+                assert got.dtype == (np.int64 if empty else dtype)
+    # |-2^63| is read from int64 as it is
+    x = np.full((1, 1, F.degree), -(2**63), dtype=np.int64)
+    y = rand_numerators(rng, (1, 1), 3, F.degree)
+    assert F.matmul(x, y).tolist() == reference_matmul(F, x, y).tolist()
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16])

@@ -539,13 +539,20 @@ def test_det_over_L_is_the_last_leading_minor():
 
 
 def test_leading_minors_leave_int64_when_entries_grow():
-    # 2^40 entries push the powers A^i past int64: the same minors on Python ints
+    # 2^40 entries push the powers A^i past int64, and 2^200 entries start
+    # past it, on limbs of several words: the same minors on Python ints,
+    # and Delta_k(s A) = s^k Delta_k(A) against the small entries' minors
     F = cyclo_field(8)
     rng = random.Random(40)
-    rows = [[rand_element(F, rng) * 2**40 for _ in range(5)] for _ in range(5)]
-    A = CycloMatrix.of(F, rows)
-    for k, minor in enumerate(leading_minors(A), 1):
-        assert minor == compound(CycloMatrix.of(F, [r[:k] for r in rows[:k]]), k)[0][0]
+    for scale in (2**40, 2**200):
+        small = [[rand_element(F, rng) for _ in range(5)] for _ in range(5)]
+        rows = [[x * scale for x in row] for row in small]
+        minors = leading_minors(CycloMatrix.of(F, rows))
+        for k, minor in enumerate(minors, 1):
+            assert minor == compound(CycloMatrix.of(F, [r[:k] for r in rows[:k]]), k)[0][0]
+        assert minors == tuple(
+            minor * scale**k for k, minor in enumerate(leading_minors(CycloMatrix.of(F, small)), 1)
+        )
 
 
 def test_colex_subsets():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pelwedge import hodge
+from pelwedge import exterior, hodge
 from pelwedge.cyclofield import CycloElement, CycloMatrix, all_cm_types, cm_type, cyclo_field
 from pelwedge.exterior import det, leading_minors
 from pelwedge.hodge import (
@@ -349,6 +349,22 @@ def test_zero_minors_are_repaired_by_a_congruence(F8):
     # the minors before the first zero one are kept
     gram = CycloMatrix.of(F8, [[x, x, zero], [x, x, one], [zero, -one, -x]])
     assert jacobi_minors(gram)[0] == x
+
+
+def test_a_repair_reads_p_r_from_the_pass_that_found_the_zero(F8, monkeypatch):
+    # one Berkowitz pass per pass of leading minors, on the whole gram: the
+    # repair makes no pass of its own on the leading r x r block
+    calls, passes = [], []
+    berkowitz, minors_and_polynomials = exterior._berkowitz, hodge.minors_and_polynomials
+    monkeypatch.setattr(exterior, "_berkowitz", lambda m: calls.append(len(m)) or berkowitz(m))
+    monkeypatch.setattr(hodge, "minors_and_polynomials",
+                        lambda m: passes.append(len(m)) or minors_and_polynomials(m))
+    for gram in _zero_minor_grams(F8):
+        calls.clear()
+        passes.clear()
+        assert all(jacobi_minors(CycloMatrix.of(F8, gram)))
+        assert len(passes) > 1  # a zero minor was repaired
+        assert calls == passes == [len(gram)] * len(passes)
 
 
 @pytest.mark.parametrize("m", [3, 8, 13])
