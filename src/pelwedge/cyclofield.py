@@ -19,13 +19,18 @@ every power of zeta (`shifted_traces`) through two integer matrices, in
 numpy int64 only when a bound taken from the actual largest |entry| of
 the input proves that no value reaches 2^63, and otherwise by the same
 code on Python ints (object dtype).  Matrices over the field are
-multiplied by one exact product (`matmul`): float64 matrix products
-(BLAS) of the numerators by the band matrices of the entries, then by
-the rows zeta^s, exact while a bound proves every partial sum below
-2^53; above it the numerators are split into signed limbs first, and
-the limb results are combined in int64, or past 2^63 on Python ints,
-entry by entry of the result.  No product is a matrix product on Python
-ints.
+multiplied by one exact product (`matmul`): a float64 matrix product
+(BLAS) of the numerators by the band matrices of every entry of the
+other factor side by side, then one by the rows zeta^s, exact while a
+bound proves every partial sum below 2^53.  Past 2^53, a small product
+of int64 numerators (at most `_WORD_TERMS` terms) runs as the same two
+products in uint64, whose wraparound numpy defines, so the result is
+exact mod 2^64: it is read as int64 when the bound is below 2^63, or
+when a float64 estimate of the result, within gamma_K times the bound
+for K roundings a term, certifies every |entry| below 2^62.  Otherwise
+the numerators are split into signed limbs first, and the limb results
+are combined in int64, or past 2^63 on Python ints, entry by entry of
+the result.  No product is a matrix product on Python ints.
 """
 
 from __future__ import annotations
@@ -171,7 +176,9 @@ def exact_dtype(bound: int):
 
 def magnitude(a: np.ndarray) -> int:
     """The largest |entry| of an integer array as a Python int, 0 if empty."""
-    return max(int(a.max()), -int(a.min())) if a.size else 0
+    if not a.size:
+        return 0
+    return max(int(np.maximum.reduce(a, axis=None)), -int(np.minimum.reduce(a, axis=None)))
 
 
 def integer_array(values) -> np.ndarray:
@@ -340,13 +347,17 @@ class CycloField:
         Every partial sum of the product is at most t * bound * max|x| *
         max|y| (`_products`), and at most the finer `_sum_bound` of the
         entries of x and y.  Below 2^53 the product is two float64 matrix
-        products (`_float_matmul`), every partial sum an exact integer
-        whatever order BLAS sums in.  Above it, x and y are first split
-        into signed limbs (`_limbs`) so narrow that each pair of limbs stays
-        below 2^53; the limbs of x become more rows and those of y more
-        columns of one float64 product, and the limb results are combined
-        in int64 when the bound is below 2^63, else on Python ints, entry
-        by entry of the result."""
+        products (`_band_matmul`), every partial sum an exact integer
+        whatever order BLAS sums in.  Above it, int64 x and y with at most
+        `_WORD_TERMS` terms r * t * c * degree (times the batch) are
+        multiplied by the same two products in uint64, mod 2^64, and the
+        result read as int64, when the bound is below 2^63 or
+        `_below_2_62` certifies every entry of the result.  Else x and y
+        are first split into signed limbs (`_limbs`) so narrow that each
+        pair of limbs stays below 2^53; the limbs of x become more rows
+        and those of y more columns of one float64 product, and the limb
+        results are combined in int64 when the bound is below 2^63, else
+        on Python ints, entry by entry of the result."""
         d = self.degree
         r, t = x.shape[-3:-1]
         c = y.shape[-2]
@@ -360,7 +371,10 @@ class CycloField:
             batch = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
             return np.zeros((*batch, r, c, d), dtype=dtype)
         if bound < 2**53:
-            return self._float_matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
+            return self._band_matmul(x.astype(np.float64), y, self._products[0]).astype(np.int64)
+        if (x.dtype != object and y.dtype != object and max(x.size * c, y.size * r) <= _WORD_TERMS
+                and (bound < 2**63 or self._below_2_62(x, y, bound))):
+            return self._band_matmul(x.astype(np.uint64), y, self._words).view(np.int64)
         # scale * 2^wx * 2^wy <= 2^53 while wx + wy <= room; a side that
         # fits in half of room stays one limb
         room = 53 - (scale - 1).bit_length()
@@ -374,7 +388,7 @@ class CycloField:
         nx, ny = -(-x_bits // wx), -(-y_bits // wy)
         xs = _limbs(x, wx, nx, -4).reshape(*x.shape[:-3], nx * r, t, d)
         ys = _limbs(y, wy, ny, -3).reshape(*y.shape[:-3], t, ny * c, d)
-        pairs = self._float_matmul(xs, ys).astype(np.int64)
+        pairs = self._band_matmul(xs, ys, self._products[0]).astype(np.int64)
         pairs = pairs.reshape(*pairs.shape[:-3], nx, r, ny, c, d)
         b = pairs.ndim - 5  # the batch axes
         pairs = pairs.transpose(b, b + 2, *range(b), b + 1, b + 3, b + 4)
@@ -395,6 +409,29 @@ class CycloField:
             out = (out << unit) + part.astype(object)
         return out
 
+    @cached_property
+    def _words(self) -> np.ndarray:
+        """The rows zeta^s of `_products` in uint64, a negative entry as its
+        residue mod 2^64."""
+        return self._products[0].astype(np.int64).astype(np.uint64)
+
+    def _below_2_62(self, x: np.ndarray, y: np.ndarray, bound: float) -> bool:
+        """Whether every |entry| of the `matmul` of int64 arrays x and y is
+        certainly below 2^62, from a float64 estimate of it.  Each of its
+        terms x_i y_j zeta^(i+j) meets at most K = (t + 2) * degree + 2
+        roundings: those of x_i, of y_j and of their product, and one for
+        each sum it is part of (the t * degree terms of a convolution
+        coefficient, then the 2 * degree - 1 coefficients).  So the estimate
+        is within gamma_K = K u / (1 - K u), u = 2^-53, times the sum of
+        the terms' absolute values, which `bound` bounds (Higham, Accuracy
+        and Stability of Numerical Algorithms, 2002, section 3.1).  The test
+        is max|estimate| + gamma_K * bound < 2^62, and the rounding of that
+        sum moves it by far less than the 2^62 of room left below 2^63."""
+        estimate = self._band_matmul(x.astype(np.float64), y, self._products[0])
+        k = (x.shape[-2] + 2) * self.degree + 2
+        error = k * 2.0**-53 / (1 - k * 2.0**-53) * float(bound)
+        return float(np.abs(estimate).max()) + error < 2.0**62
+
     def _sum_bound(self, x: np.ndarray, y: np.ndarray) -> float:
         """A bound on every partial sum of the `matmul` of int64 arrays x and
         y, finer than t * bound * max|x| * max|y| where the sizes of the
@@ -405,41 +442,48 @@ class CycloField:
         cols = np.abs(y.astype(np.float64)).max(axis=-1)
         return float((rows @ cols).max()) * self._products[1] * (1 + 2**-32)
 
-    def _float_matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """`matmul` of float64 numerator arrays whose partial sums are all
-        exact.  Row i of the band matrix H(v) of a numerator v, H(v)[i, s] =
-        v_(s-i), is the convolution of zeta^i with v.  For each column of y,
-        conv = x @ H over the t * degree inner axis, H the bands of the
-        column's entries stacked, and conv @ table takes the 2 * degree - 1
-        convolution coefficients to the basis (`_products`).  A band takes
-        degree * (2 * degree - 1) floats, so the terms are taken in chunks
-        of at most `_BAND_FLOATS` floats of bands."""
+    def _band_matmul(self, x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """`matmul` of numerator arrays x and y in the dtype of table, the
+        rows zeta^s: float64 with every partial sum exact, or uint64, which
+        numpy computes mod 2^64.  x must have that dtype already, and y is
+        cast as it is copied into the bands.  Row i of the band matrix H(v) of a
+        numerator v, H(v)[i, s] = v_(s-i), is the convolution of zeta^i
+        with v.  The bands of the entries of column j of y, stacked over the
+        terms, take the columns j (2 * degree - 1) onwards of one matrix H,
+        so conv = x @ H over the t * degree inner axis is one product for
+        every column, and conv @ table takes the 2 * degree - 1 convolution
+        coefficients to the basis (`_products`).  A band takes degree *
+        (2 * degree - 1) entries, so the terms are taken in chunks of at
+        most `_BAND_FLOATS` entries of bands."""
         d = self.degree
-        table = self._products[0]
         r, t = x.shape[-3:-1]
         c = y.shape[-2]
-        # (..., c, t, 3d - 2): y by columns, each numerator between d - 1
-        # zeros, so that H[i] is its 2d - 1 places from place d - 1 - i on
-        pad = np.zeros((*y.shape[:-3], c, t, 3 * d - 2))
-        pad[..., d - 1 : 2 * d - 1] = np.swapaxes(y, -3, -2)
-        rows = x.reshape(*x.shape[:-3], 1, r, t * d)
-        step = max(1, _BAND_FLOATS // (pad[..., 0, 0].size * d * (2 * d - 1)))
-        conv = 0
+        # (..., t, c, 3d - 2): each numerator between d - 1 zeros, so that
+        # H[i] is its 2d - 1 places from place d - 1 - i on
+        pad = np.zeros((*y.shape[:-1], 3 * d - 2), dtype=table.dtype)
+        pad[..., d - 1 : 2 * d - 1] = y
+        rows = x.reshape(*x.shape[:-2], t * d)
+        step = max(1, _BAND_FLOATS // (pad[..., 0, :, 0].size * d * (2 * d - 1)))
         for start in range(0, t, step):
             terms = min(step, t - start)
-            # the bands of these terms as a view of pad, then one copy
+            # the bands of these terms as a view of pad, (..., terms, i, c,
+            # 2d - 1), then one copy
             bands = np.ndarray(
-                (*pad.shape[:-2], terms, d, 2 * d - 1), pad.dtype, pad,
-                start * pad.strides[-2] + (d - 1) * pad.itemsize,
-                (*pad.strides[:-1], -pad.itemsize, pad.itemsize),
-            ).reshape(*pad.shape[:-2], terms * d, 2 * d - 1)
-            conv = conv + rows[..., start * d : (start + terms) * d] @ bands
-        out = (conv.reshape(-1, 2 * d - 1) @ table).reshape(*conv.shape[:-1], d)
-        return np.swapaxes(out, -3, -2)
+                (*pad.shape[:-3], terms, d, c, 2 * d - 1), pad.dtype, pad,
+                start * pad.strides[-3] + (d - 1) * pad.itemsize,
+                (*pad.strides[:-2], -pad.itemsize, pad.strides[-2], pad.itemsize),
+            ).reshape(*pad.shape[:-3], terms * d, c * (2 * d - 1))
+            part = rows[..., start * d : (start + terms) * d] @ bands
+            conv = conv + part if start else part
+        return (conv.reshape(-1, 2 * d - 1) @ table).reshape(*conv.shape[:-1], c, d)
 
 
-# the floats of one chunk of band matrices in `CycloField._float_matmul`
+# the floats of one chunk of band matrices in `CycloField._band_matmul`
 _BAND_FLOATS = 2**20
+# the most terms r * t * c * degree (times the batch) of a `CycloField.matmul`
+# past 2^53 that runs as one uint64 product: numpy multiplies integers with
+# no BLAS, so past it the float64 products on limbs are faster
+_WORD_TERMS = 2**12
 
 
 def _limbs(a: np.ndarray, width: int, count: int, axis: int) -> np.ndarray:

@@ -11,8 +11,10 @@ paths, chosen from the entries:
   j+1 entries of the last row by their j-row minors, which sums the terms
   of the expansion along that row.  The gather indices are cached per
   (n, k).  The product's bounds, from the actual largest entries of the
-  matrix and of level j, keep it exact: in float64 below 2^53, on limbs
-  above, with a result in int64 below 2^63 and on Python ints above.
+  matrix and of level j, keep it exact: in float64 below 2^53, in uint64
+  above while the product is small and its result certified below 2^62
+  (or its bound below 2^63), else on limbs, with a result in int64 below
+  2^63 and on Python ints above.
 - Over any other commutative ring (ints, Fractions, `serretate.Polynomial`s,
   sympy expressions or CycloElements given as rows, with +, -, * and
   truthiness-as-nonzero), `leading_compounds` walks the same levels once
@@ -343,31 +345,36 @@ def _berkowitz(matrix: CycloMatrix) -> list[np.ndarray]:
     is T_k p_k for the Toeplitz matrix T_k of (1, -N[k, k], -r_k c_k,
     -r_k N_k c_k, .., -r_k N_k^(k-1) c_k).  Column k of V_i holds
     N_k^i c_k above row k and 0 from row k down, so U_i = N V_i is one
-    `CycloField.matmul` per power i < n - 1, and U_i[k, k] = r_k N_k^i
-    c_k; the strict upper triangle of U_i is V_(i+1).  Then one
+    `CycloField.matmul` per power i < n - 1, whose entry (k, k) is r_k
+    N_k^i c_k; the strict upper triangle of U_i is V_(i+1).  Those
+    entries fill the first columns of every T_k as they come.  Then one
     matrix-vector `matmul` per k takes p_k to p_(k+1): 2n - 1 products
-    and no inverse."""
+    and no inverse.  The coefficients of p_k are far smaller than the
+    a-priori bounds of the last steps, which pass 2^53, so those steps
+    are the small uint64 products of `CycloField.matmul`."""
     field, a = matrix.field, matrix.nums
-    n = len(matrix)
+    n, d = len(matrix), field.degree
     if matrix.shape != (n, n):
         raise ValueError("the characteristic polynomial needs a square matrix")
+    # row k from place 1 on: 1, -N[k, k], -r_k c_k, .., -r_k N_k^(k-1) c_k,
+    # the first column of T_k
+    columns = np.zeros((n, n + 3, d), dtype=a.dtype)
+    columns[:, 1, 0] = 1
+    columns[:, 2] = -a[range(n), range(n)]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)[..., None]
-    v = np.where(upper, a, 0)
-    powers = []  # powers[i][k, k - i - 1] = r_k N_k^i c_k, for the columns k > i
+    v = np.where(upper, a, 0)[:, 1:]  # the columns k > i of V_i
     for i in range(n - 1):
-        u = field.matmul(a, v[:, i + 1 :])
-        powers.append(u)
-        v = np.zeros((n, n, field.degree), dtype=u.dtype)
-        v[:, i + 1 :] = np.where(upper[:, i + 1 :], u, 0)
-    one = np.zeros(field.degree, dtype=np.int64)
-    one[0] = 1
-    polys = [one[None]]
+        u = field.matmul(a, v)
+        if u.dtype == object:
+            columns = columns.astype(object, copy=False)
+        # U_i[k, k] = r_k N_k^i c_k for the columns k > i
+        columns[i + 1 :, i + 3] = -u[i + 1 :].diagonal(0, 0, 1).T
+        v = np.where(upper[:, i + 2 :], u[:, 1:], 0)
+    # row 0 of the column is 0, so T_k[r, j] = column[r - j + 1] if r >= j
+    places = np.maximum(np.arange(n + 1)[:, None] - np.arange(n) + 1, 0)
+    polys = [np.eye(1, d, dtype=np.int64)]
     for k in range(n):
-        # row 0 of the padded column is 0, so T_k[r, j] = column[r - j + 1] if r >= j
-        column = np.stack(
-            [0 * one, one, -a[k, k], *(-u[k, k - i - 1] for i, u in enumerate(powers[:k]))]
-        )
-        toeplitz = column[np.maximum(np.arange(k + 2)[:, None] - np.arange(k + 1) + 1, 0)]
+        toeplitz = columns[k, places[: k + 2, : k + 1]]
         polys.append(field.matmul(toeplitz, polys[-1][:, None])[:, 0])
     return polys
 
@@ -385,7 +392,7 @@ def minors_and_polynomials(matrix: CycloMatrix):
     field, den = matrix.field, matrix.den
     polys = _berkowitz(matrix)
     minors = tuple(
-        CycloElement(field, tuple((-1) ** k * int(c) for c in p[-1]), den**k)
+        CycloElement(field, tuple(c if k % 2 == 0 else -c for c in p[-1].tolist()), den**k)
         for k, p in enumerate(polys[1:], 1)
     )
     return minors, polys

@@ -13,6 +13,21 @@ characteristic polynomial of the leading block from that same pass.  No
 field element is inverted, and every product over L is a
 `CycloField.matmul`.
 
+The signs of the minors at every embedding are read at once
+(`_minor_signs`), and the signatures at every embedding are cached on
+the module.  A float64 rung comes first: one float64 product of the
+minors' numerators by cos and sin tables of the field (`_float_trig`, the
+midpoints of the integer bounds at `DEFAULT_PREC_BITS`), which is not a
+product over L, and one of their absolute values by a table of error
+bounds.  The bound is Higham's gamma_phi(m) sum |c_t w_t| for the
+rounding of the sum, plus sum |c_t| times the table's own error, doubled
+to cover the rounding of the bound itself; a sign is read where the
+estimate exceeds it in absolute value.  Every other sign, and every sign
+of a minor with a numerator of 2^53 or more, comes from the integer
+ladder (`_certified_sign`): exact sums over integer interval tables of
+the cosines and sines, at twice the precision until the interval
+excludes 0.  No absolute tolerance decides a sign.
+
 The central check is `verify_type11`: combining the per-embedding wedge
 weight table with the twist table must land every weight in
 {(-1,0),(0,-1)}, with (-1,0)-multiplicity given by the derived trace
@@ -194,12 +209,26 @@ class HermitianModule:
         self.rank = len(gram)
         self.gram = gram
         self._minors = None
+        self._signatures = None
 
     def minors(self) -> tuple[CycloElement, ...]:
         """The `jacobi_minors` of the gram, computed on first use."""
         if self._minors is None:
             self._minors = jacobi_minors(self.gram)
         return self._minors
+
+    def signatures(self) -> dict[int, tuple[int, int]]:
+        """Each unit k below m -> `signature_at` k, all read on first use
+        from the signs of `_minor_signs`."""
+        if self._signatures is None:
+            minors = self.minors()
+            # D_j = (-1)^((j+1)/2) times the j-th row of signs (see `signature_at`)
+            flips = (-1) ** ((np.arange(1, len(minors) + 1) + 1) // 2)
+            signs = np.vstack([np.ones((1, self.field.degree), dtype=np.int64),
+                               _minor_signs(self.field, minors) * flips[:, None]])
+            neg = np.count_nonzero(signs[1:] != signs[:-1], axis=0).tolist()
+            self._signatures = {k: (self.rank - q, q) for k, q in zip(self.field.units, neg)}
+        return self._signatures
 
 
 def jacobi_minors(gram: CycloMatrix) -> tuple[CycloElement, ...]:
@@ -375,6 +404,65 @@ def _certified_sign(x: CycloElement, k: int, part: int) -> int:
         prec_bits *= 2
 
 
+@lru_cache(maxsize=32)  # a table per field and precision in use
+def _float_trig(m: int, prec_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, errors), two float64 arrays of shape (phi(m), 2 phi(m)).
+
+    Entry (t, i) of values is cos(2 pi k t / m) and entry (t, phi(m) + i)
+    is sin(2 pi k t / m), for the i-th unit k below m: the midpoint w of
+    the `_trig_bounds` (lo, hi) at prec_bits, rounded to float64, so that
+    |w - exact| <= e = (hi - lo) 2^-prec_bits + 2^-52 |w|.  The same
+    entry of errors is 2 (gamma |w| + e), gamma = phi(m) u / (1 - phi(m)
+    u) for u = 2^-53.  For integers c_t below 2^53 in magnitude, the
+    float64 sum fl(sum_t c_t w_t) of phi(m) terms is within gamma sum_t
+    |c_t w_t| of sum_t c_t w_t, in any order of summation (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1),
+    so within sum_t |c_t| (gamma |w_t| + e_t) of the exact sum.  The
+    factor 2 covers the rounding of gamma, of the table and of the
+    product sum_t |c_t| errors_t that bounds it, each a factor 1 - gamma
+    or 1 - u at worst.  No entry or product is subnormal for prec_bits
+    below 1000."""
+    units = [k for k in range(1, m) if math.gcd(k, m) == 1]
+    u = 2.0**-53
+    gamma = len(units) * u / (1 - len(units) * u)
+    at = np.outer(np.arange(len(units)), units) % m  # k t mod m
+    values, errors = [], []
+    for bounds in _trig_bounds(m, prec_bits):
+        w = np.array([math.ldexp(lo + hi, -prec_bits - 1) for lo, hi in bounds])
+        e = np.array([math.ldexp(hi - lo, -prec_bits) for lo, hi in bounds]) + 2 * u * np.abs(w)
+        values.append(w[at])
+        errors.append((2 * (gamma * np.abs(w) + e))[at])
+    return np.hstack(values), np.hstack(errors)
+
+
+def _minor_signs(field: CycloField, minors) -> np.ndarray:
+    """An (n, phi(m)) array of signs of the nonzero minors Delta_1 ..
+    Delta_n: entry (j - 1, i) is the sign of Im sigma_k(Delta_j) for odd j
+    and of sigma_k(Delta_j) for even j, k the i-th unit below m.
+
+    Those are the signs of sum_t num_t sin or cos(2 pi k t / m) over the
+    numerators of Delta_j.  One float64 product of all the numerators by
+    the tables of `_float_trig` at `DEFAULT_PREC_BITS` estimates every
+    sum, and one of their absolute values by its errors bounds each
+    estimate's error; a sign is read where |estimate| exceeds its bound.
+    Each other sign, and every sign of a minor with a numerator of 2^53 or
+    more (its row of the product is 0), comes from `_certified_sign`."""
+    d, n = field.degree, len(minors)
+    values, errors = _float_trig(field.m, DEFAULT_PREC_BITS)
+    zero = (0,) * d
+    nums = np.array(
+        [x.num if max(map(abs, x.num)) < 2**53 else zero for x in minors], dtype=np.float64
+    ).reshape(n, d)
+    # the sine columns for odd j, on the even rows, and the cosines for even j
+    columns = np.arange(d) + d * (np.arange(n)[:, None] % 2 == 0)
+    estimates = np.take_along_axis(nums @ values, columns, 1)
+    bounds = np.take_along_axis(np.abs(nums) @ errors, columns, 1)
+    signs = (estimates > bounds).astype(np.int64) - (estimates < -bounds)
+    for j, i in np.argwhere(signs == 0).tolist():
+        signs[j, i] = _certified_sign(minors[j], field.units[i], 1 - j % 2)
+    return signs
+
+
 def real_sign(x: CycloElement, k: int) -> int:
     """The sign of sigma_k(x) for a nonzero totally real x, certified."""
     return _certified_sign(x, k, 0)
@@ -395,26 +483,17 @@ def signature_at(module: HermitianModule, k: int) -> tuple[int, int]:
     sigma_k(Delta_j) is the j-th leading minor of i*Psi_sigma.  As
     conj(Delta_j) = (-1)^j Delta_j, D_j = (-1)^((j+1)/2) Im
     sigma_k(Delta_j) for odd j and (-1)^(j/2) sigma_k(Delta_j) for even
-    j; each sign is certified by `imaginary_sign` or `real_sign`."""
-    if math.gcd(k, module.field.m) != 1:
-        raise ValueError(f"{k} is not a unit modulo {module.field.m}")
-    neg, previous = 0, 1
-    for j, delta in enumerate(module.minors(), 1):
-        if j % 2:
-            sign = imaginary_sign(delta, k) * (-1) ** ((j + 1) // 2)
-        else:
-            sign = real_sign(delta, k) * (-1) ** (j // 2)
-        neg += sign != previous
-        previous = sign
-    return module.rank - neg, neg
+    j.  The signatures at every k are read at once, on first use, into
+    `HermitianModule.signatures`, each sign certified by `_minor_signs`."""
+    m = module.field.m
+    if math.gcd(k, m) != 1:
+        raise ValueError(f"{k} is not a unit modulo {m}")
+    return module.signatures()[k % m]
 
 
 def compatible(module: HermitianModule, phi: CMTraceVector) -> bool:
     """True iff p_sigma equals phi's coefficient at sigma, for every sigma."""
     if any(c < 0 or c > module.rank for c in phi.coeffs):
         raise ValueError("coefficients must lie in [0, rank]")
-    for k, coefficient in zip(module.field.units, phi.coeffs):
-        pos, _ = signature_at(module, k)
-        if pos != coefficient:
-            return False
-    return True
+    signatures = module.signatures()
+    return all(signatures[k][0] == c for k, c in zip(module.field.units, phi.coeffs))

@@ -209,10 +209,11 @@ def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
     the pivot is [[0, x], [-x, 0]] with x a unit mod p, M = [[0, -1/x],
     [1/x, 0]]: x is the first unit of the block's first row, brought to
     (0, 1) by a symmetric swap of rows and columns (J. R. Bunch, Math.
-    Comp. 38, 1982).  A first row with no unit is swapped, with its column,
-    to the end of the block, before the rows already there: the pivot rows'
-    entries in its column are 0 mod p, so p divides it through every later
-    update, and each such row is moved once.  Either pivot leaves the
+    Comp. 38, 1982).  When the first row has no unit, it and every other
+    read row with no unit are swapped, with their columns, to the end of
+    the block, before the rows already there, in one step: the pivot rows'
+    entries in such a column are 0 mod p, so p divides it through every
+    later update, and each such row is moved once.  Either pivot leaves the
     valuation of the remaining block unchanged, and with X its k rows right
     of the pivot, the Schur complement is block + X^T M X, alternating
     again; an N-row form takes between N/4 and N/2 steps.  X is held in
@@ -290,10 +291,12 @@ def _det_valuation_mod(nums: np.ndarray, p: int, e: int) -> int | None:
         else:
             units = np.flatnonzero(head[0] % p)
             if not units.size:
-                # row and column 0 stay 0 mod p through every update: the
-                # last row before the unit-free ones takes their place
-                free += 1
-                _swap(0, len(a) - free, a, a.T, left[:pending], right[:pending])
+                # a row and column with no unit stay 0 mod p through every
+                # update: each such row read here, from the last one up,
+                # swaps places with the last row before the unit-free ones
+                for i in np.flatnonzero(~(head[: len(a) - free] % p).any(axis=1))[::-1].tolist():
+                    free += 1
+                    _swap(i, len(a) - free, a, a.T, left[:pending], right[:pending])
                 continue
             s = int(units[0])
             if s > 1:

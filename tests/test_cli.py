@@ -335,6 +335,29 @@ def test_table_signatures_at_the_entry_bound_multiplies_on_limbs(
     assert elapsed < 5, f"table signatures at m=16, n=32 took {elapsed:.2f} s, budget 5 s"
 
 
+# the `--format records` stdout of the ten `table signatures` requests of
+# the benchmark's hodge-catalogue plan at seed 1 (rank-12 grams over
+# Q(zeta_16)), joined in plan order, and of the m = 5 gram whose signs at
+# k = 1 and 4 only the integer ladder decides
+SIGNATURES_CATALOGUE_1 = "d97da17590c45a3d8c15acb723b00816475ee55e11e79d4a60b0e5d2bddab882"
+SIGNATURES_LADDER = "embedding,p,q\n1,1,1\n2,1,1\n3,1,1\n4,1,1\n"
+
+
+def test_table_signatures_bytes_are_pinned(capsys, tmp_path, fixtures_dir):
+    from perfbench.workloads import hodge_catalogue
+
+    plan = hodge_catalogue(1, tmp_path)
+    outs = []
+    for request in (req for reqs in plan.rounds for req in reqs if req.kind == "signatures"):
+        code, out, err = run(capsys, *request.argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert len(outs) == 10
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == SIGNATURES_CATALOGUE_1
+    path = str(fixtures_dir / "ladder5.pel")
+    assert run(capsys, "table", "signatures", "--input", path) == (0, SIGNATURES_LADDER, "")
+
+
 def test_table_signatures_inverts_no_field_element(capsys, monkeypatch, tmp_path, fixtures_dir):
     calls = []
     inverse = CycloElement.inverse

@@ -24,6 +24,7 @@ from pelwedge.cyclofield import (
     frobenius_orbits,
     integer_array,
     is_prime,
+    magnitude,
     trace_LQ,
 )
 from pelwedge.hodge import HermitianModule
@@ -584,20 +585,72 @@ def test_matmul_matches_the_python_int_oracle(m, monkeypatch):
             y = rand_numerators(rng, y_shape, y_max, F.degree)
             want = reference_matmul(F, x, y)
             empty = not (x.size and y.size)
-            # object inputs, and bands taken one term at a time
-            for a, b, band_floats in ((x, y, chunk), (x.astype(object), y.astype(object), chunk),
-                                      (x, y, 1)):
+            # object inputs, and bands taken one term at a time; without the
+            # uint64 tier every product past 2^53 splits into limbs, and
+            # with it an int64 one splits only if its bound passes 2^63 and
+            # its result is not certified below 2^62
+            for a, b, band_floats, words in (
+                (x, y, chunk, False), (x.astype(object), y.astype(object), chunk, False),
+                (x, y, 1, False), (x, y, chunk, True), (x, y, 1, True),
+            ):
                 monkeypatch.setattr(cyclofield, "_BAND_FLOATS", band_floats)
+                monkeypatch.setattr(cyclofield, "_WORD_TERMS", 2**40 if words else 0)
                 split.clear()
                 got = F.matmul(a, b)
                 assert got.shape == want.shape
-                assert got.tolist() == want.tolist(), (x_shape, y_shape, x_max, y_max)
+                assert got.tolist() == want.tolist(), (x_shape, y_shape, x_max, y_max, words)
+                if words and limbed and a.dtype != object and not empty:
+                    # certified with far more room than the gap 2^61 .. 2^62
+                    # here, or certainly not, at 2^62
+                    size = magnitude(want)
+                    if dtype is np.int64 or size < 2**61:
+                        assert not split and got.dtype == np.int64, (x_shape, x_max, y_max)
+                    elif size >= 2**62:
+                        assert split and got.dtype == object, (x_shape, x_max, y_max)
+                    continue
                 assert bool(split) == (limbed and not empty), (x_shape, x_max, y_max)
                 assert got.dtype == (np.int64 if empty else dtype)
     # |-2^63| is read from int64 as it is
     x = np.full((1, 1, F.degree), -(2**63), dtype=np.int64)
     y = rand_numerators(rng, (1, 1), 3, F.degree)
     assert F.matmul(x, y).tolist() == reference_matmul(F, x, y).tolist()
+
+
+@pytest.mark.parametrize("m", [3, 5, 16])
+def test_the_uint64_tier_runs_only_where_its_result_is_certified(m, monkeypatch):
+    F = cyclo_field(m)
+    d = F.degree
+    split = []
+    limbs = cyclofield._limbs
+    monkeypatch.setattr(cyclofield, "_limbs", lambda *args: split.append(args) or limbs(*args))
+    a, b = 2**30 + 1, 2**31 + 3  # a * b past 2^61, so t * d * a * b past 2^63
+    x = np.zeros((1, 2, d), dtype=np.int64)
+    y = np.zeros((2, 1, d), dtype=np.int64)
+    x[0, :, 0] = a
+    y[0, 0], y[1, 0] = b, -b
+    # a bound past 2^63, a result of 0: one uint64 product, in int64
+    assert F._sum_bound(x, y) >= 2**63
+    got = F.matmul(x, y)
+    assert not split and got.dtype == np.int64 and not got.any()
+    # results at 2^62 and past 2^63, where a wrapped uint64 sum would be
+    # wrong: both on limbs, as Python ints
+    for scale in (2, 4):
+        y[1, 0] = b * (scale - 1)
+        want = reference_matmul(F, x, y)
+        assert magnitude(want) >= 2**62
+        split.clear()
+        got = F.matmul(x, y)
+        assert split and got.dtype == object and got.tolist() == want.tolist()
+    # past 2^53 and below 2^63 the bound alone certifies the uint64 product
+    y[1, 0] = 1
+    small = x // 2**8
+    assert 2**53 <= F._sum_bound(small, y) < 2**63
+    split.clear()
+    got = F.matmul(small, y)
+    assert not split and got.tolist() == reference_matmul(F, small, y).tolist()
+    # and past `_WORD_TERMS` terms the products run on limbs
+    monkeypatch.setattr(cyclofield, "_WORD_TERMS", small.size - 1)
+    assert F.matmul(small, y).tolist() == got.tolist() and split
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16])

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -391,19 +392,72 @@ def test_degenerate_forms_raise_with_the_oracles_rank(m):
         assert str(jacobi.value) == str(oracle.value)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 13, 16, 101, 181])
+def test_the_one_pass_matches_the_oracle_and_the_integer_ladder(m):
+    # the oracle inverts its pivots, which costs seconds past n = 2 at m = 101
+    F = cyclo_field(m)
+    rng = random.Random(2900 + m)
+    sizes = (1, 2) if F.degree > 16 else (1, 2, 3, rng.randint(4, 11), 12)
+    for n in sizes:
+        module = HermitianModule(F, rand_skew_hermitian(F, n, rng))
+        deltas = congruence_diagonal(F, module.gram)
+        assert module.signatures() == {k: diagonal_signature(F, deltas, k) for k in F.units}
+        # every sign the float64 rung reads is the one the integer ladder reads
+        minors = module.minors()
+        ladder = [[hodge._certified_sign(delta, k, j % 2) for k in F.units]
+                  for j, delta in enumerate(minors, 1)]
+        assert hodge._minor_signs(F, minors).tolist() == ladder
+
+
+def test_a_sign_below_the_float64_bound_goes_to_the_integer_ladder(fixtures_dir, monkeypatch):
+    # diag(y (zeta - zeta^-1), zeta - zeta^-1) at m = 5 with y = F_60 (zeta +
+    # zeta^-1) - F_59, Fibonacci numbers near 2^40: sigma_1(y) = F_60 / phi -
+    # F_59 is about -2.9e-13, so Im sigma_1(Delta_1) is about -5.5e-13
+    # against sum |c_t w_t| of about 4e12 and a float64 bound of 5.4e-3, and
+    # float64 decides neither minor at k = 1 or 4
+    doc = json.loads((fixtures_dir / "ladder5.pel").read_text())
+    F = cyclo_field(doc["m"])
+    gram = [[F.element(x) for x in row] for row in doc["gram1"]]
+    z = F.zeta
+    y = (z + z.conj()) * 1548008755920 - 956722026041
+    assert gram[0][0] == y * (z - z.conj()) and gram[1][1] == z - z.conj()
+    with mpmath.workprec(128):
+        assert -3e-13 < reference_embed(F, y.coords, 1, 128).real < -2.8e-13
+    deltas = congruence_diagonal(F, gram)
+    expected = [diagonal_signature(F, deltas, k) for k in F.units]
+    hodge._float_trig(F.m, hodge.DEFAULT_PREC_BITS)  # the rung's table, made once
+    bits = []
+    trig_bounds = hodge._trig_bounds
+    monkeypatch.setattr(
+        hodge, "_trig_bounds", lambda m, prec: bits.append(prec) or trig_bounds(m, prec)
+    )
+    module = HermitianModule(F, gram)
+    assert [signature_at(module, k) for k in F.units] == expected == [(1, 1)] * 4
+    # the ladder's 128-bit bounds decide both minors at k = 1 and at k = 4
+    assert bits == [hodge.DEFAULT_PREC_BITS] * 4
+
+
 @pytest.mark.parametrize("flipped", ["odd", "even"])
 def test_the_oracle_sees_a_flipped_sign(monkeypatch, flipped):
-    # the odd-j signs come from imaginary_sign and the even-j ones from
-    # real_sign; negating either breaks the agreement with the oracle
+    # the one pass reads the signs of Im sigma_k(Delta_j) for odd j from
+    # the even rows of _minor_signs and those of sigma_k(Delta_j) for even j
+    # from the odd rows; negating either parity breaks the agreement with
+    # the oracle
     F = cyclo_field(8)
     rng = random.Random(81)
     modules = [HermitianModule(F, rand_skew_hermitian(F, n, rng)) for n in (2, 3, 4)]
     expected = [[diagonal_signature(F, congruence_diagonal(F, mod.gram), k) for k in F.units]
                 for mod in modules]
-    name = "imaginary_sign" if flipped == "odd" else "real_sign"
-    sign = getattr(hodge, name)
-    monkeypatch.setattr(hodge, name, lambda x, k: -sign(x, k))
-    got = [[signature_at(mod, k) for k in F.units] for mod in modules]
+    assert [[signature_at(mod, k) for k in F.units] for mod in modules] == expected
+    minor_signs = hodge._minor_signs
+
+    def flipping(field, minors):
+        signs = minor_signs(field, minors)
+        signs[0 if flipped == "odd" else 1 :: 2] *= -1
+        return signs
+
+    monkeypatch.setattr(hodge, "_minor_signs", flipping)
+    got = [[signature_at(HermitianModule(F, mod.gram), k) for k in F.units] for mod in modules]
     assert got != expected
 
 
@@ -428,12 +482,14 @@ def test_low_starting_precision_escalates(monkeypatch):
         return trig_bounds(m, prec_bits)
 
     monkeypatch.setattr(hodge, "_trig_bounds", recording)
-    # 4 bits certify 80 of the 96 signs of this form, and 8 bits the rest
+    # from 4 bits the float64 rung decides 66 of the 96 signs of this form,
+    # the integer ladder 14 more at 4 bits and the other 16 at 8 bits; from
+    # 128 bits the rung decides all 96
     monkeypatch.setattr(hodge, "DEFAULT_PREC_BITS", 4)
     low = [signature_at(module, k) for k in F.units]
     assert min(bits) == 4 and max(bits) > 4
     monkeypatch.undo()
-    assert low == [signature_at(module, k) for k in F.units]
+    assert low == [signature_at(HermitianModule(F, module.gram), k) for k in F.units]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 13, 16, 101, 181])

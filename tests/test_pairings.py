@@ -1193,6 +1193,30 @@ def test_a_600_row_block_matches_the_2x2_loop(p, e):
         assert _det_valuation_mod(matrix, p, e) == reference_det_valuation_mod(matrix, p, e), label
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unit_free_first_rows_move_in_one_step(monkeypatch, p):
+    # congruent forms whose first `pairs` pivots p divides: the rows 0 ..
+    # 2 pairs - 1 have no unit mod p, and the step that reads them moves
+    # every one of them, the last first, to the end of the block
+    rng = np.random.default_rng(6500 + p)
+    swaps = []
+    swap = pairings._swap
+    monkeypatch.setattr(
+        pairings, "_swap", lambda i, j, *arrays: swaps.append((i, j)) or swap(i, j, *arrays)
+    )
+    for size in (4, 6, 10, BLOCKED_ROWS + 2, FLUSH_ROWS + 2):
+        for pairs in (1, 2):
+            units = [int(x) for x in rng.choice((1, -1, 2) if p > 2 else (1, -1, 3), size // 2)]
+            matrix = congruent_alternating(rng, [p * u for u in units[:pairs]] + units[pairs:])
+            assert not (matrix[: 2 * pairs] % p).any()
+            for e in (1, 2, 3):
+                swaps.clear()
+                got = _det_valuation_mod(matrix, p, e)
+                assert got == reference_det_valuation_mod(matrix, p, e), (size, pairs, e)
+                moved = [(i, size - 2 * pairs + i) for i in range(2 * pairs)]
+                assert swaps[: 2 * pairs] == moved[::-1]
+
+
 def test_the_plan_switches_at_the_float64_and_int64_bounds():
     b, rows = pairings._BLOCKED_PAIRS, BLOCKED_ROWS
     assert b > 1
